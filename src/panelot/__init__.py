@@ -31,12 +31,12 @@ from .objectives import (
     parse_objective,
 )
 from .panels import (
+    CompositionDistribution,
     Panel,
     PanelComposition,
     PanelDistribution,
     ProbabilityAssignment,
     enumerate_panels,
-    expand_composition_distribution,
     feasible_compositions,
     marginals,
     panel_oracle,

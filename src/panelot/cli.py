@@ -4,8 +4,7 @@ Subcommands: validate, select, leximin, legacy, round, manip, feature-drop,
 bench, gen-lb. Exit codes: 0 success, 1 domain error (stable error code on
 stderr), 2 usage error. Identical argv + seed produce byte-identical
 artifacts; the bench suite keeps wall-clock timings out of its files for
-that reason. SORTITION_THREADS caps internal parallelism (the current
-implementation is single-threaded, so any value only validates).
+that reason.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,9 +27,10 @@ from .adversary import (
 from .errors import PanelotError
 from .model import duplicate_pool, load_instance, save_instance, stats
 from .objectives import gini, parse_objective
-from .panels import PanelDistribution, has_valid_panel, structurally_excluded
+from .panels import CompositionDistribution, has_valid_panel, structurally_excluded
 from .report import (
     feature_drop_sweep,
+    lottery_stats,
     rounding_report,
     run_record,
     table_maxes_mins,
@@ -54,7 +53,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, default=1e-8, help="master tolerance")
     parser.add_argument("--eps-colgen", type=float, default=1e-3, help="column-generation slack")
     parser.add_argument("--max-columns", type=int, default=2000)
-    parser.add_argument("--tau-anon", type=float, default=0.01)
 
 
 def _config(args, objective_spec: str | None = None) -> SolveConfig:
@@ -64,7 +62,6 @@ def _config(args, objective_spec: str | None = None) -> SolveConfig:
         backend=getattr(args, "backend", "colgen"),
         eps_master=getattr(args, "eps", 1e-8),
         eps_colgen=getattr(args, "eps_colgen", 1e-3),
-        tau_anon=getattr(args, "tau_anon", 0.01),
         max_columns=getattr(args, "max_columns", 2000),
         seed=args.seed,
     )
@@ -200,14 +197,14 @@ def _cmd_round(args) -> int:
     instance = _load(args)
     with open(args.result, encoding="utf-8") as fh:
         payload = json.load(fh)
-    dist = PanelDistribution.from_json(payload)
+    dist = CompositionDistribution.from_json(payload)
     if args.m < instance.n * math.isqrt(instance.n):
         print(
             f"note: m={args.m} is below n*sqrt(n)={instance.n * math.isqrt(instance.n)}; "
             "rounding error bounds weaken",
             file=sys.stderr,
         )
-    lottery = pipage_round(dist, args.m, args.seed)
+    lottery = pipage_round(dist, instance, args.m, args.seed)
     out = _out_dir(args)
     path = out / f"lottery_{_safe(instance.label)}.txt"
     write_lottery(lottery, path, instance, args.seed)
@@ -215,32 +212,11 @@ def _cmd_round(args) -> int:
     print(f"lottery of {args.m} tickets: min={rounded.min():.6f} max={rounded.max():.6f}")
     print(f"wrote {path}")
     if args.runs > 1:
-        summary = _round_stats(instance, dist, args.m, args.runs, args.seed)
+        summary = lottery_stats(instance, dist, args.m, args.runs, args.seed)
         stats_path = out / f"lottery_{_safe(instance.label)}_stats.json"
         write_json(summary, stats_path)
         print(f"wrote {stats_path}")
     return 0
-
-
-def _round_stats(instance, dist, m: int, runs: int, seed: int) -> dict:
-    import random
-    import statistics
-
-    rng = random.Random(seed)
-    mins, maxes = [], []
-    for _ in range(runs):
-        lottery = pipage_round(dist, m, rng.randrange(2**63))
-        rounded = lottery_marginals(instance, lottery)
-        mins.append(rounded.min())
-        maxes.append(rounded.max())
-    return {
-        "m": m,
-        "runs": runs,
-        "mean_min": statistics.fmean(mins),
-        "mean_max": statistics.fmean(maxes),
-        "std_min": statistics.pstdev(mins) if runs > 1 else 0.0,
-        "std_max": statistics.pstdev(maxes) if runs > 1 else 0.0,
-    }
 
 
 def _cmd_manip(args) -> int:
@@ -412,10 +388,6 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("SORTITION_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print("SORTITION_THREADS must be a positive integer", file=sys.stderr)
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -34,7 +34,7 @@ class InfeasibleQuotasError(ValidationError):
 
 
 class CapExceededError(PanelotError):
-    """Enumeration would produce more valid panels than the configured cap."""
+    """Enumeration would exceed its size cap (valid compositions, or panels)."""
 
     code = "CAP_EXCEEDED"
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceededError,
     NonCoalitionExclusionError,
-    PanelotError,
     ValidationError,
 )
 from .model import FeatureVector, Instance
@@ -25,9 +24,9 @@ from .model import FeatureVector, Instance
 # Absolute tolerance for probability bookkeeping throughout the package.
 PROB_EPS = 1e-9
 
-# Expanding one composition into concrete panels needs lcm(group sizes)
-# panels; beyond this the distribution is not meaningfully materializable.
-MAX_EXPANSION_PANELS = 1_000_000
+# The one size cap on composition spaces: brute enumeration raises
+# CAP_EXCEEDED beyond it, and the oracle memoizes spaces up to it.
+COMPOSITION_CAP = 300_000
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,21 @@ class PanelComposition:
         return True
 
 
+def _check_mass(keyed: Iterable[tuple[Hashable, float]], what: str) -> None:
+    """No negative mass, no repeated support point, total mass 1."""
+    total = 0.0
+    seen: set = set()
+    for key, prob in keyed:
+        if prob < -PROB_EPS:
+            raise ValidationError(f"negative probability {prob} on {what} {key}")
+        if key in seen:
+            raise ValidationError(f"{what} {key} appears twice in the support")
+        seen.add(key)
+        total += prob
+    if abs(total - 1.0) > PROB_EPS:
+        raise ValidationError(f"support probabilities sum to {total}, expected 1")
+
+
 @dataclass(frozen=True)
 class PanelDistribution:
     """A probability distribution over distinct panels."""
@@ -107,17 +121,7 @@ class PanelDistribution:
     entries: tuple[tuple[Panel, float], ...]
 
     def __post_init__(self):
-        total = 0.0
-        seen: set[tuple[str, ...]] = set()
-        for panel, prob in self.entries:
-            if prob < -PROB_EPS:
-                raise ValidationError(f"negative probability {prob} on panel {panel.members}")
-            if panel.members in seen:
-                raise ValidationError(f"panel {panel.members} appears twice in the support")
-            seen.add(panel.members)
-            total += prob
-        if abs(total - 1.0) > PROB_EPS:
-            raise ValidationError(f"support probabilities sum to {total}, expected 1")
+        _check_mass(((panel.members, prob) for panel, prob in self.entries), "panel")
 
     def support(self) -> list[Panel]:
         return [panel for panel, _ in self.entries]
@@ -134,6 +138,48 @@ class PanelDistribution:
         return PanelDistribution(
             tuple((Panel(tuple(p["members"])), float(p["prob"])) for p in payload["panels"])
         )
+
+
+@dataclass(frozen=True)
+class CompositionDistribution:
+    """A probability distribution over distinct compositions: what a solve
+    returns. Concrete panels are built only when a lottery is drawn."""
+
+    entries: tuple[tuple[PanelComposition, float], ...]
+
+    def __post_init__(self):
+        _check_mass(((comp.items, prob) for comp, prob in self.entries), "composition")
+
+    def support(self) -> list[PanelComposition]:
+        return [comp for comp, _ in self.entries]
+
+    def check_valid(self, instance: Instance) -> None:
+        """Raise unless every support composition is valid for ``instance``."""
+        for comp, _ in self.entries:
+            if not comp.is_valid(instance):
+                raise ValidationError(f"composition {comp.items} is not valid for this instance")
+
+    def to_json(self) -> dict:
+        return {
+            "compositions": [
+                {"seats": [[list(vector), seats] for vector, seats in comp.items], "prob": prob}
+                for comp, prob in self.entries
+            ]
+        }
+
+    @staticmethod
+    def from_json(payload: dict) -> "CompositionDistribution":
+        try:
+            entries = tuple(
+                (
+                    PanelComposition(tuple((tuple(vector), int(seats)) for vector, seats in c["seats"])),
+                    float(c["prob"]),
+                )
+                for c in payload["compositions"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"result has no well-formed compositions list ({exc!r})") from exc
+        return CompositionDistribution(entries)
 
 
 @dataclass(frozen=True)
@@ -316,21 +362,20 @@ class _CompositionSearch:
         return {v: c for v, c in zip(self.vectors, best["counts"]) if c > 0}
 
 
-def feasible_compositions(instance: Instance, cap: int | None = None) -> list[PanelComposition]:
+def feasible_compositions(instance: Instance) -> list[PanelComposition]:
     """All valid seat-count compositions, in deterministic lexicographic order."""
     out: list[PanelComposition] = []
     for counts in _CompositionSearch(instance).iter_compositions():
         out.append(PanelComposition(tuple(counts.items())))
-        if cap is not None and len(out) > cap:
-            raise CapExceededError(f"more than {cap} valid compositions")
+        if len(out) > COMPOSITION_CAP:
+            raise CapExceededError(f"more than {COMPOSITION_CAP} valid compositions")
     return out
 
 
-# Composition spaces up to this size are enumerated once per instance and
-# memoized, turning every oracle call into a vectorized scoring pass; larger
-# spaces fall back to branch and bound per query.
+# Composition spaces up to COMPOSITION_CAP are enumerated once per instance
+# and memoized, turning every oracle call into a vectorized scoring pass;
+# larger spaces fall back to branch and bound per query.
 _COMP_CACHE_ATTR = "_cached_composition_matrix"
-_COMP_CACHE_LIMIT = 300_000
 
 
 def _composition_matrix(instance: Instance):
@@ -344,7 +389,7 @@ def _composition_matrix(instance: Instance):
     rows: list[list[int]] = []
     for counts in search.iter_compositions():
         rows.append([counts.get(v, 0) for v in search.vectors])
-        if len(rows) > _COMP_CACHE_LIMIT:
+        if len(rows) > COMPOSITION_CAP:
             object.__setattr__(instance, _COMP_CACHE_ATTR, False)
             return False
     matrix = np.array(rows, dtype=np.int32).reshape(len(rows), len(search.vectors))
@@ -502,48 +547,3 @@ def strip_self_excluders(instance: Instance, coalition: set[str] | frozenset[str
         )
     kept = [(a, v) for a, v in instance.agents if a not in excluded]
     return instance.replace_agents(kept)
-
-
-def expand_composition_distribution(
-    instance: Instance,
-    comp_dist: Sequence[tuple[PanelComposition, float]],
-) -> PanelDistribution:
-    """Realize a distribution over compositions as a distribution over panels.
-
-    Seats reserved for each vector group are filled round-robin across the
-    group's members, so every member of group w ends up with probability
-    exactly t_w / n_w, where t_w is the group's expected seat count. The
-    construction needs lcm(group sizes) panels per composition.
-    """
-    total = 0.0
-    for comp, prob in comp_dist:
-        if prob < -PROB_EPS:
-            raise ValidationError("composition probabilities must be non-negative")
-        total += prob
-    if abs(total - 1.0) > PROB_EPS:
-        raise ValidationError(f"composition probabilities sum to {total}, expected 1")
-
-    accum: dict[tuple[str, ...], float] = {}
-    for comp, prob in comp_dist:
-        if prob <= PROB_EPS:
-            continue
-        if not comp.is_valid(instance):
-            raise ValidationError(f"composition {comp.items} is not valid for this instance")
-        group_sizes = [instance.group_size(v) for v, _ in comp.items]
-        n_panels = math.lcm(*group_sizes) if group_sizes else 1
-        if n_panels > MAX_EXPANSION_PANELS:
-            raise PanelotError(
-                f"round-robin expansion would need {n_panels} panels (cap {MAX_EXPANSION_PANELS})"
-            )
-        share = prob / n_panels
-        for j in range(n_panels):
-            members: list[str] = []
-            for vector, seats in comp.items:
-                group = instance.groups[vector]
-                size = len(group)
-                start = (j * seats) % size
-                members.extend(group[(start + t) % size] for t in range(seats))
-            key = tuple(sorted(members))
-            accum[key] = accum.get(key, 0.0) + share
-    entries = tuple((Panel(members), prob) for members, prob in sorted(accum.items()))
-    return PanelDistribution(entries)

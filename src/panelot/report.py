@@ -20,6 +20,7 @@ from .adversary import drop_features
 from .errors import ValidationError
 from .model import Instance
 from .objectives import gini, parse_objective
+from .panels import CompositionDistribution
 from .rounding import lottery_marginals, pipage_round, rounding_bounds
 from .solver import SolveConfig, SolveResult, approximation_ratios, solve
 
@@ -149,6 +150,34 @@ def feature_drop_sweep(
     return rows
 
 
+def lottery_stats(
+    instance: Instance,
+    dist: CompositionDistribution,
+    m: int,
+    runs: int,
+    seed: int,
+) -> dict:
+    """Means and standard deviations of the per-run minimum and maximum
+    ticket-count probabilities over ``runs`` seeded lottery draws."""
+    if runs < 1:
+        raise ValidationError("runs must be at least 1")
+    rng = random.Random(seed)
+    mins, maxes = [], []
+    for _ in range(runs):
+        lottery = pipage_round(dist, instance, m, rng.randrange(2**63))
+        rounded = lottery_marginals(instance, lottery)
+        mins.append(rounded.min())
+        maxes.append(rounded.max())
+    return {
+        "m": m,
+        "runs": runs,
+        "mean_min": statistics.fmean(mins),
+        "mean_max": statistics.fmean(maxes),
+        "std_min": statistics.pstdev(mins) if runs > 1 else 0.0,
+        "std_max": statistics.pstdev(maxes) if runs > 1 else 0.0,
+    }
+
+
 def rounding_report(
     instance: Instance,
     objective: str,
@@ -157,34 +186,17 @@ def rounding_report(
     seed: int,
     config: SolveConfig,
 ) -> dict:
-    """Distribution of the rounded extremes over repeated lottery draws.
-
-    Reports means and standard deviations of the per-run minimum and maximum
-    ticket-count probabilities, plus the two theoretical deviation bounds for
-    reference.
-    """
-    if runs < 1:
-        raise ValidationError("runs must be at least 1")
+    """``lottery_stats`` for one solve, with the optimal extremes and the two
+    theoretical deviation bounds for reference."""
     result = _solve_spec(instance, objective, config)
-    rng = random.Random(seed)
-    mins, maxes = [], []
-    for _ in range(runs):
-        lottery = pipage_round(result.distribution, m, rng.randrange(2**63))
-        rounded = lottery_marginals(instance, lottery)
-        mins.append(rounded.min())
-        maxes.append(rounded.max())
+    stats = lottery_stats(instance, result.distribution, m, runs, seed)
     b1, b2 = rounding_bounds(instance.k, max(len(instance.groups), 2), m)
     return {
         "instance": instance.label,
         "objective": objective,
-        "m": m,
-        "runs": runs,
+        **stats,
         "min_prob_opt": result.pi.min(),
         "max_prob_opt": result.pi.max(),
-        "mean_min": statistics.fmean(mins),
-        "mean_max": statistics.fmean(maxes),
-        "std_min": statistics.pstdev(mins) if runs > 1 else 0.0,
-        "std_max": statistics.pstdev(maxes) if runs > 1 else 0.0,
         "bound_k_over_m": b1,
         "bound_vector_count": b2,
     }

@@ -1,24 +1,32 @@
-"""Transparent lotteries: round a panel distribution to m equally likely tickets.
+"""Transparent lotteries: round a composition distribution to m equally likely tickets.
 
-The randomized pairwise rounding used here preserves every agent's selection
-probability in expectation (over the rounding randomness and the final
-draw), which is the property that lets the pre-lottery guarantees carry over
-to the live draw. Individual runs carry no worst-case promise; the
-closed-form deviation bounds of the non-constructive rounding results are
-reported alongside for reference.
+The randomized pairwise rounding and the randomly rotated round-robin ticket
+fill used here preserve every agent's selection probability in expectation
+(over the rounding randomness and the final draw), which is the property
+that lets the pre-lottery guarantees carry over to the live draw. Individual
+runs carry no worst-case promise; the closed-form deviation bounds of the
+non-constructive rounding results are reported alongside for reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ValidationError
 from .model import Instance, instance_hash
-from .panels import Panel, PanelDistribution, ProbabilityAssignment
+from .panels import (
+    CompositionDistribution,
+    Panel,
+    PanelComposition,
+    PanelDistribution,
+    ProbabilityAssignment,
+)
 
 _INT_SNAP = 1e-9
 
@@ -45,32 +53,67 @@ class UniformLottery:
         )
 
 
-def pipage_round(dist: PanelDistribution, m: int, seed: int) -> UniformLottery:
-    """Round a distribution to an m-uniform lottery, unbiased per panel.
+def pipage_round(dist: CompositionDistribution, instance: Instance, m: int, seed: int) -> UniformLottery:
+    """Round a composition distribution to an m-uniform lottery.
 
-    Scale probabilities by m, then repeatedly take the two lowest-indexed
-    fractional coordinates and shift mass between them: up by d1 or down by
-    d2 (the distances to the nearest integers), choosing up with probability
-    d2/(d1+d2) so each coordinate's expectation is untouched. Every step
-    makes at least one coordinate integral.
+    Scale the weights by m and round them to ticket counts with randomized
+    pairwise rounding, which keeps every composition's expected count. Then
+    fill each composition's tickets: every group's seats go round-robin
+    through its members, starting at a rotation drawn from the same RNG. Over
+    c tickets a member of group w sits on floor or ceil of c*s_w/n_w of them,
+    and the random rotation makes the expectation exactly c*s_w/n_w.
     """
     if m < 1:
         raise ValidationError("m must be at least 1")
+    dist.check_valid(instance)
     rng = random.Random(seed)
     counts, _rounds = _round_counts([prob * m for _, prob in dist.entries], rng)
     if sum(counts) != m:
         raise ValidationError("rounded ticket counts drifted; distribution mass must sum to 1")
-    tickets: list[Panel] = []
-    for (panel, _), cnt in zip(dist.entries, counts):
-        tickets.extend([panel] * cnt)
+    tickets = itertools.chain.from_iterable(
+        _fill_tickets(instance, comp, count, rng)
+        for (comp, _), count in zip(dist.entries, counts)
+        if count
+    )
     return UniformLottery(m=m, tickets=tuple(tickets))
+
+
+def _fill_tickets(
+    instance: Instance, comp: PanelComposition, count: int, rng: random.Random
+) -> Iterator[Panel]:
+    """``count`` tickets of one composition, seats filled round-robin per group.
+
+    Ticket j of group w starts s_w*j places after the rotation, so the
+    tickets repeat with period lcm_w(n_w / gcd(n_w, s_w)); only one period of
+    distinct panels is built.
+    """
+    groups = []
+    period = 1
+    for vector, seats in comp.items:
+        members = instance.groups[vector]
+        size = len(members)
+        groups.append((members, size, seats, rng.randrange(size)))
+        period = math.lcm(period, size // math.gcd(size, seats))
+    distinct = [
+        Panel(tuple(
+            members[(start + j * seats + t) % size]
+            for members, size, seats, start in groups
+            for t in range(seats)
+        ))
+        for j in range(min(period, count))
+    ]
+    return itertools.islice(itertools.cycle(distinct), count)
 
 
 def _round_counts(x: list[float], rng: random.Random) -> tuple[list[int], int]:
     """Pairwise randomized rounding of x (sum integral) to integers.
 
-    Returns the counts and the number of pairing rounds used, which is at
-    most len(x) - 1 because every round makes a coordinate integral.
+    One pass from left to right carries the single fractional entry seen so
+    far and pairs it with the next one: shift mass between them, up by d1 or
+    down by d2 (the distances to the nearest integers), choosing up with
+    probability d2/(d1+d2) so both expectations are untouched. Every pairing
+    makes one of the two integral, so at most len(x) - 1 rounds run; that
+    count is returned with the integers.
     """
 
     def snap(value: float) -> float:
@@ -79,23 +122,17 @@ def _round_counts(x: list[float], rng: random.Random) -> tuple[list[int], int]:
 
     x = [snap(v) for v in x]
     rounds = 0
-    for _ in range(len(x) + 1):
-        fractional = [i for i, v in enumerate(x) if v != math.floor(v)]
-        if not fractional:
-            break
-        if len(fractional) == 1:
-            # Total mass is integral, so a lone fractional entry is float
-            # noise; snap it.
-            x[fractional[0]] = float(round(x[fractional[0]]))
-            break
+    carry = None  # the one fractional entry to the left of j, if any
+    for j, v in enumerate(x):
+        if v == math.floor(v):
+            continue
+        if carry is None:
+            carry = j
+            continue
         rounds += 1
-        i, j = fractional[0], fractional[1]
-        up_i = math.ceil(x[i]) - x[i]
-        down_j = x[j] - math.floor(x[j])
-        d1 = min(up_i, down_j)
-        down_i = x[i] - math.floor(x[i])
-        up_j = math.ceil(x[j]) - x[j]
-        d2 = min(down_i, up_j)
+        i = carry
+        d1 = min(math.ceil(x[i]) - x[i], x[j] - math.floor(x[j]))
+        d2 = min(x[i] - math.floor(x[i]), math.ceil(x[j]) - x[j])
         if rng.random() < d2 / (d1 + d2):
             x[i] += d1
             x[j] -= d1
@@ -104,6 +141,10 @@ def _round_counts(x: list[float], rng: random.Random) -> tuple[list[int], int]:
             x[j] += d2
         x[i] = snap(x[i])
         x[j] = snap(x[j])
+        carry = i if x[i] != math.floor(x[i]) else (j if x[j] != math.floor(x[j]) else None)
+    if carry is not None:
+        # Total mass is integral, so a lone fractional entry is float noise.
+        x[carry] = float(round(x[carry]))
     return [int(round(v)) for v in x], rounds
 
 

@@ -1,4 +1,6 @@
-"""Maximally equal panel distributions.
+"""Maximally equal panel distributions, returned as distributions over
+compositions (seat counts per vector group); panels are built only when a
+lottery is drawn from one.
 
 Two backends share the same master formulations over *composition columns*:
 
@@ -42,13 +44,11 @@ from .objectives import (
     gamma_selection_bias,
 )
 from .panels import (
+    CompositionDistribution,
     Panel,
     PanelComposition,
-    PanelDistribution,
     ProbabilityAssignment,
-    expand_composition_distribution,
     feasible_compositions,
-    marginals,
     panel_oracle,
 )
 
@@ -66,26 +66,24 @@ class SolveConfig:
     backend: str = "colgen"  # "brute" | "colgen"
     eps_master: float = 1e-8
     eps_colgen: float = 1e-3
-    tau_anon: float = 0.01
     max_columns: int = 2000
     seed: int = 42
     nash_gap: float = 1e-7  # Frank-Wolfe duality-gap target, objective units
     nash_max_iters: int = 20_000
-    composition_cap: int = 200_000
 
     def __post_init__(self):
         if self.backend not in ("brute", "colgen"):
             raise ValidationError(f"unknown backend {self.backend!r}")
-        for name in ("eps_master", "eps_colgen", "tau_anon", "nash_gap"):
+        for name in ("eps_master", "eps_colgen", "nash_gap"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
 
 
 @dataclass
 class SolveResult:
-    """A solved panel distribution with its marginals and diagnostics."""
+    """A solved composition distribution with its marginals and diagnostics."""
 
-    distribution: PanelDistribution
+    distribution: CompositionDistribution
     pi: ProbabilityAssignment
     objective: EqualityObjective
     objective_value: float
@@ -100,10 +98,7 @@ class SolveResult:
             "value": self.objective_value,
             "converged": self.converged,
             "pi": {agent: prob for agent, prob in sorted(self.pi.pi.items())},
-            "panels": [
-                {"members": list(panel.members), "prob": prob}
-                for panel, prob in self.distribution.entries
-            ],
+            **self.distribution.to_json(),
             "iterations": self.iterations,
         }
 
@@ -266,36 +261,23 @@ class _ColgenOutcome:
     converged: bool
 
 
-def _price_and_extend(
+def _price(
     instance: Instance,
     pool: _ColumnPool,
-    solution: _MasterSolution,
-    eta_scale: float,
-) -> tuple[float, PanelComposition | None]:
-    """One pricing step: best panel anywhere vs best panel in the support.
-
-    Returns the gap in objective units and the new column (None when the
-    oracle's best already sits in the pool).
-    """
-    mu = solution.group_duals
+    group_weights: np.ndarray,
+) -> tuple[PanelComposition, float]:
+    """The best composition when every seat of group w weighs
+    ``group_weights[w]``, and its total weight."""
     eta = {}
     for vector, members in instance.groups.items():
-        weight = mu[pool.index[vector]] / len(members)
+        weight = group_weights[pool.index[vector]]
         for agent_id in members:
             eta[agent_id] = weight
     best_panel = panel_oracle(instance, eta)
     if best_panel is None:
         raise NoValidPanelError("no valid panel exists")
     comp = best_panel.composition(instance)
-    score = sum(mu[pool.index[v]] * seats / instance.group_size(v) for v, seats in comp.items)
-
-    col_scores = mu @ pool.A
-    support = solution.q > 1e-9
-    support_best = float(col_scores[support].max()) if support.any() else float(col_scores.max())
-    gap = (score - support_best) * eta_scale
-    if comp in pool:
-        return min(gap, 0.0), None
-    return gap, comp
+    return comp, sum(group_weights[pool.index[v]] * seats for v, seats in comp.items)
 
 
 def _run_colgen(
@@ -305,19 +287,28 @@ def _run_colgen(
     config: SolveConfig,
     eta_scale: float = 1.0,
 ) -> _ColgenOutcome:
-    """Alternate master solves and pricing until the stopping rule holds."""
+    """Alternate master solves and pricing until the stopping rule holds:
+    the best composition anywhere beats the best one in the support by at
+    most ``eps_colgen`` (in objective units), or is already in the pool."""
     rounds = 0
     while True:
         solution = master(pool)
         rounds += 1
         if config.backend == "brute":
             return _ColgenOutcome(solution, 0.0, rounds, True)
-        gap, new_comp = _price_and_extend(instance, pool, solution, eta_scale)
-        if new_comp is None or gap <= config.eps_colgen:
+        mu = solution.group_duals
+        comp, score = _price(instance, pool, mu / pool.sizes)
+        if comp in pool:
+            return _ColgenOutcome(solution, 0.0, rounds, True)
+        col_scores = mu @ pool.A
+        support = solution.q > 1e-9
+        support_best = float(col_scores[support].max()) if support.any() else float(col_scores.max())
+        gap = (score - support_best) * eta_scale
+        if gap <= config.eps_colgen:
             return _ColgenOutcome(solution, max(gap, 0.0), rounds, True)
         if len(pool) >= config.max_columns:
             return _ColgenOutcome(solution, gap, rounds, False)
-        pool.add(new_comp)
+        pool.add(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +492,7 @@ def _nash_frank_wolfe(
             break
 
         # Pricing over the full composition space.
-        p = pool.A @ q
-        eta = {}
-        for vector, members in instance.groups.items():
-            weight = 1.0 / max(p[pool.index[vector]], 1e-300)
-            for agent_id in members:
-                eta[agent_id] = weight
-        best_panel = panel_oracle(instance, eta)
-        if best_panel is None:
-            raise NoValidPanelError("no valid panel exists")
-        comp = best_panel.composition(instance)
-        score = sum(seats / max(p[pool.index[v]], 1e-300) for v, seats in comp.items)
+        comp, score = _price(instance, pool, 1.0 / np.maximum(pool.A @ q, 1e-300))
         geomean, _ = _nash_geomean(pool, q)
         outside_gap = geomean * max(score - n_total, 0.0) / n_total
         if comp in pool or outside_gap <= max(config.eps_colgen, config.nash_gap):
@@ -547,7 +528,7 @@ def _initial_pool(instance: Instance, config: SolveConfig) -> _ColumnPool:
     """
     pool = _ColumnPool(instance)
     if config.backend == "brute":
-        comps = feasible_compositions(instance, cap=config.composition_cap)
+        comps = feasible_compositions(instance)
         if not comps:
             raise NoValidPanelError("the quotas admit no valid panel")
         covered: set[FeatureVector] = set()
@@ -587,20 +568,18 @@ def _assemble_result(
     iterations: int,
     converged: bool,
     certificate: float | None,
-    tau_anon: float = 0.01,
 ) -> SolveResult:
-    keep = q > _SUPPORT_EPS
-    comps = [pool.columns[i] for i in np.flatnonzero(keep)]
-    probs = q[keep]
-    probs = probs / probs.sum()
-    dist = expand_composition_distribution(
-        instance, [(comp, float(prob)) for comp, prob in zip(comps, probs)]
+    """Keep the support compositions; every agent gets its group's
+    probability, so the assignment is anonymous by construction."""
+    keep = np.flatnonzero(q > _SUPPORT_EPS)
+    probs = q[keep] / q[keep].sum()
+    dist = CompositionDistribution(
+        tuple((pool.columns[i], float(prob)) for i, prob in zip(keep, probs))
     )
-    pi = marginals(instance, dist)
-    # Round-robin expansion makes this exact; a breach means a solver bug.
-    gap = pi.anonymity_gap(instance)
-    if gap > tau_anon:
-        raise SolverError(f"within-group probability gap {gap} exceeds the anonymity tolerance")
+    group_p = pool.A[:, keep] @ probs
+    pi = ProbabilityAssignment(
+        {a: float(group_p[pool.index[instance.vector_of[a]]]) for a in instance.agent_ids}
+    )
     value = evaluate(objective, pi, instance.k, instance.n)
     return SolveResult(
         distribution=dist,
@@ -656,13 +635,9 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
     if len(pool.vectors) == 1:
         # Degenerate single-group pool: the uniform composition is optimal
         # for every objective considered here.
-        comp = pool.columns[0]
         q = np.zeros(len(pool))
         q[0] = 1.0
-        result = _assemble_result(
-            instance, pool, q, objective, 1 + extra_iters, True, 0.0, config.tau_anon
-        )
-        return result
+        return _assemble_result(instance, pool, q, objective, 1 + extra_iters, True, 0.0)
 
     if objective.kind == Kind.MAXIMIN:
         outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
@@ -717,11 +692,9 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
     else:
         raise ValidationError(f"solve cannot handle objective {objective.kind}")
 
-    result = _assemble_result(
-        instance, pool, solution.q, objective, iterations + extra_iters, converged, gap,
-        config.tau_anon,
+    return _assemble_result(
+        instance, pool, solution.q, objective, iterations + extra_iters, converged, gap
     )
-    return result
 
 
 def solve_nash(instance: Instance, config: SolveConfig) -> SolveResult:
@@ -773,9 +746,7 @@ def solve_leximin(instance: Instance, config: SolveConfig) -> SolveResult:
 
     assert solution is not None
     objective = EqualityObjective(Kind.LEXIMIN)
-    return _assemble_result(
-        instance, pool, solution.q, objective, iterations, converged, gap, config.tau_anon
-    )
+    return _assemble_result(instance, pool, solution.q, objective, iterations, converged, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,22 @@ def test_round_subcommand(tmp_path, t1):
     assert stats["runs"] == 5
 
 
+def test_round_rejects_result_for_another_instance(tmp_path, t1, e2, capsys):
+    e2_agents, e2_quotas = _files(tmp_path, e2, "e2")
+    t1_agents, t1_quotas = _files(tmp_path, t1, "t1")
+    out = tmp_path / "artifacts"
+    main(["--out", str(out), "select", "--agents", e2_agents, "--quotas", e2_quotas, "-k", "4"])
+    result_path = next(out.glob("select_*.json"))
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", t1_agents, "--quotas", t1_quotas, "-k", "2",
+         "--result", str(result_path), "--m", "100"]
+    )
+    assert code == 1
+    assert "INVALID_INPUT" in capsys.readouterr().err
+    assert not list(out.glob("lottery_*"))
+
+
 def test_manip_mu_subcommand(tmp_path, e1, capsys):
     agents, quotas = _files(tmp_path, e1)
     out = tmp_path / "artifacts"

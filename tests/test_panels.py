@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,11 +7,11 @@ from panelot import fixtures
 from panelot.errors import CapExceededError, NonCoalitionExclusionError, ValidationError
 from panelot.model import FeatureScheme, Instance
 from panelot.panels import (
+    CompositionDistribution,
     Panel,
     PanelComposition,
     PanelDistribution,
     enumerate_panels,
-    expand_composition_distribution,
     feasible_compositions,
     has_valid_panel,
     marginals,
@@ -18,6 +19,7 @@ from panelot.panels import (
     strip_self_excluders,
     structurally_excluded,
 )
+from panelot.rounding import lottery_marginals, pipage_round
 
 
 def _uniform(panels):
@@ -183,12 +185,18 @@ def test_strip_self_excluders_rejects_truthful_exclusion():
         strip_self_excluders(inst, {"a1"})
 
 
+def _expand(instance, mixture, m, seed=0):
+    """Ticket-count probabilities of an m-ticket lottery drawn from ``mixture``."""
+    lottery = pipage_round(CompositionDistribution(tuple(mixture)), instance, m, seed)
+    return lottery_marginals(instance, lottery)
+
+
 def test_expand_point_mass_mixed_composition(e2):
     comp = PanelComposition(
         ((("0", "0"), 1), (("1", "1"), 1), (("1", "0"), 1), (("0", "1"), 1))
     )
-    dist = expand_composition_distribution(e2, [(comp, 1.0)])
-    pi = marginals(e2, dist)
+    # lcm(group sizes) tickets cover whole round-robin periods.
+    pi = _expand(e2, [(comp, 1.0)], math.lcm(2, 2, 3, 1))
     groups = pi.group_probabilities(e2, tol=1e-9)
     assert groups[("0", "1")] == pytest.approx(1.0)
     assert groups[("1", "0")] == pytest.approx(1.0 / 3.0)
@@ -198,22 +206,27 @@ def test_expand_point_mass_mixed_composition(e2):
 
 def test_expand_full_group_composition(t1):
     comp = PanelComposition(((("0",), 1), (("1",), 1)))
-    dist = expand_composition_distribution(t1, [(comp, 1.0)])
-    pi = marginals(t1, dist)
+    pi = _expand(t1, [(comp, 1.0)], 2)
     assert all(v == pytest.approx(0.5) for v in pi.pi.values())
 
 
 def test_expand_matches_group_seat_shares_on_random_mixtures():
-    # Round-robin expansion must give every member exactly (expected group
-    # seats) / (group size), whatever the composition mixture.
+    # Round-robin ticket filling must give every member exactly (expected
+    # group seats) / (group size) when each composition's ticket count is a
+    # whole number of fill periods, whatever the composition mixture.
     for seed in range(25):
         inst = fixtures.random_brute_instance(seed + 300)
         comps = feasible_compositions(inst)
         rng = random.Random(seed)
-        weights = [rng.random() for _ in comps]
-        total = sum(weights)
-        mixture = [(c, w / total) for c, w in zip(comps, weights)]
-        pi = marginals(inst, expand_composition_distribution(inst, mixture))
+        counts = [
+            rng.randint(1, 4) * math.lcm(*(
+                inst.group_size(v) // math.gcd(inst.group_size(v), s) for v, s in c.items
+            ))
+            for c in comps
+        ]
+        m = sum(counts)
+        mixture = [(c, count / m) for c, count in zip(comps, counts)]
+        pi = _expand(inst, mixture, m, seed)
         for vector, members in inst.groups.items():
             expected_seats = sum(prob * comp.seats(vector) for comp, prob in mixture)
             for agent in members:
@@ -223,7 +236,7 @@ def test_expand_matches_group_seat_shares_on_random_mixtures():
 def test_expand_rejects_oversized_composition(t1):
     comp = PanelComposition(((("0",), 2),))
     with pytest.raises(ValidationError):
-        expand_composition_distribution(t1, [(comp, 1.0)])
+        pipage_round(CompositionDistribution(((comp, 1.0),)), t1, 10, seed=0)
 
 
 def test_distribution_validation_rejects_bad_mass(t1):
@@ -236,6 +249,20 @@ def test_distribution_json_round_trip(t1):
     dist = _uniform(enumerate_panels(t1))
     again = PanelDistribution.from_json(dist.to_json())
     assert again == dist
+
+
+def test_composition_distribution_validation_and_json(e2):
+    comps = feasible_compositions(e2)
+    dist = CompositionDistribution(((comps[0], 0.25), (comps[1], 0.75)))
+    assert CompositionDistribution.from_json(dist.to_json()) == dist
+    with pytest.raises(ValidationError):
+        CompositionDistribution(((comps[0], 0.5),))
+    with pytest.raises(ValidationError):
+        CompositionDistribution(((comps[0], 1.5), (comps[1], -0.5)))
+    with pytest.raises(ValidationError):
+        CompositionDistribution(((comps[0], 0.5), (comps[0], 0.5)))
+    with pytest.raises(ValidationError):
+        CompositionDistribution.from_json({"panels": []})
 
 
 def test_composition_validity(e2):

@@ -7,6 +7,7 @@ import pytest
 
 from panelot import fixtures
 from panelot.errors import (
+    CapExceededError,
     NoValidPanelError,
     RestartLimitError,
     StructuralExclusionError,
@@ -151,8 +152,10 @@ def test_marginal_mass_and_anonymity_on_random_instances(backend):
             result = solve(inst, cfg(spec, backend))
             assert result.pi.total() == pytest.approx(inst.k, abs=1e-6)
             assert result.pi.anonymity_gap(inst) <= 1e-9
-            recomputed = marginals(inst, result.distribution)
-            for agent, prob in recomputed.pi.items():
+            result.distribution.check_valid(inst)
+            for agent, vector in inst.vector_of.items():
+                seats = sum(q * comp.seats(vector) for comp, q in result.distribution.entries)
+                prob = seats / inst.group_size(vector)
                 assert result.pi.pi[agent] == pytest.approx(prob, abs=1e-12)
 
 
@@ -227,6 +230,15 @@ def test_leximin_lex_dominates_random_mixtures():
                 if ours > theirs + 1e-6:
                     break
                 assert ours >= theirs - 1e-6, (seed, best, other)
+
+
+def test_brute_backend_enforces_the_composition_cap(e2, monkeypatch):
+    from panelot import panels
+
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 1)  # e2 has two compositions
+    with pytest.raises(CapExceededError) as err:
+        solve(e2, cfg("maximin", "brute"))
+    assert err.value.code == "CAP_EXCEEDED"
 
 
 def test_minimax_can_zero_out_a_group():
@@ -335,10 +347,10 @@ def test_solve_is_deterministic(e2):
 def test_solve_result_json_schema(t1):
     result = solve(t1, cfg("goldilocks:1"))
     payload = result.to_json()
-    assert set(payload) == {"objective", "gamma", "value", "converged", "pi", "panels", "iterations"}
+    assert set(payload) == {"objective", "gamma", "value", "converged", "pi", "compositions", "iterations"}
     assert payload["objective"] == "goldilocks:1"
     assert payload["gamma"] == 1.0
-    assert sum(p["prob"] for p in payload["panels"]) == pytest.approx(1.0)
+    assert sum(c["prob"] for c in payload["compositions"]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
