@@ -202,6 +202,8 @@ def manip_metric_exhaustive(
     """
     if metric not in (METRIC_INT, METRIC_EXT, METRIC_COMP, METRIC_FAIRNESS):
         raise ValidationError(f"unknown metric {metric!r}")
+    if c < 0:
+        raise ValidationError(f"coalition size must be >= 0, got {c}")
     algorithm = config.objective.spec_string()
 
     if metric == METRIC_FAIRNESS and structurally_excluded(instance):

@@ -24,7 +24,7 @@ from .adversary import (
     manip_metric_exhaustive,
     worst_mu_manipulator,
 )
-from .errors import PanelotError
+from .errors import PanelotError, ValidationError
 from .model import duplicate_pool, load_instance, save_instance, stats
 from .objectives import gini, parse_objective
 from .panels import CompositionDistribution, has_valid_panel, structurally_excluded
@@ -194,9 +194,14 @@ def _cmd_legacy(args) -> int:
 
 
 def _cmd_round(args) -> int:
+    if args.m < 1:
+        raise ValidationError(f"--m must be at least 1, got {args.m}")
     instance = _load(args)
-    with open(args.result, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.result, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read result file {args.result}: {exc}") from exc
     dist = CompositionDistribution.from_json(payload)
     if args.m < instance.n * math.isqrt(instance.n):
         print(

@@ -12,12 +12,14 @@ Two backends share the same master formulations over *composition columns*:
 
 Master solves are self-contained: linear objectives run on the bundled
 simplex solver, the goldilocks family reduces to a one-dimensional convex
-search over an enforced minimum floor with an inner min-max LP, and nash
-runs Frank-Wolfe with away steps and exact line search on the column simplex.
+search over an enforced minimum floor with an inner min-max LP (cutting
+planes from the floor rows' duals), and nash runs Frank-Wolfe with away
+steps and exact line search on the column simplex.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass, replace
@@ -56,6 +58,12 @@ from .panels import (
 _SUPPORT_EPS = 1e-12
 # Dual weight above this marks a constraint as binding in every optimum.
 _DUAL_EPS = 1e-7
+# Floor search: relative gap between the best value found and the lower
+# model's minimum at which it stops, and its evaluation budget.
+_FLOOR_SEARCH_TOL = 1e-10
+_FLOOR_SEARCH_MAX_EVALS = 200
+
+_log = logging.getLogger("panelot")
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,7 @@ class _MasterSolution:
     value: float
     group_duals: np.ndarray  # pricing weights per group
     p: np.ndarray  # group probabilities A @ q
+    floor_slope: float = 0.0  # d value / d floor: the floor rows' duals summed
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +184,12 @@ def _lp_master(
     kind "linear":    min s - gamma * r  s.t. r <= p_w <= s.
     ``floors``/``ceilings`` add hard bounds p_w >= / <= value for single
     groups. Group duals are summed across every row a group appears in, which
-    is exactly the pricing weight a new column must be scored against.
+    is exactly the pricing weight a new column must be scored against. The
+    floor rows' duals are also summed on their own, as ``floor_slope``. The
+    dual solution stays feasible when every floor moves to t', so for a min
+    master with floors t, ``value + floor_slope * (t' - t)`` is a lower bound
+    on the value at t' (LP duality), provided no column outside the pool
+    prices out.
     """
     A = pool.A
     n_groups, n_cols = A.shape
@@ -205,8 +219,10 @@ def _lp_master(
     else:
         raise SolverError(f"unknown master kind {kind}")
 
+    first_floor_row = len(rows)
     for w, floor_value in sorted(floors.items()):
         rows.append((w, A[w], {}, -1.0, floor_value))
+    floor_rows = slice(first_floor_row, len(rows))
     for w, ceiling_value in sorted(ceilings.items()):
         rows.append((w, A[w], {}, +1.0, ceiling_value))
     rows.append((None, np.ones(n_cols), {}, 0.0, 1.0))
@@ -245,7 +261,13 @@ def _lp_master(
         value = res.x[extra_pos["t"]]
     else:
         value = res.objective
-    return _MasterSolution(q=q, value=float(value), group_duals=group_duals, p=A @ q)
+    return _MasterSolution(
+        q=q,
+        value=float(value),
+        group_duals=group_duals,
+        p=A @ q,
+        floor_slope=float(res.duals[floor_rows].sum()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +338,57 @@ def _run_colgen(
 # ---------------------------------------------------------------------------
 
 
+def _floor_search(evaluate, lo: float, hi: float, outer, argmin) -> tuple[float, float]:
+    """Minimize ``outer(M(t), t)`` over the floor t in [lo, hi] by cutting planes.
+
+    M is the optimal value of a min master with every group floored at t: a
+    parametric right-hand-side LP value, so convex and piecewise linear.
+    ``evaluate(t)`` returns (M(t), slope), and ``M(t) + slope * (t' - t)``
+    lower-bounds M everywhere (Kelley 1960). The search keeps the lower model
+    outer(max of those lines, t), evaluates M at the model's minimizer, and
+    stops once the best value found is within 1e-10 (relative) of the model
+    minimum or the minimizer repeats. ``outer`` must be convex, nondecreasing
+    in M and work on arrays; ``argmin(a, b)`` is the t > 0 minimizing
+    outer(a + b*t, t), possibly inf. The search starts at ``hi``. Returns the
+    best floor and its value.
+    """
+    slopes: list[float] = []
+    offsets: list[float] = []
+    seen: set[float] = set()
+    best_t, best_v = hi, math.inf
+    t = hi
+    for evals in range(1, _FLOOR_SEARCH_MAX_EVALS + 1):
+        m, slope = evaluate(t)
+        seen.add(t)
+        if outer(m, t) < best_v:
+            best_t, best_v = t, outer(m, t)
+        slopes.append(slope)
+        offsets.append(m - slope * t)
+        # On the model's minimizing piece one line is the max, so the
+        # minimizer is that line's own minimizer or a crossing of two lines.
+        b, a = np.array(slopes), np.array(offsets)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossings = ((a[None, :] - a[:, None]) / (b[:, None] - b[None, :])).ravel()
+        candidates = np.concatenate(
+            (
+                [lo, hi],
+                np.clip([argmin(ai, bi) for ai, bi in zip(a, b)], lo, hi),
+                crossings[(crossings > lo) & (crossings < hi)],
+            )
+        )
+        model = outer((a[:, None] + b[:, None] * candidates).max(axis=0), candidates)
+        lower, t_next = float(model.min()), float(candidates[model.argmin()])
+        _log.debug(
+            "floor search eval %d: t=%.12g M=%.12g slope=%.6g lower=%.12g upper=%.12g",
+            evals, t, m, slope, lower, best_v,
+        )
+        if best_v - lower <= _FLOOR_SEARCH_TOL * max(1.0, abs(best_v)) or t_next in seen:
+            break
+        t = t_next
+    _log.debug("floor search done: %d evaluations, t=%.12g value=%.12g", evals, best_t, best_v)
+    return best_t, best_v
+
+
 def _goldilocks_search(
     instance: Instance,
     pool: _ColumnPool,
@@ -325,9 +398,10 @@ def _goldilocks_search(
     """Minimize max/(k/n) + gamma*(k/n)/min via a floor search.
 
     For a fixed floor t on the minimum probability, the best reachable
-    maximum is an LP; the upper envelope V(t) = minmax(t)/(k/n) +
-    gamma*(k/n)/t is convex in t, so a golden-section search over t finds
-    the global optimum. Column generation runs inside every evaluation, so
+    maximum M(t) is a min-max LP; V(t) = M(t)/(k/n) + gamma*(k/n)/t is convex
+    in t, and ``_floor_search`` minimizes it by cutting planes on M, usually
+    in a handful of floor evaluations. Column generation runs to convergence
+    inside every evaluation, so the floor-row duals are valid slopes of M and
     the shared pool ends up supporting the optimal floor exactly.
     """
     ideal = instance.k / instance.n
@@ -346,49 +420,37 @@ def _goldilocks_search(
         iterations += fallback.rounds
         return fallback.solution, math.inf, iterations, converged and fallback.converged, fallback.gap
 
-    cache: dict[float, tuple[float, _ColgenOutcome]] = {}
+    outcomes: dict[float, _ColgenOutcome] = {}
 
-    def value_at(t: float) -> float:
+    def evaluate(t: float) -> tuple[float, float]:
         nonlocal iterations, converged
-        if t in cache:
-            return cache[t][0]
-        outcome = _run_colgen(
-            instance,
-            pool,
-            lambda p: _lp_master(p, "min_max", floors={w: t for w in range(len(p.vectors))}),
-            config,
-            eta_scale=1.0 / ideal,
-        )
-        iterations += outcome.rounds
-        converged &= outcome.converged
-        v = outcome.solution.value / ideal + gamma * ideal / t
-        cache[t] = (v, outcome)
-        return v
+        if t not in outcomes:
+            outcome = _run_colgen(
+                instance,
+                pool,
+                lambda p: _lp_master(p, "min_max", floors={w: t for w in range(len(p.vectors))}),
+                config,
+                eta_scale=1.0 / ideal,
+            )
+            iterations += outcome.rounds
+            converged &= outcome.converged
+            outcomes[t] = outcome
+        solution = outcomes[t].solution
+        return solution.value, solution.floor_slope
 
-    v_hi = value_at(t_hi)
-    t_lo = min(t_hi, gamma * ideal / v_hi) if math.isfinite(v_hi) else t_hi
-    t_lo = max(t_lo * 0.5, t_hi * 1e-12)
+    def outer(m, t):
+        return m / ideal + gamma * ideal / t
 
-    lo, hi = t_lo, t_hi
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = value_at(x1), value_at(x2)
-    for _ in range(200):
-        if hi - lo <= max(1e-13, 1e-10 * t_hi):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = value_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = value_at(x2)
+    def argmin(a: float, b: float) -> float:
+        # d/dt [(a + b t)/ideal + gamma ideal/t] = b/ideal - gamma ideal/t^2
+        return ideal * math.sqrt(gamma / b) if b > 0.0 else math.inf
 
-    best_t = min(cache, key=lambda t: cache[t][0])
-    best_value, best_outcome = cache[best_t]
-    return best_outcome.solution, best_value, iterations, converged, best_outcome.gap
+    # V(t) >= gamma*ideal/t, so floors below gamma*ideal/V(t_hi) cannot win.
+    v_hi = outer(evaluate(t_hi)[0], t_hi)
+    t_lo = max(0.5 * min(t_hi, gamma * ideal / v_hi), t_hi * 1e-12)
+    best_t, best_value = _floor_search(evaluate, t_lo, t_hi, outer, argmin)
+    best = outcomes[best_t]
+    return best.solution, best_value, iterations, converged, best.gap
 
 
 def _nash_geomean(pool: _ColumnPool, q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -758,9 +820,11 @@ def deviation_delta(instance: Instance, config: SolveConfig | None = None) -> fl
     """Smallest achievable worst-side multiplicative deviation from k/n.
 
     delta = min over feasible assignments of max((k/n)/min(pi), max(pi)/(k/n)),
-    found by bisecting the crossing of the decreasing term (k/n)/t against the
-    nondecreasing term minmax(t)/(k/n) over the enforced floor t. Brute
-    columns make every inner LP exact.
+    found by the goldilocks floor search (``_floor_search``) on
+    max((k/n)/t, minmax(t)/(k/n)) over the enforced floor t: the first term
+    falls and the second is convex and nondecreasing, so on each segment of
+    the cut model the minimizer is where the two terms cross. Brute columns
+    make every inner LP exact.
     """
     cfg = config or SolveConfig(objective=EqualityObjective(Kind.MAXIMIN), backend="brute")
     cfg = replace(cfg, backend="brute")
@@ -771,27 +835,20 @@ def deviation_delta(instance: Instance, config: SolveConfig | None = None) -> fl
     if t_max <= 0.0:
         return math.inf
 
-    def minmax_at(t: float) -> float:
-        floors = {w: t for w in range(len(pool.vectors))}
-        return _lp_master(pool, "min_max", floors=floors).value
+    def evaluate(t: float) -> tuple[float, float]:
+        solution = _lp_master(pool, "min_max", floors={w: t for w in range(len(pool.vectors))})
+        return solution.value, solution.floor_slope
 
-    def d_value(t: float) -> float:
-        return max(ideal / t, minmax_at(t) / ideal)
+    def outer(m, t):
+        return np.maximum(ideal / t, m / ideal)
 
-    best = d_value(t_max)
-    g_hi = ideal / t_max - minmax_at(t_max) / ideal
-    if g_hi >= 0.0:
-        return best
-    lo, hi = t_max * 1e-9, t_max
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if ideal / mid - minmax_at(mid) / ideal > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    for t in (lo, hi, 0.5 * (lo + hi)):
-        best = min(best, d_value(t))
-    return best
+    def argmin(a: float, b: float) -> float:
+        # (a + b t)/ideal = ideal/t  <=>  b t^2 + a t - ideal^2 = 0; the
+        # positive root, written to avoid cancellation.
+        denom = a + math.sqrt(a * a + 4.0 * max(b, 0.0) * ideal * ideal)
+        return 2.0 * ideal * ideal / denom if denom > 0.0 else math.inf
+
+    return float(_floor_search(evaluate, t_max * 1e-9, t_max, outer, argmin)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_exhaustive_fairness_zero_under_exclusion():
     assert report.value == 0.0
 
 
+def test_exhaustive_rejects_negative_coalition_before_solving(e1, monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("the base solve ran before c was validated")
+
+    monkeypatch.setattr("panelot.adversary.solve", no_solve)
+    with pytest.raises(ValidationError) as err:
+        manip_metric_exhaustive(e1, cfg("maximin"), c=-1, metric="ext")
+    assert err.value.code == "INVALID_INPUT"
+
+
 def test_exhaustive_strict_respects_cap(e1):
     with pytest.raises(CoalitionTooLargeError):
         manip_metric_exhaustive(e1, cfg("maximin"), c=1, metric="int", strict=True)

@@ -107,6 +107,48 @@ def test_round_rejects_result_for_another_instance(tmp_path, t1, e2, capsys):
     assert not list(out.glob("lottery_*"))
 
 
+def _select_t1(tmp_path, t1):
+    agents, quotas = _files(tmp_path, t1)
+    out = tmp_path / "artifacts"
+    main(["--out", str(out), "select", "--agents", agents, "--quotas", quotas, "-k", "2"])
+    return agents, quotas, out, next(out.glob("select_*.json"))
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "malformed", "not-utf8"])
+def test_round_rejects_unreadable_result_file(tmp_path, t1, capsys, kind):
+    agents, quotas, out, _ = _select_t1(tmp_path, t1)
+    bad = tmp_path / "bad_result.json"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "malformed":
+        bad.write_text('{"compositions": [')
+    elif kind == "not-utf8":
+        bad.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",
+         "--result", str(bad), "--m", "100"]
+    )
+    assert code == 1
+    assert "INVALID_INPUT" in capsys.readouterr().err
+    assert not list(out.glob("lottery_*"))
+
+
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_round_rejects_m_below_one_before_the_note(tmp_path, t1, capsys, m):
+    agents, quotas, out, result_path = _select_t1(tmp_path, t1)
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",
+         "--result", str(result_path), "--m", m]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "INVALID_INPUT" in err
+    assert "note:" not in err
+    assert not list(out.glob("lottery_*"))
+
+
 def test_manip_mu_subcommand(tmp_path, e1, capsys):
     agents, quotas = _files(tmp_path, e1)
     out = tmp_path / "artifacts"

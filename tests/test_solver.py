@@ -1,3 +1,4 @@
+import logging
 import math
 from collections import Counter
 from dataclasses import replace
@@ -17,6 +18,8 @@ from panelot.objectives import parse_objective
 from panelot.panels import enumerate_panels, marginals
 from panelot.solver import (
     SolveConfig,
+    _initial_pool,
+    _lp_master,
     approximation_ratios,
     deviation_delta,
     solve,
@@ -255,6 +258,81 @@ def test_goldilocks_sandwich_on_e2(e2):
     ideal = e2.k / e2.n
     assert result.pi.min() >= ideal / (2.0 * delta) - 1e-6
     assert result.pi.max() <= ideal * 2.0 * delta + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Goldilocks floor search
+# ---------------------------------------------------------------------------
+
+FLOOR_SEEDS = range(8)
+
+
+def _floor_curve(instance):
+    """The brute pool and its min-max value M(t) with every group floored at t."""
+    pool = _initial_pool(instance, cfg("maximin", "brute"))
+    t_max = _lp_master(pool, "max_min").value
+
+    def at(t):
+        solution = _lp_master(pool, "min_max", floors={w: t for w in range(len(pool.vectors))})
+        return solution.value, solution.floor_slope
+
+    return t_max, at
+
+
+@pytest.mark.parametrize("seed", FLOOR_SEEDS)
+def test_floor_slope_gives_a_valid_cut(seed):
+    # The floor search relies on M(t) + slope(t) * (t' - t) <= M(t') for all t'.
+    t_max, at = _floor_curve(fixtures.random_brute_instance(seed))
+    grid = [t_max * i / 60 for i in range(1, 61)]
+    values = [at(t)[0] for t in grid]
+    for t in (t_max * f for f in (0.05, 0.3, 0.55, 0.8, 0.97, 1.0)):
+        m, slope = at(t)
+        assert slope >= -1e-9
+        for t2, m2 in zip(grid, values):
+            assert m + slope * (t2 - t) <= m2 + 1e-9
+
+
+# deviation_delta on random_brute_instance(seed), as found by bisecting the
+# crossing of (k/n)/t and minmax(t)/(k/n) over 80 steps.
+DELTA_BY_BISECTION = {
+    0: 1.0,
+    1: 1.125,
+    2: 1.75,
+    3: 1.2247448713915892,
+    4: 1.2857142857142858,
+    5: 1.8750000000000002,
+    6: 1.6,
+    7: 1.0,
+}
+
+
+@pytest.mark.parametrize("seed", FLOOR_SEEDS)
+def test_floor_searches_beat_a_fine_floor_grid(seed):
+    instance = fixtures.random_brute_instance(seed)
+    ideal = instance.k / instance.n
+    t_max, at = _floor_curve(instance)
+    grid = [(t, at(t)[0]) for t in (t_max * i / 400 for i in range(1, 401))]
+    for gamma in (0.5, 1, 4):
+        result = solve(instance, cfg(f"goldilocks:{gamma}", "brute"))
+        grid_best = min(m / ideal + gamma * ideal / t for t, m in grid)
+        assert result.objective_value <= grid_best + 1e-9
+    delta = deviation_delta(instance)
+    assert delta <= min(max(ideal / t, m / ideal) for t, m in grid) + 1e-9
+    assert delta == pytest.approx(DELTA_BY_BISECTION[seed], rel=1e-12)
+
+
+def test_floor_search_logs_each_evaluation(e2, caplog):
+    with caplog.at_level(logging.DEBUG, logger="panelot"):
+        result = solve(e2, cfg("goldilocks:1"))
+    assert result.objective_value == pytest.approx(2 * ROOT3, abs=1e-9)
+    lines = [r.getMessage() for r in caplog.records if r.name == "panelot"]
+    evals = [line for line in lines if line.startswith("floor search eval")]
+    assert evals
+    for line in evals:
+        for field in ("t=", "M=", "slope=", "lower=", "upper="):
+            assert field in line
+    done = [line for line in lines if line.startswith("floor search done")]
+    assert done == [done[0]] and f"{len(evals)} evaluations" in done[0]
 
 
 def test_approximation_ratios_e2(e2):
