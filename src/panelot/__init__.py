@@ -36,6 +36,7 @@ from .panels import (
     PanelComposition,
     PanelDistribution,
     ProbabilityAssignment,
+    composition_oracle,
     enumerate_panels,
     feasible_compositions,
     marginals,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from .model import FeatureScheme, Instance
@@ -136,3 +137,33 @@ def random_brute_instance(seed: int, max_n: int = 12, max_k: int = 4, max_featur
             continue
         return instance
     raise RuntimeError(f"could not draw a feasible random instance for seed {seed}")
+
+
+def skew_pool(n: int, k: int, arities: tuple[int, ...], seed: int = 0) -> Instance:
+    """A seeded synthetic pool skewed toward value 0 on every feature.
+
+    Drawn with ``random.Random(seed)``: agent by agent and feature by
+    feature, an m-valued feature takes ``min(floor(Exp(rate=0.6)), m - 1)``.
+    Every value of an m-valued feature gets the quota
+    ``[floor(0.9k/m), floor(1.1k/m) + 1]``. With the default seed, (500, 20,
+    (2, 3, 3, 2)) is the 36-group pool whose composition space is too big to
+    enumerate, and (200, 10, (2, 2, 3)) has 12 groups and 12,888 valid
+    compositions. The pool is not checked for feasibility or exclusion.
+    """
+    rng = random.Random(seed)
+    features = tuple(f"f{j + 1}" for j in range(len(arities)))
+    scheme = FeatureScheme(
+        features=features,
+        values={f: tuple(str(v) for v in range(m)) for f, m in zip(features, arities)},
+    )
+    agents = tuple(
+        (f"a{i + 1}", tuple(str(min(int(rng.expovariate(0.6)), m - 1)) for m in arities))
+        for i in range(n)
+    )
+    quotas = {
+        (f, str(v)): (math.floor(0.9 * k / m), math.floor(1.1 * k / m) + 1)
+        for f, m in zip(features, arities)
+        for v in range(m)
+    }
+    groups = len({vector for _, vector in agents})
+    return Instance(scheme=scheme, agents=agents, k=k, quotas=quotas, label=f"skew{groups}")

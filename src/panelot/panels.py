@@ -5,6 +5,14 @@ this package optimizes, so all search happens in *composition* space: a
 composition assigns a seat count to each vector group. A pool with millions
 of valid panels typically has only a handful of valid compositions, which is
 what makes the exact weighted-panel oracle and brute enumeration tractable.
+
+One enumerator, ``_CompositionSearch.count_matrix``, lists the valid
+compositions level by level over the sorted vector groups with numpy, in
+lexicographic order. The brute backend (``feasible_compositions``) and the
+oracle's per-instance memo (``_composition_matrix``) both use it. The one
+cap, ``COMPOSITION_CAP``, bounds each level's expansion, not only the number
+of compositions returned; past it, the oracle falls back to branch and bound
+per query and brute raises CAP_EXCEEDED.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -25,8 +33,11 @@ from .model import FeatureVector, Instance
 PROB_EPS = 1e-9
 
 # The one size cap on composition spaces: brute enumeration raises
-# CAP_EXCEEDED beyond it, and the oracle memoizes spaces up to it.
+# CAP_EXCEEDED beyond it, and the oracle memoizes spaces up to it. It bounds
+# every level of the enumeration, so it is also the enumerator's memory cap.
 COMPOSITION_CAP = 300_000
+# Expansion rows the enumerator builds and prunes at once.
+_EXPANSION_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -225,10 +236,12 @@ class ProbabilityAssignment:
 
 
 class _CompositionSearch:
-    """Shared DFS machinery over seat-count vectors with quota propagation.
+    """Search over seat-count vectors with quota propagation: the level-wise
+    enumerator (``count_matrix``) and the branch-and-bound oracle for spaces
+    past the cap (``best_composition``).
 
-    Vectors are visited in canonical sorted order and counts ascend, so the
-    first solution found is the lexicographically smallest one.
+    Vectors are visited in canonical sorted order and counts ascend, so both
+    produce compositions in lexicographic order.
     """
 
     def __init__(self, instance: Instance, min_counts: Mapping[FeatureVector, int] | None = None):
@@ -277,28 +290,83 @@ class _CompositionSearch:
                 return True
         return False
 
-    def iter_compositions(self) -> Iterator[dict[FeatureVector, int]]:
-        committed = {pair: 0 for pair in self.pairs}
-        counts: list[int] = []
+    def count_matrix(self):
+        """Every valid composition as a row of seat counts, columns in
+        ``self.vectors`` order and rows in ascending lexicographic order; None
+        as soon as one level's expansion would exceed ``COMPOSITION_CAP`` rows.
 
-        def dfs(i: int, assigned: int) -> Iterator[dict[FeatureVector, int]]:
-            if i == len(self.vectors):
-                # _prune with no groups left verifies the quotas exactly.
-                if assigned == self.k and not self._prune(i, assigned, committed):
-                    yield {v: c for v, c in zip(self.vectors, counts) if c > 0}
-                return
-            if self._prune(i, assigned, committed):
-                return
-            vector = self.vectors[i]
-            for c in self._candidate_range(i, assigned):
-                for f_idx, feature in enumerate(self.features):
-                    committed[(feature, vector[f_idx])] += c
-                counts.append(c)
-                yield from dfs(i + 1, assigned + c)
-                counts.pop()
-                for f_idx, feature in enumerate(self.features):
-                    committed[(feature, vector[f_idx])] -= c
-        yield from dfs(0, 0)
+        Level-wise: after level i the frontier holds every partial row over
+        the first i groups that survives the quota-propagation prune
+        (``_prune``, applied to whole arrays). Each row expands to its
+        candidate counts in ascending order, so the frontier stays sorted.
+        The cap is checked on a level's expansion before it is allocated,
+        and the expansion is built and pruned in chunks of at most
+        ``_EXPANSION_CHUNK`` rows, so the cap bounds working memory at every
+        level, not only the size of the result.
+        """
+        import numpy as np
+
+        n_vec, k = len(self.vectors), self.k
+        # Every count, quota and availability fits in int32; the frontier is
+        # stored in the smallest unsigned type that holds k.
+        work, small = np.int32, np.min_scalar_type(k)
+        pair_at = {pair: j for j, pair in enumerate(self.pairs)}
+        lo = np.array([self.quota[pair][0] for pair in self.pairs], dtype=work)
+        hi = np.array([self.quota[pair][1] for pair in self.pairs], dtype=work)
+        avail = np.array([[row[pair] for pair in self.pairs] for row in self.avail], dtype=work)
+        member = np.zeros((n_vec, len(self.pairs)), dtype=work)
+        for i, vector in enumerate(self.vectors):
+            for f_idx, feature in enumerate(self.features):
+                member[i, pair_at[(feature, vector[f_idx])]] = 1
+        # Pairs are grouped by feature: each feature's first pair column.
+        pair_features = [feature for feature, _ in self.pairs]
+        feature_starts = [pair_features.index(feature) for feature in self.features]
+
+        def keep(level: int, committed, assigned):
+            rem = (k - assigned)[:, None]
+            need = np.add.reduceat(np.maximum(lo - committed, 0), feature_starts, axis=1)
+            room = np.add.reduceat(np.minimum(hi - committed, avail[level]), feature_starts, axis=1)
+            return ~(committed > hi).any(axis=1) & (need <= rem).all(axis=1) & (room >= rem).all(axis=1)
+
+        # The frontier after level i: counts of groups 0..i-1, the seats
+        # committed to each (feature, value) pair, and the seats assigned.
+        # Level 0 is the empty row, if it survives the prune.
+        counts = np.zeros((1, 0), dtype=small)
+        committed = np.zeros((1, len(self.pairs)), dtype=small)
+        assigned = np.zeros(1, dtype=small)
+        root = keep(0, committed, assigned)
+        counts, committed, assigned = counts[root], committed[root], assigned[root]
+        for i in range(n_vec):
+            top = np.minimum(self.sizes[i], k - self.min_suffix[i + 1] - assigned.astype(work))
+            reps = np.maximum(top - self.min_counts[i] + 1, 0)
+            ends = np.cumsum(reps, dtype=np.int64)
+            if len(ends) == 0 or ends[-1] == 0:
+                return np.zeros((0, n_vec), dtype=np.int32)
+            if ends[-1] > COMPOSITION_CAP:
+                return None
+            parts = []
+            start = 0
+            while start < len(reps):
+                base = int(ends[start - 1]) if start else 0
+                stop = max(int(np.searchsorted(ends, base + _EXPANSION_CHUNK, side="right")), start + 1)
+                chunk_reps = reps[start:stop]
+                # Expansion row j is the (j - first)-th child of its parent.
+                parent = np.repeat(np.arange(start, stop), chunk_reps)
+                first = np.repeat(ends[start:stop] - chunk_reps, chunk_reps)
+                seats = (self.min_counts[i] + np.arange(base, ends[stop - 1]) - first).astype(work)
+                child_committed = committed[parent] + seats[:, None] * member[i]
+                child_assigned = assigned[parent] + seats
+                ok = keep(i + 1, child_committed, child_assigned)
+                child_counts = np.empty((int(ok.sum()), i + 1), dtype=small)
+                child_counts[:, :i] = counts[parent[ok]]
+                child_counts[:, i] = seats[ok]
+                parts.append((child_counts, child_committed[ok].astype(small),
+                              child_assigned[ok].astype(small)))
+                start = stop
+            counts = np.concatenate([part[0] for part in parts])
+            committed = np.concatenate([part[1] for part in parts])
+            assigned = np.concatenate([part[2] for part in parts])
+        return counts[assigned == k].astype(np.int32)
 
     def best_composition(self, group_prefix: Mapping[FeatureVector, Sequence[float]]) -> dict[FeatureVector, int] | None:
         """Exact max-weight composition via branch and bound.
@@ -363,37 +431,37 @@ class _CompositionSearch:
 
 
 def feasible_compositions(instance: Instance) -> list[PanelComposition]:
-    """All valid seat-count compositions, in deterministic lexicographic order."""
-    out: list[PanelComposition] = []
-    for counts in _CompositionSearch(instance).iter_compositions():
-        out.append(PanelComposition(tuple(counts.items())))
-        if len(out) > COMPOSITION_CAP:
-            raise CapExceededError(f"more than {COMPOSITION_CAP} valid compositions")
-    return out
+    """All valid seat-count compositions, in deterministic lexicographic order.
+
+    Raises CAP_EXCEEDED when one level of the enumeration would expand to
+    more than ``COMPOSITION_CAP`` rows (see ``_CompositionSearch.count_matrix``).
+    """
+    search = _CompositionSearch(instance)
+    matrix = search.count_matrix()
+    if matrix is None:
+        raise CapExceededError(f"enumeration would expand past {COMPOSITION_CAP} rows")
+    return [PanelComposition(tuple(zip(search.vectors, row))) for row in matrix.tolist()]
 
 
-# Composition spaces up to COMPOSITION_CAP are enumerated once per instance
+# Composition spaces within COMPOSITION_CAP are enumerated once per instance
 # and memoized, turning every oracle call into a vectorized scoring pass;
 # larger spaces fall back to branch and bound per query.
 _COMP_CACHE_ATTR = "_cached_composition_matrix"
 
 
 def _composition_matrix(instance: Instance):
-    """(vectors, count-matrix in lex order), or False when the space is too big."""
+    """(vectors, count matrix in lex order), or False when the space is too big.
+
+    The matrix comes from ``_CompositionSearch.count_matrix``: the cap bounds
+    every level's expansion, not only the number of valid compositions, so
+    the enumeration gives up before allocating more than the cap.
+    """
     cached = getattr(instance, _COMP_CACHE_ATTR, None)
     if cached is not None:
         return cached
-    import numpy as np
-
     search = _CompositionSearch(instance)
-    rows: list[list[int]] = []
-    for counts in search.iter_compositions():
-        rows.append([counts.get(v, 0) for v in search.vectors])
-        if len(rows) > COMPOSITION_CAP:
-            object.__setattr__(instance, _COMP_CACHE_ATTR, False)
-            return False
-    matrix = np.array(rows, dtype=np.int32).reshape(len(rows), len(search.vectors))
-    value = (search.vectors, matrix)
+    matrix = search.count_matrix()
+    value = False if matrix is None else (search.vectors, matrix)
     object.__setattr__(instance, _COMP_CACHE_ATTR, value)
     return value
 
@@ -402,9 +470,9 @@ def has_valid_panel(instance: Instance) -> bool:
     cache = _composition_matrix(instance)
     if cache is not False:
         return cache[1].shape[0] > 0
-    for _ in _CompositionSearch(instance).iter_compositions():
-        return True
-    return False
+    # Past the cap: with zero weights, branch and bound stops at the first
+    # feasible composition.
+    return composition_oracle(instance, [0.0] * len(instance.groups)) is not None
 
 
 def _vector_coverable(instance: Instance, vector: FeatureVector) -> bool:
@@ -414,10 +482,27 @@ def _vector_coverable(instance: Instance, vector: FeatureVector) -> bool:
         vectors, matrix = cache
         column = vectors.index(vector)
         return bool((matrix[:, column] > 0).any())
-    search = _CompositionSearch(instance, min_counts={vector: 1})
-    for _ in search.iter_compositions():
-        return True
-    return False
+    return composition_oracle(instance, [0.0] * len(instance.groups), min_counts={vector: 1}) is not None
+
+
+def composition_oracle(instance: Instance, group_weights: Sequence[float],
+                       min_counts: Mapping[FeatureVector, int] | None = None) -> PanelComposition | None:
+    """A valid composition maximizing ``sum_w group_weights[w] * seats_w``,
+    or None if none exists.
+
+    ``group_weights`` holds one weight per group, in
+    ``instance.present_vectors()`` order: every seat of a group weighs the
+    same. Ties break as in ``panel_oracle``.
+    """
+    vectors = instance.present_vectors()
+    if len(group_weights) != len(vectors):
+        raise ValidationError(f"expected {len(vectors)} group weights, got {len(group_weights)}")
+    group_prefix = {
+        vector: list(itertools.accumulate([weight] * min(instance.group_size(vector), instance.k), initial=0.0))
+        for vector, weight in zip(vectors, group_weights)
+    }
+    counts = _best_counts(instance, group_prefix, min_counts)
+    return None if counts is None else PanelComposition(tuple(counts.items()))
 
 
 def panel_oracle(instance: Instance, weights: Mapping[str, float],
@@ -453,6 +538,8 @@ def _best_counts(
     group_prefix: Mapping[FeatureVector, Sequence[float]],
     min_counts: Mapping[FeatureVector, int] | None,
 ) -> dict[FeatureVector, int] | None:
+    """Max-weight composition where ``group_prefix[v][c]`` is the weight of c
+    seats of group v: a scoring pass over the memo, or branch and bound."""
     cache = _composition_matrix(instance)
     if cache is False:
         search = _CompositionSearch(instance, min_counts=min_counts)

@@ -50,8 +50,8 @@ from .panels import (
     Panel,
     PanelComposition,
     ProbabilityAssignment,
+    composition_oracle,
     feasible_compositions,
-    panel_oracle,
 )
 
 # Columns with less than this much mass are dropped from the final support.
@@ -290,15 +290,9 @@ def _price(
 ) -> tuple[PanelComposition, float]:
     """The best composition when every seat of group w weighs
     ``group_weights[w]``, and its total weight."""
-    eta = {}
-    for vector, members in instance.groups.items():
-        weight = group_weights[pool.index[vector]]
-        for agent_id in members:
-            eta[agent_id] = weight
-    best_panel = panel_oracle(instance, eta)
-    if best_panel is None:
+    comp = composition_oracle(instance, group_weights)
+    if comp is None:
         raise NoValidPanelError("no valid panel exists")
-    comp = best_panel.composition(instance)
     return comp, sum(group_weights[pool.index[v]] * seats for v, seats in comp.items)
 
 
@@ -604,21 +598,19 @@ def _initial_pool(instance: Instance, config: SolveConfig) -> _ColumnPool:
             )
         return pool
 
-    ones = {agent_id: 0.0 for agent_id in instance.agent_ids}
-    any_panel = panel_oracle(instance, ones)
-    if any_panel is None:
+    any_comp = composition_oracle(instance, np.zeros(len(pool.vectors)))
+    if any_comp is None:
         raise NoValidPanelError("the quotas admit no valid panel")
-    pool.add(any_panel.composition(instance))
-    for vector in pool.vectors:
-        weights = {agent_id: 0.0 for agent_id in instance.agent_ids}
-        for agent_id in instance.groups[vector]:
-            weights[agent_id] = 1.0
-        covering = panel_oracle(instance, weights, min_counts={vector: 1})
+    pool.add(any_comp)
+    for w, vector in enumerate(pool.vectors):
+        weights = np.zeros(len(pool.vectors))
+        weights[w] = 1.0
+        covering = composition_oracle(instance, weights, min_counts={vector: 1})
         if covering is None:
             raise StructuralExclusionError(
                 f"agents with vector {vector} appear on no valid panel"
             )
-        pool.add(covering.composition(instance))
+        pool.add(covering)
     return pool
 
 

@@ -1,7 +1,11 @@
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from panelot import fixtures
 from panelot.adversary import apply_misreport, make_lb_instance
+from panelot.model import FeatureScheme, Instance
 
 
 @pytest.fixture
@@ -34,3 +38,75 @@ def write_instance_csvs(tmp_path, instance, stem="inst"):
     quotas = tmp_path / f"{stem}_quotas.csv"
     save_instance(instance, agents, quotas)
     return agents, quotas
+
+
+def reference_compositions(instance, min_counts=None):
+    """Every valid composition as a tuple of seat counts over
+    ``instance.present_vectors()``, in ascending lexicographic order.
+
+    A plain recursive search kept independent of ``panels``: groups in sorted
+    order, counts ascending, only the seat total pruned, and the quotas
+    checked on complete compositions.
+    """
+    vectors = instance.present_vectors()
+    sizes = [instance.group_size(v) for v in vectors]
+    floors = [0 if min_counts is None else min_counts.get(v, 0) for v in vectors]
+    features = instance.scheme.features
+    out = []
+
+    def quotas_hold(counts):
+        for f_idx, feature in enumerate(features):
+            for value in instance.scheme.values[feature]:
+                total = sum(c for v, c in zip(vectors, counts) if v[f_idx] == value)
+                lo, hi = instance.quota(feature, value)
+                if not lo <= total <= hi:
+                    return False
+        return True
+
+    def dfs(counts, assigned):
+        i = len(counts)
+        if i == len(vectors):
+            if assigned == instance.k and quotas_hold(counts):
+                out.append(tuple(counts))
+            return
+        for c in range(floors[i], sizes[i] + 1):
+            if assigned + c + sum(floors[i + 1:]) > instance.k:
+                break
+            dfs(counts + [c], assigned + c)
+
+    dfs([], 0)
+    return out
+
+
+@st.composite
+def small_instances(draw, max_groups=9, max_k=6):
+    """Random instances of at most ``max_groups`` vector groups; quotas are
+    drawn around a random panel, so a valid panel exists."""
+    arities = draw(
+        st.lists(st.integers(2, 3), min_size=1, max_size=3).filter(
+            lambda a: math.prod(a) <= max_groups
+        )
+    )
+    features = tuple(f"f{j + 1}" for j in range(len(arities)))
+    scheme = FeatureScheme(
+        features=features,
+        values={f: tuple(str(v) for v in range(m)) for f, m in zip(features, arities)},
+    )
+    n = draw(st.integers(2, 14))
+    vectors = draw(
+        st.lists(st.tuples(*(st.sampled_from(scheme.values[f]) for f in features)), min_size=n, max_size=n)
+    )
+    agents = tuple((f"a{i + 1}", vector) for i, vector in enumerate(vectors))
+    k = draw(st.integers(1, min(max_k, n)))
+    panel = draw(st.lists(st.sampled_from(range(n)), min_size=k, max_size=k, unique=True))
+    quotas = {}
+    for j, feature in enumerate(features):
+        for value in scheme.values[feature]:
+            if draw(st.booleans()):
+                continue  # unconstrained pair
+            hit = sum(1 for i in panel if vectors[i][j] == value)
+            quotas[(feature, value)] = (
+                max(0, hit - draw(st.integers(0, 1))),
+                min(k, hit + draw(st.integers(0, 1))),
+            )
+    return Instance(scheme=scheme, agents=agents, k=k, quotas=quotas, label="drawn")

@@ -1,9 +1,14 @@
 import math
 import random
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from panelot import fixtures
+from conftest import reference_compositions, small_instances
+from panelot import fixtures, panels
 from panelot.errors import CapExceededError, NonCoalitionExclusionError, ValidationError
 from panelot.model import FeatureScheme, Instance
 from panelot.panels import (
@@ -11,6 +16,9 @@ from panelot.panels import (
     Panel,
     PanelComposition,
     PanelDistribution,
+    _composition_matrix,
+    _CompositionSearch,
+    composition_oracle,
     enumerate_panels,
     feasible_compositions,
     has_valid_panel,
@@ -157,6 +165,108 @@ def test_oracle_matches_enumeration_on_random_instances():
             sum(weights[a] for a in p.members) for p in enumerate_panels(inst)
         )
         assert sum(weights[a] for a in best.members) == pytest.approx(brute_best, abs=1e-9)
+
+
+def _kernel_rows(instance, min_counts=None):
+    matrix = _CompositionSearch(instance, min_counts).count_matrix()
+    assert matrix.dtype == np.int32 and matrix.flags["C_CONTIGUOUS"]
+    return [tuple(row) for row in matrix.tolist()]
+
+
+def test_enumerator_matches_reference_search_on_random_instances():
+    for seed in range(200):
+        inst = fixtures.random_brute_instance(seed)
+        assert _kernel_rows(inst) == reference_compositions(inst), seed
+
+
+@given(small_instances(), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_enumerator_matches_reference_search_with_min_counts(inst, data):
+    vectors = inst.present_vectors()
+    floors = data.draw(st.lists(st.integers(0, 2), min_size=len(vectors), max_size=len(vectors)))
+    min_counts = dict(zip(vectors, floors))
+    assert _kernel_rows(inst, min_counts) == reference_compositions(inst, min_counts)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_enumerator_rows_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    pools = [fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(100, 10, (3, 3))]
+    expected = [_kernel_rows(inst) for inst in pools]
+    assert [len(rows) for rows in expected] == [501, 585]
+    assert expected[0] == reference_compositions(pools[0])
+    monkeypatch.setattr(panels, "_EXPANSION_CHUNK", chunk)
+    assert [_kernel_rows(inst) for inst in pools] == expected
+
+
+def _fallback_cases():
+    """(seed, builder) pairs: random feasible pools, plus pools with an
+    excluded group or no valid panel at all."""
+    cases = [(seed, lambda s=seed: fixtures.random_brute_instance(s, max_n=14, max_k=5, max_features=3))
+             for seed in range(40)]
+    cases.append((0, fixtures.excluded_agent_instance))
+    cases.append((0, lambda: fixtures.skew_pool(30, 5, (2, 3))))
+    # Each feature's quotas can be met alone, but not both at once.
+    cases.append((0, lambda: Instance(
+        scheme=FeatureScheme(features=("f1", "f2"), values={"f1": ("0", "1"), "f2": ("0", "1")}),
+        agents=(("a1", ("0", "0")), ("a2", ("0", "0")), ("a3", ("1", "1")), ("a4", ("1", "1"))),
+        k=2, quotas={("f1", "0"): (1, 1), ("f1", "1"): (1, 1), ("f2", "0"): (0, 0), ("f2", "1"): (2, 2)},
+    )))
+    return cases
+
+
+def test_branch_and_bound_fallback_agrees_with_the_memo(monkeypatch):
+    memo_side = [build() for _, build in _fallback_cases()]
+    assert all(_composition_matrix(inst) is not False for inst in memo_side)
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    for (seed, build), memo_inst in zip(_fallback_cases(), memo_side):
+        inst = build()
+        assert _composition_matrix(inst) is False
+        assert has_valid_panel(inst) == has_valid_panel(memo_inst)
+        assert structurally_excluded(inst) == structurally_excluded(memo_inst)
+        rng = random.Random(seed + 2000)
+        for _ in range(5):
+            weights = {a: rng.uniform(-2, 3) for a in inst.agent_ids}
+            assert panel_oracle(inst, weights) == panel_oracle(memo_inst, weights)
+            group_weights = [rng.uniform(-2, 3) for _ in inst.present_vectors()]
+            assert composition_oracle(inst, group_weights) == composition_oracle(memo_inst, group_weights)
+            for vector in inst.present_vectors():
+                assert (composition_oracle(inst, group_weights, min_counts={vector: 1})
+                        == composition_oracle(memo_inst, group_weights, min_counts={vector: 1}))
+
+
+def test_oracle_ties_break_toward_the_lexicographically_first_composition(monkeypatch):
+    def check():
+        for seed in range(20):
+            inst = fixtures.random_brute_instance(seed)
+            vectors = inst.present_vectors()
+            first = PanelComposition(tuple(zip(vectors, reference_compositions(inst)[0])))
+            assert composition_oracle(inst, [0.0] * len(vectors)) == first
+
+    check()  # scoring pass over the memo
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    check()  # branch and bound
+
+
+def test_enumerator_gives_up_on_the_36_group_pool_within_a_second():
+    inst = fixtures.skew_pool(500, 20, (2, 3, 3, 2))
+    assert len(inst.groups) == 36
+    start = time.perf_counter()
+    assert _composition_matrix(inst) is False
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(CapExceededError):
+        feasible_compositions(inst)
+
+
+def test_composition_oracle_weighs_every_seat_of_a_group_alike(e2):
+    vectors = e2.present_vectors()
+    for w, vector in enumerate(vectors):
+        weights = [0.0] * len(vectors)
+        weights[w] = 1.0
+        comp = composition_oracle(e2, weights)
+        per_agent = {a: weights[vectors.index(v)] for a, v in e2.vector_of.items()}
+        assert comp == panel_oracle(e2, per_agent).composition(e2)
+    with pytest.raises(ValidationError):
+        composition_oracle(e2, [1.0])
 
 
 def test_structural_exclusion_empty(t1):

@@ -5,17 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
+from conftest import reference_compositions, small_instances
 from panelot import fixtures
 from panelot.errors import (
     CapExceededError,
     NoValidPanelError,
+    PanelotError,
     RestartLimitError,
     StructuralExclusionError,
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
 from panelot.objectives import parse_objective
-from panelot.panels import enumerate_panels, marginals
+from panelot.panels import enumerate_panels, has_valid_panel, marginals, structurally_excluded
 from panelot.solver import (
     SolveConfig,
     _initial_pool,
@@ -196,6 +199,59 @@ def test_backend_equivalence_sample():
             brute = solve(inst, cfg(spec, "brute")).objective_value
             colgen = solve(inst, cfg(spec, "colgen")).objective_value
             assert abs(brute - colgen) <= tol, (seed, spec, brute, colgen)
+
+
+def _highs_extremes(inst):
+    """(max-min, min-max) group probability over every distribution on the
+    valid compositions, from HiGHS on this test's own enumeration."""
+    from scipy.optimize import linprog
+
+    vectors = inst.present_vectors()
+    sizes = np.array([inst.group_size(v) for v in vectors], dtype=float)
+    A = np.array(reference_compositions(inst), dtype=float).T / sizes[:, None]
+    n_groups, n_cols = A.shape
+    q_bounds = [(0, None)] * n_cols + [(None, None)]
+    sums_to_one = np.append(np.ones(n_cols), 0.0)[None, :]
+    t_col = np.ones((n_groups, 1))
+    best_min = linprog(np.append(np.zeros(n_cols), -1.0), A_ub=np.hstack([-A, t_col]),
+                       b_ub=np.zeros(n_groups), A_eq=sums_to_one, b_eq=[1.0], bounds=q_bounds,
+                       method="highs")
+    best_max = linprog(np.append(np.zeros(n_cols), 1.0), A_ub=np.hstack([A, -t_col]),
+                       b_ub=np.zeros(n_groups), A_eq=sums_to_one, b_eq=[1.0], bounds=q_bounds,
+                       method="highs")
+    assert best_min.status == 0 and best_max.status == 0
+    return -best_min.fun, best_max.fun
+
+
+ALL_SPECS = ("maximin", "minimax", "maximin-tb", "minimax-tb", "leximin", "nash",
+             "goldilocks:1", "goldilocks:auto1", "goldilocks:auto2", "linear:0.5")
+
+
+@given(small_instances(max_groups=8))
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+def test_colgen_matches_brute_and_highs_on_random_instances(inst):
+    assume(has_valid_panel(inst) and not structurally_excluded(inst))
+    highs_min, highs_max = _highs_extremes(inst)
+    for spec in ALL_SPECS:
+        tol = 1e-4 if spec == "nash" else 1e-5
+        try:
+            brute = solve(inst, cfg(spec, "brute"))
+        except PanelotError as exc:  # e.g. auto2 on a pool missing a constrained value
+            with pytest.raises(type(exc)):
+                solve(inst, cfg(spec, "colgen"))
+            continue
+        colgen = solve(inst, cfg(spec, "colgen"))
+        assert abs(brute.objective_value - colgen.objective_value) <= tol, (spec, brute, colgen)
+        if spec == "leximin":
+            assert sorted(group_probs(inst, brute).values()) == pytest.approx(
+                sorted(group_probs(inst, colgen).values()), abs=tol)
+        if spec == "maximin":
+            assert brute.pi.min() == pytest.approx(highs_min, abs=1e-8)
+            assert colgen.pi.min() == pytest.approx(highs_min, abs=1e-6)
+        if spec == "minimax":
+            assert brute.pi.max() == pytest.approx(highs_max, abs=1e-8)
+            assert colgen.pi.max() == pytest.approx(highs_max, abs=1e-6)
 
 
 def test_tie_break_variants_keep_their_extreme():
