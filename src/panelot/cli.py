@@ -168,9 +168,9 @@ def _cmd_select(args, objective_spec: str | None = None) -> int:
     result = solve(instance, config)
     out = _out_dir(args)
     path = out / f"select_{_safe(instance.label)}_{_safe(result.objective.spec_string())}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    # Serialize before opening the file, so a failure leaves no partial file.
+    text = json.dumps(result.to_json(), indent=2, sort_keys=False) + "\n"
+    path.write_text(text, encoding="utf-8")
     print(
         f"{result.objective.spec_string()} on {instance.label}: value={result.objective_value:.6f} "
         f"min={result.pi.min():.6f} max={result.pi.max():.6f} gini={gini(result.pi):.6f} "

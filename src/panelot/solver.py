@@ -13,8 +13,8 @@ Two backends share the same master formulations over *composition columns*:
 Master solves are self-contained: linear objectives run on the bundled
 simplex solver, the goldilocks family reduces to a one-dimensional convex
 search over an enforced minimum floor with an inner min-max LP (cutting
-planes from the floor rows' duals), and nash runs Frank-Wolfe with away
-steps and exact line search on the column simplex.
+planes from the floor rows' duals), and nash solves its restricted master
+fully correctively by projected Newton steps on the columns carrying mass.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class SolveConfig:
     eps_colgen: float = 1e-3
     max_columns: int = 2000
     seed: int = 42
-    nash_gap: float = 1e-7  # Frank-Wolfe duality-gap target, objective units
+    nash_gap: float = 1e-7  # nash optimality-gap target, geometric-mean units
     nash_max_iters: int = 20_000
 
     def __post_init__(self):
@@ -100,14 +100,16 @@ class SolveResult:
     certificate: float | None = None
 
     def to_json(self) -> dict:
+        """Plain Python values only, so ``json.dump`` takes the result as is."""
+        gamma = self.objective.gamma
         return {
             "objective": self.objective.spec_string(),
-            "gamma": self.objective.gamma,
-            "value": self.objective_value,
-            "converged": self.converged,
-            "pi": {agent: prob for agent, prob in sorted(self.pi.pi.items())},
+            "gamma": None if gamma is None else float(gamma),
+            "value": float(self.objective_value),
+            "converged": bool(self.converged),
+            "pi": {agent: float(prob) for agent, prob in sorted(self.pi.pi.items())},
             **self.distribution.to_json(),
-            "iterations": self.iterations,
+            "iterations": int(self.iterations),
         }
 
 
@@ -455,43 +457,114 @@ def _nash_geomean(pool: _ColumnPool, q: np.ndarray) -> tuple[float, np.ndarray]:
     return math.exp(log_mean), p
 
 
-def _nash_line_search(pool: _ColumnPool, p: np.ndarray, delta: np.ndarray, h_max: float) -> float:
-    """Maximize sum(n_w log(p_w + h*delta_w)) for h in [0, h_max] by bisection."""
+def _psd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b for a symmetric positive semidefinite M by Gauss-Jordan
+    elimination with the largest remaining diagonal entry as pivot.
 
-    def derivative(h: float) -> float:
+    Once every remaining pivot is below 1e-12 of the largest diagonal entry,
+    the matching unknowns stay 0: a basic solution of a singular but
+    consistent system.
+    """
+    M, b = M.copy(), b.copy()
+    free = np.ones(len(b), dtype=bool)
+    tol = 1e-12 * M.diagonal().max(initial=0.0)
+    while free.any():
+        j = int(np.argmax(np.where(free, M.diagonal(), -np.inf)))
+        if M[j, j] <= tol:
+            break
+        free[j] = False
+        b[j] /= M[j, j]
+        M[j] /= M[j, j]
+        factors = M[:, j].copy()
+        factors[j] = 0.0
+        M -= np.outer(factors, M[j])
+        b -= factors * b[j]
+    return np.where(free, 0.0, b)
+
+
+def _nash_step(sizes: np.ndarray, p: np.ndarray, delta: np.ndarray, h_max: float) -> float:
+    """The h in [0, h_max] maximizing phi(h) = sum(n_w log(p_w + h*delta_w)).
+
+    phi is concave, so this is Newton's method on phi' from the full step
+    h = 1 (h_max/2 when the cap is smaller), kept inside a bracket [lo, hi]
+    with phi'(lo) > 0 > phi'(hi) and bisecting whenever Newton leaves it.
+    Returns 0 when delta is no ascent direction.
+    """
+
+    def derivatives(h: float) -> tuple[float, float]:
         denom = p + h * delta
         if (denom <= 0.0).any():
-            return -math.inf
-        return float(pool.sizes @ (delta / denom))
+            return -math.inf, -math.inf
+        ratio = delta / denom
+        return float(sizes @ ratio), -float(sizes @ (ratio * ratio))
 
-    if derivative(h_max * (1.0 - 1e-12)) >= 0.0:
+    if derivatives(0.0)[0] <= 0.0:
+        return 0.0
+    if derivatives(h_max)[0] >= 0.0:
         return h_max
     lo, hi = 0.0, h_max
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if derivative(mid) > 0.0:
-            lo = mid
+    h = 1.0 if h_max > 1.0 else 0.5 * h_max
+    for _ in range(60):
+        slope, curvature = derivatives(h)
+        if slope > 0.0:
+            lo = h
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = h
+        newton = h - slope / curvature if curvature < 0.0 else math.nan
+        h_next = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if abs(h_next - h) <= 1e-14 * h:
+            return h_next
+        h = h_next
+    return lo
 
 
-def _nash_frank_wolfe(
+def _nash_newton_direction(A_S: np.ndarray, p: np.ndarray, root_sizes: np.ndarray, ref: int) -> np.ndarray:
+    """Newton direction of sum(n_w log p_w) over the columns A_S, with the
+    column weights' sum held fixed.
+
+    Writing B = diag(sqrt(n)/p) A_S, the Hessian is -B^T B and the gradient
+    B^T sqrt(n). Column ``ref`` absorbs the constraint (d_ref = -sum of the
+    others), which leaves the reduced system C^T C u = C^T sqrt(n) over the
+    other columns, C = B_others - B_ref.
+    """
+    B = A_S * (root_sizes / p)[:, None]
+    others = np.arange(A_S.shape[1]) != ref
+    C = B[:, others] - B[:, [ref]]
+    u = _psd_solve(C.T @ C, C.T @ root_sizes)
+    d = np.zeros(A_S.shape[1])
+    d[others] = u
+    d[ref] = -u.sum()
+    return d
+
+
+def _nash_master(
     instance: Instance,
     pool: _ColumnPool,
     config: SolveConfig,
 ) -> tuple[_MasterSolution, int, bool, float]:
-    """Frank-Wolfe with away steps and exact line search on the column simplex.
+    """Maximize sum(n_w log p_w), p = A q, over the column simplex.
+
+    The restricted master is solved fully correctively by an active-set
+    projected Newton method. Each iteration takes the columns carrying mass
+    plus the best Frank-Wolfe vertex and steps along their Newton direction
+    (``_nash_newton_direction``), with an exact line search capped where a
+    weight hits zero; that column leaves the support. If the step stalls
+    (the vertex would take negative mass), a plain Frank-Wolfe step towards
+    the vertex is taken instead. At most G+1 columns carry mass at an
+    optimum, so the Newton systems stay small and the master converges in
+    tens of iterations.
 
     Pricing against the full composition space reuses the panel oracle with
     weights 1/pi_i (the objective gradient through an agent's probability).
-    The duality gap of the log objective converts to geometric-mean units via
-    gap * geomean / n, which is what the stopping thresholds are read in.
+    The Frank-Wolfe duality gap of the log objective converts to
+    geometric-mean units via gap * geomean / n, which is what the stopping
+    thresholds are read in.
     """
     n_total = pool.sizes.sum()
+    root_sizes = np.sqrt(pool.sizes)
     # Start from a small covering mix rather than all columns: every group
-    # needs positive probability for the log objective, but a fat support
-    # only slows the away steps that would drain it again.
+    # needs positive probability for the log objective, and a small support
+    # keeps the first Newton systems small.
     covered: set[int] = set()
     support: list[int] = []
     for idx, comp in enumerate(pool.columns):
@@ -515,27 +588,29 @@ def _nash_frank_wolfe(
             p = A @ q
             grad = (pool.sizes / p) @ A  # d/dq_c of sum n_w log p_w
             fw_idx = int(np.argmax(grad))
-            baseline = float(pool.sizes.sum())  # q . grad is identically n
-            fw_gap_log = grad[fw_idx] - baseline
+            fw_gap_log = grad[fw_idx] - n_total  # q . grad is identically n
             geomean, _ = _nash_geomean(pool, q)
             gap_value_units = geomean * max(fw_gap_log, 0.0) / n_total
             if gap_value_units <= 0.5 * config.nash_gap:
                 break
-            active = np.flatnonzero(q > 1e-15)
-            away_idx = int(active[np.argmin(grad[active])])
-            away_gap_log = baseline - grad[away_idx]
-            if fw_gap_log >= away_gap_log or len(active) == 1:
-                direction = -q.copy()
-                direction[fw_idx] += 1.0
-                h_max = 1.0
-            else:
-                direction = q.copy()
-                direction[away_idx] -= 1.0
-                h_max = q[away_idx] / (1.0 - q[away_idx]) if q[away_idx] < 1.0 else 1.0
-            delta = A @ direction
-            h = _nash_line_search(pool, p, delta, h_max)
+            active = np.flatnonzero(q > 0.0)
+            if q[fw_idx] == 0.0:
+                active = np.append(active, fw_idx)
+            direction = np.zeros(len(q))
+            direction[active] = _nash_newton_direction(
+                A[:, active], p, root_sizes, int(np.argmax(q[active]))
+            )
+            shrinking = direction < 0.0
+            h_max = float(np.min(q[shrinking] / -direction[shrinking], initial=math.inf))
+            h = _nash_step(pool.sizes, p, A @ direction, h_max)
             if h <= 0.0:
-                break
+                # Stalled, e.g. the vertex would take negative mass: take a
+                # plain Frank-Wolfe step towards it instead.
+                direction = -q
+                direction[fw_idx] += 1.0
+                h = _nash_step(pool.sizes, p, A @ direction, 1.0)
+                if h <= 0.0:
+                    break
             q = q + h * direction
             q[q < 1e-15] = 0.0
             total = q.sum()
@@ -544,7 +619,7 @@ def _nash_frank_wolfe(
             q /= total
 
         if config.backend == "brute":
-            converged = gap_value_units <= config.nash_gap
+            converged = bool(gap_value_units <= config.nash_gap)
             break
 
         # Pricing over the full composition space.
@@ -737,7 +812,7 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
         if _uniform_feasible_shortcut(pre.solution, instance):
             solution, iterations, converged, gap = pre.solution, pre.rounds, pre.converged, pre.gap
         else:
-            solution, iterations, converged, gap = _nash_frank_wolfe(instance, pool, config)
+            solution, iterations, converged, gap = _nash_master(instance, pool, config)
             iterations += pre.rounds
     elif objective.kind == Kind.GOLDILOCKS:
         solution, _value, iterations, converged, gap = _goldilocks_search(

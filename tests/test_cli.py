@@ -49,6 +49,22 @@ def test_select_writes_result_json(tmp_path, t1):
     assert all(abs(v - 0.5) < 1e-9 for v in payload["pi"].values())
 
 
+@pytest.mark.parametrize("pool", ["thm43a", "e2"])
+def test_select_nash_brute_writes_valid_json(tmp_path, pool, e2, instance_b):
+    instance = e2 if pool == "e2" else instance_b[2]
+    agents, quotas = _files(tmp_path, instance)
+    out = tmp_path / "artifacts"
+    code = main(
+        ["--out", str(out), "select", "--agents", agents, "--quotas", quotas, "-k", str(instance.k),
+         "--objective", "nash", "--backend", "brute"]
+    )
+    assert code == 0
+    [path] = out.glob("select_*nash*.json")
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["converged"] is True
+
+
 def test_leximin_subcommand(tmp_path, e2):
     agents, quotas = _files(tmp_path, e2)
     out = tmp_path / "artifacts"

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 from collections import Counter
@@ -18,7 +19,13 @@ from panelot.errors import (
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
 from panelot.objectives import parse_objective
-from panelot.panels import enumerate_panels, has_valid_panel, marginals, structurally_excluded
+from panelot.panels import (
+    enumerate_panels,
+    feasible_compositions,
+    has_valid_panel,
+    marginals,
+    structurally_excluded,
+)
 from panelot.solver import (
     SolveConfig,
     _initial_pool,
@@ -420,6 +427,55 @@ def test_auto_gammas_resolve(e2):
 
 
 # ---------------------------------------------------------------------------
+# Nash optimality certificate
+# ---------------------------------------------------------------------------
+
+
+def _nash_fw_gap(instance, result):
+    """Frank-Wolfe duality gap of a nash result in geometric-mean units,
+    computed from the returned distribution and every valid composition:
+    geomean * (max_c sum_w seats_wc / p_w - n) / n: the Frank-Wolfe bound on
+    the log objective's distance from its optimum over all panel
+    distributions, scaled to geometric-mean units."""
+    vectors = instance.present_vectors()
+    sizes = np.array([instance.group_size(v) for v in vectors], dtype=float)
+    index = {v: w for w, v in enumerate(vectors)}
+    seats = np.zeros(len(vectors))
+    for comp, prob in result.distribution.entries:
+        for vector, count in comp.items:
+            seats[index[vector]] += prob * count
+    p = seats / sizes
+    geomean = math.exp(float(sizes @ np.log(p)) / instance.n)
+    best = max(sum(count / p[index[v]] for v, count in comp.items) for comp in feasible_compositions(instance))
+    return geomean * (best - instance.n) / instance.n
+
+
+NASH_CERT_POOLS = [pytest.param(lambda s=s: fixtures.random_brute_instance(s), id=f"rand{s}") for s in range(80)]
+NASH_CERT_POOLS.append(pytest.param(lambda: fixtures.skew_pool(48, 6, (2, 2, 2)), id="skew8"))
+
+
+@pytest.mark.parametrize("make", NASH_CERT_POOLS)
+def test_nash_results_carry_their_optimality_certificate(make):
+    inst = make()
+    nash = parse_objective("nash")
+    brute_cfg = SolveConfig(objective=nash, backend="brute")
+    brute = solve(inst, brute_cfg)
+    assert brute.converged
+    assert _nash_fw_gap(inst, brute) <= brute_cfg.nash_gap
+    colgen = solve(inst, SolveConfig(objective=nash, backend="colgen"))
+    assert colgen.converged
+    assert abs(colgen.objective_value - brute.objective_value) <= colgen.certificate + brute_cfg.nash_gap
+
+
+def test_nash_master_iteration_budget():
+    # The Newton master needs about 30 iterations here; a first-order
+    # master needs thousands.
+    result = solve(fixtures.skew_pool(100, 10, (3, 3)), SolveConfig(objective=parse_objective("nash")))
+    assert result.converged
+    assert result.iterations <= 150
+
+
+# ---------------------------------------------------------------------------
 # Error paths and edges
 # ---------------------------------------------------------------------------
 
@@ -476,6 +532,13 @@ def test_solve_is_deterministic(e2):
     first = solve(e2, cfg("goldilocks:1")).to_json()
     second = solve(e2, cfg("goldilocks:1")).to_json()
     assert first == second
+
+
+@pytest.mark.parametrize("backend", ["brute", "colgen"])
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_solve_result_json_is_plain_python(e2, backend, spec):
+    payload = solve(e2, cfg(spec, backend)).to_json()
+    assert json.loads(json.dumps(payload)) == payload
 
 
 def test_solve_result_json_schema(t1):
