@@ -18,6 +18,8 @@ _TOL = 1e-9
 _MAX_PIVOTS = 100_000
 # Degenerate-pivot streak that triggers the switch to Bland's rule.
 _BLAND_AFTER = 40
+# Primal residual, negativity and dual infeasibility an optimal answer may show.
+_CERT_TOL = 1e-7
 
 
 @dataclass
@@ -73,12 +75,32 @@ def solve_lp(c, A, b) -> LPResult:
     for row, var in enumerate(basis):
         x[var] = T[row, -1]
     duals = full_cost[basis] @ T[:, n : n + m]
+    certify_optimal(c, A, b, x[:n], duals)
     return LPResult(
         status="optimal",
         x=x[:n],
         objective=float(c @ x[:n]),
         duals=duals * signs,
     )
+
+
+def certify_optimal(c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise SolverError unless (x, y) is primal and dual feasible for
+    min c.x s.t. Ax = b, x >= 0, within a tolerance relative to |b| and |c|.
+
+    A tableau that has drifted numerically can stop at a basis that is not
+    optimal for the LP it was given; this turns that into an error instead
+    of a wrong master answer.
+    """
+    residual = float(np.max(np.abs(A @ x - b), initial=0.0))
+    if residual > _CERT_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+        raise SolverError(f"simplex answer fails its certificate: |Ax - b| = {residual:.3g}")
+    lowest_x = float(np.min(x, initial=0.0))
+    if lowest_x < -_CERT_TOL:
+        raise SolverError(f"simplex answer fails its certificate: x has {lowest_x:.3g}")
+    lowest_reduced = float(np.min(c - A.T @ y, initial=0.0))
+    if lowest_reduced < -_CERT_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0))):
+        raise SolverError(f"simplex answer fails its certificate: reduced cost {lowest_reduced:.3g}")
 
 
 def _iterate(T: np.ndarray, basis: list[int], cost: np.ndarray, entering_limit: int) -> bool:

@@ -37,7 +37,7 @@ from .report import (
     write_csv,
     write_json,
 )
-from .rounding import lottery_marginals, pipage_round, write_lottery
+from .rounding import lottery_marginals, pipage_round, rounding_bounds, write_lottery
 from .solver import SolveConfig, solve, solve_legacy
 
 
@@ -215,6 +215,12 @@ def _cmd_round(args) -> int:
     write_lottery(lottery, path, instance, args.seed)
     rounded = lottery_marginals(instance, lottery)
     print(f"lottery of {args.m} tickets: min={rounded.min():.6f} max={rounded.max():.6f}")
+    # A single draw carries no worst-case promise, so the bound is context only.
+    target = dist.marginals(instance).pi
+    deviation = max(abs(prob - target[agent]) for agent, prob in rounded.pi.items())
+    bound = min(rounding_bounds(instance.k, max(len(instance.groups), 2), args.m))
+    print(f"realized deviation max|pi_lottery - pi_result|={deviation:.6g} "
+          f"(min rounding bound {bound:.6g})")
     print(f"wrote {path}")
     if args.runs > 1:
         summary = lottery_stats(instance, dist, args.m, args.runs, args.seed)

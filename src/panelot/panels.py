@@ -170,6 +170,19 @@ class CompositionDistribution:
             if not comp.is_valid(instance):
                 raise ValidationError(f"composition {comp.items} is not valid for this instance")
 
+    def marginals(self, instance: Instance) -> "ProbabilityAssignment":
+        """Every agent's selection probability: its group's expected seat
+        count sum_c q_c * s_c(w), divided by the group size n_w."""
+        seats: dict[FeatureVector, float] = {}
+        for comp, prob in self.entries:
+            for vector, count in comp.items:
+                seats[vector] = seats.get(vector, 0.0) + prob * count
+        vector_of = instance.vector_of
+        return ProbabilityAssignment({
+            a: seats.get(vector_of[a], 0.0) / instance.group_size(vector_of[a])
+            for a in instance.agent_ids
+        })
+
     def to_json(self) -> dict:
         return {
             "compositions": [

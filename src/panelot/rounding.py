@@ -4,8 +4,13 @@ The randomized pairwise rounding and the randomly rotated round-robin ticket
 fill used here preserve every agent's selection probability in expectation
 (over the rounding randomness and the final draw), which is the property
 that lets the pre-lottery guarantees carry over to the live draw. Individual
-runs carry no worst-case promise; the closed-form deviation bounds of the
+draws carry no worst-case promise; the closed-form deviation bounds of the
 non-constructive rounding results are reported alongside for reference.
+
+A lottery is stored as ticket runs: one run per drawn composition, holding
+the few distinct panels its tickets cycle through and the run's length. The
+public tally is computed from those runs in O(distinct panels), and the
+ticket file formats each distinct panel's line once.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .model import Instance, instance_hash
@@ -29,28 +34,110 @@ from .panels import (
 )
 
 _INT_SNAP = 1e-9
+# Ticket lines per write. Larger chunks gain little speed and raise the
+# writer's peak memory measurably on a 500,000-ticket lottery.
+_WRITE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
-class UniformLottery:
-    """Exactly m tickets; duplicates allowed; ticket i wins with chance 1/m."""
+class TicketRun:
+    """``count`` consecutive tickets cycling through ``panels``.
 
-    m: int
-    tickets: tuple[Panel, ...]
+    With p = len(panels), panel j sits on count // p + (j < count % p) of
+    the run's tickets.
+    """
+
+    panels: tuple[Panel, ...]
+    count: int
 
     def __post_init__(self):
-        if self.m < 1:
+        if not 1 <= len(self.panels) <= self.count:
+            raise ValidationError(
+                f"a run of {self.count} tickets cannot cycle through {len(self.panels)} panels"
+            )
+
+    def multiplicities(self) -> Iterator[tuple[Panel, int]]:
+        whole, extra = divmod(self.count, len(self.panels))
+        return ((panel, whole + (j < extra)) for j, panel in enumerate(self.panels))
+
+    def tickets(self) -> Iterator[Panel]:
+        return itertools.islice(itertools.cycle(self.panels), self.count)
+
+
+@dataclass(frozen=True, init=False)
+class UniformLottery:
+    """Exactly m tickets; duplicates allowed; ticket i wins with chance 1/m.
+
+    Built from either the tickets in order or their runs; a ticket sequence
+    is split into runs on the way in, so runs are the only stored form.
+    """
+
+    m: int
+    runs: tuple[TicketRun, ...]
+
+    def __init__(
+        self,
+        m: int,
+        tickets: Iterable[Panel] | None = None,
+        *,
+        runs: Iterable[TicketRun] | None = None,
+    ):
+        if m < 1:
             raise ValidationError("m must be at least 1")
-        if len(self.tickets) != self.m:
-            raise ValidationError(f"expected {self.m} tickets, got {len(self.tickets)}")
+        if (tickets is None) == (runs is None):
+            raise ValidationError("a lottery takes either its tickets or its runs")
+        runs = tuple(_cycle_runs(tickets) if runs is None else runs)
+        count = sum(run.count for run in runs)
+        if count != m:
+            raise ValidationError(f"expected {m} tickets, got {count}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "runs", runs)
+
+    @property
+    def tickets(self) -> tuple[Panel, ...]:
+        """All m tickets in file order (builds an m-tuple)."""
+        return tuple(itertools.chain.from_iterable(run.tickets() for run in self.runs))
+
+    def multiplicities(self) -> Iterator[tuple[Panel, int]]:
+        """(panel, tickets it sits on) per run and distinct panel."""
+        return itertools.chain.from_iterable(run.multiplicities() for run in self.runs)
 
     def distribution(self) -> PanelDistribution:
         counts: dict[tuple[str, ...], int] = {}
-        for panel in self.tickets:
-            counts[panel.members] = counts.get(panel.members, 0) + 1
+        for panel, count in self.multiplicities():
+            counts[panel.members] = counts.get(panel.members, 0) + count
         return PanelDistribution(
             tuple((Panel(members), cnt / self.m) for members, cnt in sorted(counts.items()))
         )
+
+
+def _cycle_runs(tickets: Iterable[Panel]) -> list[TicketRun]:
+    """Split a ticket sequence, in order, into runs that each cycle through
+    their distinct panels. Greedy: a run grows while the next ticket is a
+    new panel or the next one of its closed cycle."""
+    runs: list[TicketRun] = []
+    panels: list[Panel] = []
+    seen: set[Panel] = set()
+    count = period = 0  # period stays 0 until the run's first panel recurs
+    for panel in tickets:
+        if period:
+            fits = panel == panels[count % period]
+        elif panel not in seen:
+            panels.append(panel)
+            seen.add(panel)
+            fits = True
+        elif panel == panels[0]:
+            period = len(panels)
+            fits = True
+        else:
+            fits = False
+        if not fits:
+            runs.append(TicketRun(tuple(panels), count))
+            panels, seen, count, period = [panel], {panel}, 0, 0
+        count += 1
+    if panels:
+        runs.append(TicketRun(tuple(panels), count))
+    return runs
 
 
 def pipage_round(dist: CompositionDistribution, instance: Instance, m: int, seed: int) -> UniformLottery:
@@ -70,18 +157,19 @@ def pipage_round(dist: CompositionDistribution, instance: Instance, m: int, seed
     counts, _rounds = _round_counts([prob * m for _, prob in dist.entries], rng)
     if sum(counts) != m:
         raise ValidationError("rounded ticket counts drifted; distribution mass must sum to 1")
-    tickets = itertools.chain.from_iterable(
-        _fill_tickets(instance, comp, count, rng)
+    runs = tuple(
+        _fill_run(instance, comp, count, rng)
         for (comp, _), count in zip(dist.entries, counts)
         if count
     )
-    return UniformLottery(m=m, tickets=tuple(tickets))
+    return UniformLottery(m=m, runs=runs)
 
 
-def _fill_tickets(
+def _fill_run(
     instance: Instance, comp: PanelComposition, count: int, rng: random.Random
-) -> Iterator[Panel]:
-    """``count`` tickets of one composition, seats filled round-robin per group.
+) -> TicketRun:
+    """The run of ``count`` tickets of one composition, seats filled
+    round-robin per group.
 
     Ticket j of group w starts s_w*j places after the rotation, so the
     tickets repeat with period lcm_w(n_w / gcd(n_w, s_w)); only one period of
@@ -102,7 +190,7 @@ def _fill_tickets(
         ))
         for j in range(min(period, count))
     ]
-    return itertools.islice(itertools.cycle(distinct), count)
+    return TicketRun(tuple(distinct), count)
 
 
 def _round_counts(x: list[float], rng: random.Random) -> tuple[list[int], int]:
@@ -167,21 +255,36 @@ def rounding_bounds(k: int, vector_count: int, m: int) -> tuple[float, float]:
 
 def lottery_marginals(instance: Instance, lottery: UniformLottery) -> ProbabilityAssignment:
     """Ticket-counting probabilities: appearances / m, exactly as the public
-    would tabulate them from the released panel list."""
-    pi = {agent_id: 0.0 for agent_id in instance.agent_ids}
-    for panel in lottery.tickets:
+    would tabulate them from the released panel list, counted as members
+    times multiplicity over each run's distinct panels."""
+    appearances = dict.fromkeys(instance.agent_ids, 0)
+    for panel, count in lottery.multiplicities():
         for agent_id in panel.members:
-            pi[agent_id] += 1.0
-    return ProbabilityAssignment({a: v / lottery.m for a, v in pi.items()})
+            appearances[agent_id] += count
+    return ProbabilityAssignment({a: v / lottery.m for a, v in appearances.items()})
 
 
 def write_lottery(lottery: UniformLottery, path: str | Path, instance: Instance, seed: int) -> None:
     """One ticket per line (tab-separated from its number), plus a JSON
-    sidecar carrying m, the instance fingerprint, and the seed."""
+    sidecar carrying m, the instance fingerprint, and the seed.
+
+    Each distinct panel's line tail is formatted once per run; the lines are
+    then joined from the ticket numbers and the cycling tails, a bounded
+    chunk at a time.
+    """
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for number, panel in enumerate(lottery.tickets, start=1):
-            fh.write(f"{number}\t{','.join(panel.members)}\n")
+        first = 1
+        for run in lottery.runs:
+            tails = itertools.cycle(["\t" + ",".join(panel.members) + "\n" for panel in run.panels])
+            end = first + run.count
+            for start in range(first, end, _WRITE_CHUNK):
+                stop = min(start + _WRITE_CHUNK, end)
+                numbers = map(str, range(start, stop))
+                fh.write("".join(itertools.chain.from_iterable(
+                    zip(numbers, itertools.islice(tails, stop - start))
+                )))
+            first = end
     sidecar = {"m": lottery.m, "instance_hash": instance_hash(instance), "seed": seed}
     with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -189,12 +292,21 @@ def write_lottery(lottery: UniformLottery, path: str | Path, instance: Instance,
 
 
 def read_lottery(path: str | Path) -> UniformLottery:
-    tickets: list[Panel] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            _, _, members = line.partition("\t")
-            tickets.append(Panel(tuple(members.split(","))))
-    return UniformLottery(m=len(tickets), tickets=tuple(tickets))
+    """The lottery in a ticket file, as runs in file order; one ``Panel`` is
+    built per distinct line."""
+    panels: dict[str, Panel] = {}
+
+    def tickets() -> Iterator[Panel]:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                members = line.partition("\t")[2]
+                panel = panels.get(members)
+                if panel is None:
+                    panel = panels[members] = Panel(tuple(members.split(",")))
+                yield panel
+
+    runs = _cycle_runs(tickets())
+    return UniformLottery(m=sum(run.count for run in runs), runs=runs)

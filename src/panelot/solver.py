@@ -107,6 +107,7 @@ class SolveResult:
             "gamma": None if gamma is None else float(gamma),
             "value": float(self.objective_value),
             "converged": bool(self.converged),
+            "certificate": None if self.certificate is None else float(self.certificate),
             "pi": {agent: float(prob) for agent, prob in sorted(self.pi.pi.items())},
             **self.distribution.to_json(),
             "iterations": int(self.iterations),
@@ -810,7 +811,9 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
         # which iterative nash refinement cannot.
         pre = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
         if _uniform_feasible_shortcut(pre.solution, instance):
-            solution, iterations, converged, gap = pre.solution, pre.rounds, pre.converged, pre.gap
+            # The uniform point is exactly nash-optimal (AM-GM), whatever
+            # the max-min colgen gap was.
+            solution, iterations, converged, gap = pre.solution, pre.rounds, pre.converged, 0.0
         else:
             solution, iterations, converged, gap = _nash_master(instance, pool, config)
             iterations += pre.rounds

@@ -5,6 +5,7 @@ import pytest
 from panelot import fixtures
 from panelot.cli import main
 from panelot.model import load_instance
+from panelot.rounding import rounding_bounds
 
 from conftest import write_instance_csvs
 
@@ -105,6 +106,40 @@ def test_round_subcommand(tmp_path, t1):
     assert sidecar["m"] == 100
     stats = json.loads(next(out.glob("lottery_*_stats.json")).read_text())
     assert stats["runs"] == 5
+
+
+def test_round_prints_realized_deviation(tmp_path, capsys, e2):
+    # The printed deviation is recomputed from the ticket file and from the
+    # result's compositions: group w gets sum_c q_c * s_c(w) / n_w.
+    agents, quotas = _files(tmp_path, e2)
+    out = tmp_path / "artifacts"
+    base = ["--out", str(out), "--seed", "5"]
+    main(base + ["select", "--agents", agents, "--quotas", quotas, "-k", "4", "--objective", "goldilocks:1"])
+    result_path = next(out.glob("select_*.json"))
+    capsys.readouterr()
+    m = 37
+    code = main(base + ["round", "--agents", agents, "--quotas", quotas, "-k", "4",
+                        "--result", str(result_path), "--m", str(m)])
+    assert code == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("realized deviation"))
+    printed = float(line.partition("=")[2].split()[0])
+    bound = float(line.rpartition(" ")[2].rstrip(")"))
+
+    appearances = dict.fromkeys(e2.agent_ids, 0)
+    for ticket in next(out.glob("lottery_*.txt")).read_text().splitlines():
+        for agent in ticket.partition("\t")[2].split(","):
+            appearances[agent] += 1
+    seats = dict.fromkeys(e2.groups, 0.0)
+    for entry in json.loads(result_path.read_text())["compositions"]:
+        for vector, count in entry["seats"]:
+            seats[tuple(vector)] += entry["prob"] * count
+    expected = max(
+        abs(appearances[a] / m - seats[e2.vector_of[a]] / e2.group_size(e2.vector_of[a]))
+        for a in e2.agent_ids
+    )
+    assert expected > 0.0
+    assert printed == pytest.approx(expected, rel=1e-5)
+    assert bound == pytest.approx(min(rounding_bounds(e2.k, max(len(e2.groups), 2), m)), rel=1e-5)
 
 
 def test_round_rejects_result_for_another_instance(tmp_path, t1, e2, capsys):

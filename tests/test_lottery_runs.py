@@ -1,0 +1,160 @@
+"""Run-based lotteries against a naive per-ticket reference.
+
+The reference draws the same rounding and rotations as ``pipage_round`` but
+builds every ticket on its own, with no period or cycle, and writes, tallies
+and reads the lottery one ticket at a time.
+"""
+
+import math
+import random
+from collections import Counter
+
+import pytest
+
+from panelot import fixtures
+from panelot.objectives import parse_objective
+from panelot.panels import CompositionDistribution, Panel, PanelDistribution, feasible_compositions
+from panelot.report import lottery_stats
+from panelot.rounding import (
+    UniformLottery,
+    _round_counts,
+    lottery_marginals,
+    pipage_round,
+    read_lottery,
+    write_lottery,
+)
+from panelot.solver import SolveConfig, solve
+
+
+def _reference_tickets(dist, instance, m, seed):
+    rng = random.Random(seed)
+    counts, _ = _round_counts([prob * m for _, prob in dist.entries], rng)
+    tickets = []
+    for (comp, _), count in zip(dist.entries, counts):
+        if not count:
+            continue
+        groups = []
+        for vector, seats in comp.items:
+            members = instance.groups[vector]
+            groups.append((members, seats, rng.randrange(len(members))))
+        for j in range(count):
+            tickets.append(Panel(tuple(
+                members[(start + j * seats + t) % len(members)]
+                for members, seats, start in groups
+                for t in range(seats)
+            )))
+    return tickets
+
+
+def _reference_file(tickets):
+    return "".join(f"{number}\t{','.join(p.members)}\n" for number, p in enumerate(tickets, start=1))
+
+
+def _reference_marginals(instance, tickets):
+    pi = {agent: 0.0 for agent in instance.agent_ids}
+    for panel in tickets:
+        for agent in panel.members:
+            pi[agent] += 1.0
+    return {agent: value / len(tickets) for agent, value in pi.items()}
+
+
+def _reference_distribution(tickets):
+    counts = Counter(p.members for p in tickets)
+    m = len(tickets)
+    return PanelDistribution(tuple((Panel(members), c / m) for members, c in sorted(counts.items())))
+
+
+def _period(instance, comp):
+    period = 1
+    for vector, seats in comp.items:
+        size = instance.group_size(vector)
+        period = math.lcm(period, size // math.gcd(size, seats))
+    return period
+
+
+def _cases():
+    """(instance, distribution, period): a random mixture over every valid
+    composition, and a point mass on the composition with the longest period."""
+    for seed in range(40):
+        inst = fixtures.random_brute_instance(seed)
+        comps = feasible_compositions(inst)
+        rng = random.Random(seed)
+        weights = [rng.random() for _ in comps]
+        total = sum(weights)
+        mixture = CompositionDistribution(tuple((c, w / total) for c, w in zip(comps, weights)))
+        longest = max(comps, key=lambda c: _period(inst, c))
+        point = CompositionDistribution(((longest, 1.0),))
+        period = _period(inst, longest)
+        yield pytest.param(inst, mixture, period, id=f"rand{seed}-mix")
+        yield pytest.param(inst, point, period, id=f"rand{seed}-point")
+
+
+def _assert_same(got, want):
+    """Equal sequences. A failure names the first difference; pytest's full
+    diff of two 10,007-line sequences would take minutes."""
+    got, want = list(got), list(want)
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        pytest.fail(f"first difference at {i}: {got[i:i + 1]} != {want[i:i + 1]} "
+                    f"(lengths {len(got)} and {len(want)})")
+
+
+def _check_against_reference(tmp_path, inst, dist, m, seed):
+    reference = _reference_tickets(dist, inst, m, seed)
+    lottery = pipage_round(dist, inst, m, seed)
+    _assert_same(lottery.tickets, reference)
+
+    path = tmp_path / "lottery.txt"
+    write_lottery(lottery, path, inst, seed)
+    _assert_same(path.read_text(encoding="utf-8").splitlines(True), _reference_file(reference).splitlines(True))
+    assert lottery_marginals(inst, lottery).pi == _reference_marginals(inst, reference)
+    assert lottery.distribution() == _reference_distribution(reference)
+
+    again = read_lottery(path)
+    assert again.m == m
+    _assert_same(again.tickets, reference)
+    assert len({p for run in again.runs for p in run.panels}) == len(set(reference))
+    _assert_same(UniformLottery(m=m, tickets=reference).tickets, reference)
+
+
+def _ms(period):
+    return sorted({m for m in (1, 7, period - 1, period, period + 1, 10_007) if m >= 1})
+
+
+@pytest.mark.parametrize("inst,dist,period", list(_cases()))
+def test_runs_match_per_ticket_reference(tmp_path, inst, dist, period):
+    for m in _ms(period):
+        _check_against_reference(tmp_path, inst, dist, m, seed=m)
+
+
+def test_runs_match_per_ticket_reference_on_thm43a(tmp_path, instance_b):
+    inst = instance_b[2]
+    dist = solve(inst, SolveConfig(objective=parse_objective("leximin"))).distribution
+    period = max(_period(inst, comp) for comp in dist.support())
+    for m in _ms(period):
+        _check_against_reference(tmp_path, inst, dist, m, seed=7)
+
+
+def test_ticket_runs_split_any_sequence():
+    a, b, c = (Panel(("x", "y")), Panel(("x", "z")), Panel(("y", "z")))
+    for tickets in ([a], [a, a, a], [a, b, a, b, a], [a, b, a, c], [a, b, c, b, a], [a, b, b, a, c, a, c]):
+        lottery = UniformLottery(m=len(tickets), tickets=tickets)
+        assert lottery.tickets == tuple(tickets)
+        assert sum(run.count for run in lottery.runs) == len(tickets)
+
+
+def test_tallies_and_writer_never_build_tickets(tmp_path, monkeypatch, instance_b):
+    inst = instance_b[2]
+    dist = solve(inst, SolveConfig(objective=parse_objective("leximin"))).distribution
+
+    def refuse(self):
+        raise AssertionError("the m-ticket view was built")
+
+    monkeypatch.setattr(UniformLottery, "tickets", property(refuse))
+    lottery = pipage_round(dist, inst, 50_000, seed=3)
+    path = tmp_path / "lottery.txt"
+    write_lottery(lottery, path, inst, seed=3)
+    assert lottery_marginals(inst, lottery).total() == pytest.approx(inst.k)
+    assert len(lottery.distribution().entries) == sum(len(run.panels) for run in lottery.runs)
+    assert lottery_stats(inst, dist, 50_000, 3, seed=3)["runs"] == 3
+    assert read_lottery(path).m == 50_000

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from panelot._simplex import solve_lp
+from panelot._simplex import certify_optimal, solve_lp
+from panelot.errors import SolverError
 
 
 def _random_lp(rng, m, n):
@@ -16,6 +16,7 @@ def _random_lp(rng, m, n):
 
 
 def test_matches_scipy_on_random_feasible_lps():
+    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(7)
     for trial in range(60):
         m = rng.integers(1, 6)
@@ -83,3 +84,51 @@ def test_degenerate_lp_terminates():
     res = solve_lp(c, A, b)
     assert res.status == "optimal"
     assert res.x[1] == pytest.approx(0.75)
+
+
+def _bounded_lp(rng, m, n):
+    """A random feasible LP whose last row fixes sum(x), which keeps it bounded."""
+    A = np.vstack([rng.uniform(-2, 2, size=(m - 1, n)), np.ones(n)])
+    b = A @ rng.uniform(0, 1, size=n)
+    c = rng.uniform(-1, 1, size=n)
+    return c, A, b
+
+
+def test_matches_scipy_on_random_bounded_lps():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(23)
+    for trial in range(80):
+        m = int(rng.integers(2, 8))
+        n = int(rng.integers(m, 16))
+        c, A, b = _bounded_lp(rng, m, n)
+        ours = solve_lp(c, A, b)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0 and ours.status == "optimal", trial
+        assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+        assert ours.duals @ b == pytest.approx(ref.fun, abs=1e-7)
+
+
+def test_certificate_rejects_corrupted_answers():
+    rng = np.random.default_rng(5)
+    c, A, b = _bounded_lp(rng, 4, 9)
+    res = solve_lp(c, A, b)
+    assert res.status == "optimal"
+    certify_optimal(c, A, b, res.x, res.duals)
+
+    shifted = res.x.copy()
+    shifted[int(np.argmax(shifted))] += 1e-3
+    with pytest.raises(SolverError, match="Ax - b"):
+        certify_optimal(c, A, b, shifted, res.duals)
+
+    negative = res.x.copy()
+    negative[int(np.argmin(negative))] = -1e-6
+    with pytest.raises(SolverError):
+        certify_optimal(c, A, b, negative, res.duals)
+
+    # Move one dual far enough along a row that some column prices negative.
+    reduced = c - A.T @ res.duals
+    j = int(np.argmax(np.abs(A[0])))
+    y = res.duals.copy()
+    y[0] += np.sign(A[0, j]) * (reduced.max() + 1.0) / abs(A[0, j])
+    with pytest.raises(SolverError, match="reduced cost"):
+        certify_optimal(c, A, b, res.x, y)

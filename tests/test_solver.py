@@ -467,6 +467,17 @@ def test_nash_results_carry_their_optimality_certificate(make):
     assert abs(colgen.objective_value - brute.objective_value) <= colgen.certificate + brute_cfg.nash_gap
 
 
+@pytest.mark.parametrize("make", [fixtures.two_group_instance, lambda: fixtures.random_brute_instance(8)])
+def test_uniform_feasible_nash_certificate_is_zero(make):
+    # Equal probabilities are feasible here, so the max-min pre-solve returns
+    # them and they are exactly nash-optimal (AM-GM); the max-min colgen
+    # gap (5.6e-17 on seed 8) is no nash gap.
+    inst = make()
+    result = solve(inst, SolveConfig(objective=parse_objective("nash")))
+    assert result.pi.min() >= inst.k / inst.n - 1e-11
+    assert result.certificate == 0.0
+
+
 def test_nash_master_iteration_budget():
     # The Newton master needs about 30 iterations here; a first-order
     # master needs thousands.
@@ -539,12 +550,15 @@ def test_solve_is_deterministic(e2):
 def test_solve_result_json_is_plain_python(e2, backend, spec):
     payload = solve(e2, cfg(spec, backend)).to_json()
     assert json.loads(json.dumps(payload)) == payload
+    assert isinstance(payload["certificate"], float)
 
 
 def test_solve_result_json_schema(t1):
     result = solve(t1, cfg("goldilocks:1"))
     payload = result.to_json()
-    assert set(payload) == {"objective", "gamma", "value", "converged", "pi", "compositions", "iterations"}
+    assert set(payload) == {
+        "objective", "gamma", "value", "converged", "certificate", "pi", "compositions", "iterations"
+    }
     assert payload["objective"] == "goldilocks:1"
     assert payload["gamma"] == 1.0
     assert sum(c["prob"] for c in payload["compositions"]) == pytest.approx(1.0)
