@@ -40,7 +40,6 @@ from .panels import (
     enumerate_panels,
     feasible_compositions,
     marginals,
-    panel_oracle,
     strip_self_excluders,
     structurally_excluded,
 )

@@ -63,7 +63,6 @@ def _config(args, objective_spec: str | None = None) -> SolveConfig:
         eps_master=getattr(args, "eps", 1e-8),
         eps_colgen=getattr(args, "eps_colgen", 1e-3),
         max_columns=getattr(args, "max_columns", 2000),
-        seed=args.seed,
     )
 
 
@@ -318,7 +317,6 @@ def _cmd_bench(args) -> int:
         objective=parse_objective("goldilocks:1"),
         backend="colgen",
         eps_colgen=1e-7,
-        seed=args.seed,
     )
 
     t1 = fixtures.two_group_instance()

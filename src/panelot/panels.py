@@ -6,19 +6,24 @@ composition assigns a seat count to each vector group. A pool with millions
 of valid panels typically has only a handful of valid compositions, which is
 what makes the exact weighted-panel oracle and brute enumeration tractable.
 
-One enumerator, ``_CompositionSearch.count_matrix``, lists the valid
-compositions level by level over the sorted vector groups with numpy, in
-lexicographic order. The brute backend (``feasible_compositions``) and the
-oracle's per-instance memo (``_composition_matrix``) both use it. The one
-cap, ``COMPOSITION_CAP``, bounds each level's expansion, not only the number
-of compositions returned; past it, the oracle falls back to branch and bound
-per query and brute raises CAP_EXCEEDED.
+One vectorized step, ``_CompositionSearch._expand``, holds the quota
+prune and the candidate seat range: it expands rows of seat counts over the
+first i sorted vector groups into their surviving children, in
+lexicographic order. Two searches drive it. ``count_matrix`` lists every
+valid composition level by level; the brute backend
+(``feasible_compositions``) and the oracle's per-instance memo
+(``_composition_matrix``) use it. ``best_composition`` runs it depth first
+with a weight bound. The one cap, ``COMPOSITION_CAP``, bounds each level's
+expansion, not only the number of compositions returned; past it, the one
+oracle, ``composition_oracle``, falls back to ``best_composition`` per
+query and brute raises CAP_EXCEEDED.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -28,6 +33,10 @@ from .errors import (
     ValidationError,
 )
 from .model import FeatureVector, Instance
+
+# numpy is imported inside the functions that use it. Importing it when this
+# module loads, ahead of the solver, raised the peak RSS of a manip-sweep
+# benchmark process by about 0.7 MB.
 
 # Absolute tolerance for probability bookkeeping throughout the package.
 PROB_EPS = 1e-9
@@ -248,199 +257,193 @@ class ProbabilityAssignment:
 # ---------------------------------------------------------------------------
 
 
-class _CompositionSearch:
-    """Search over seat-count vectors with quota propagation: the level-wise
-    enumerator (``count_matrix``) and the branch-and-bound oracle for spaces
-    past the cap (``best_composition``).
+def _block_end(ends, start: int) -> int:
+    """End of the block of rows from ``start`` whose expansion fits in
+    ``_EXPANSION_CHUNK`` rows (at least one row); ``ends`` is the running
+    total of the rows' fan-outs."""
+    import numpy as np
 
-    Vectors are visited in canonical sorted order and counts ascend, so both
-    produce compositions in lexicographic order.
+    base = int(ends[start - 1]) if start else 0
+    return max(int(np.searchsorted(ends, base + _EXPANSION_CHUNK, side="right")), start + 1)
+
+
+class _CompositionSearch:
+    """Search over seat-count rows with quota propagation.
+
+    A row over the first i vector groups (in canonical sorted order) holds
+    their seat counts, the seats it commits to each (feature, value) pair and
+    the seats it assigns. ``_expand`` is the one step of the search: it gives
+    every row its candidate counts for group i in ascending order and drops
+    the children whose quotas no completion can meet. The level-wise
+    enumerator (``count_matrix``) and the depth-first branch and bound
+    (``best_composition``) both drive it, so both meet compositions in
+    lexicographic order.
     """
 
     def __init__(self, instance: Instance, min_counts: Mapping[FeatureVector, int] | None = None):
-        self.instance = instance
+        import numpy as np
+
         self.vectors = instance.present_vectors()
+        self.k = k = instance.k
         self.sizes = [instance.group_size(v) for v in self.vectors]
         self.min_counts = [0 if min_counts is None else min_counts.get(v, 0) for v in self.vectors]
-        self.k = instance.k
-        self.features = instance.scheme.features
-        self.pairs = instance.scheme.feature_value_pairs()
-        self.quota = {pair: instance.quota(*pair) for pair in self.pairs}
-        # avail[i][(f,v)] = number of agents with f=v among groups i..end
-        self.avail: list[dict[tuple[str, str], int]] = []
-        running = {pair: 0 for pair in self.pairs}
-        tail: list[dict[tuple[str, str], int]] = [dict(running)]
-        for i in range(len(self.vectors) - 1, -1, -1):
-            vector, size = self.vectors[i], self.sizes[i]
-            running = dict(tail[-1])
-            for f_idx, feature in enumerate(self.features):
-                running[(feature, vector[f_idx])] += size
-            tail.append(running)
-        self.avail = list(reversed(tail))
-        self.min_suffix = [0] * (len(self.vectors) + 1)
-        for i in range(len(self.vectors) - 1, -1, -1):
-            self.min_suffix[i] = self.min_suffix[i + 1] + self.min_counts[i]
+        # min_suffix[i]: the seats groups i.. must take at least.
+        self.min_suffix = list(itertools.accumulate(reversed(self.min_counts), initial=0))[::-1]
+        features = instance.scheme.features
+        pairs = instance.scheme.feature_value_pairs()
+        pair_at = {pair: j for j, pair in enumerate(pairs)}
+        # Every count, quota and availability fits in int32; rows are stored
+        # in the smallest unsigned type that holds k.
+        self.work, self.small = np.int32, np.min_scalar_type(k)
+        self.lo = np.array([instance.quota(*pair)[0] for pair in pairs], dtype=self.work)
+        self.hi = np.array([instance.quota(*pair)[1] for pair in pairs], dtype=self.work)
+        self.member = np.zeros((len(self.vectors), len(pairs)), dtype=self.work)
+        for i, vector in enumerate(self.vectors):
+            for f_idx, feature in enumerate(features):
+                self.member[i, pair_at[(feature, vector[f_idx])]] = 1
+        # avail[i]: agents with each (feature, value) among groups i..
+        agents = self.member * np.array(self.sizes, dtype=self.work)[:, None]
+        self.avail = np.zeros((len(self.vectors) + 1, len(pairs)), dtype=self.work)
+        self.avail[:-1] = np.cumsum(agents[::-1], axis=0)[::-1]
+        # Pairs are grouped by feature: each feature's first pair column.
+        pair_features = [feature for feature, _ in pairs]
+        self.feature_starts = [pair_features.index(feature) for feature in features]
 
-    def _candidate_range(self, i: int, assigned: int) -> range:
-        rem = self.k - assigned
-        hi = min(self.sizes[i], rem - self.min_suffix[i + 1])
-        return range(self.min_counts[i], hi + 1)
+    def _keep(self, level: int, committed, assigned):
+        """The quota-propagation prune: False for rows that no seats from
+        groups ``level``.. can complete, because a pair is over its upper
+        quota, or a feature's lower quotas need more seats than are left, or
+        its upper quotas and the agents left leave too little room."""
+        import numpy as np
 
-    def _prune(self, i: int, assigned: int, committed: dict[tuple[str, str], int]) -> bool:
-        """True if no completion of this node can satisfy the quotas."""
-        rem = self.k - assigned
-        for feature in self.features:
-            need = 0
-            room = 0
-            for value in self.instance.scheme.values[feature]:
-                lo, hi = self.quota[(feature, value)]
-                got = committed[(feature, value)]
-                if got > hi:
-                    return True
-                need += max(0, lo - got)
-                room += min(hi - got, self.avail[i][(feature, value)])
-            if need > rem or room < rem:
-                return True
-        return False
+        rem = (self.k - assigned)[:, None]
+        need = np.add.reduceat(np.maximum(self.lo - committed, 0), self.feature_starts, axis=1)
+        room = np.add.reduceat(np.minimum(self.hi - committed, self.avail[level]), self.feature_starts, axis=1)
+        return ~(committed > self.hi).any(axis=1) & (need <= rem).all(axis=1) & (room >= rem).all(axis=1)
+
+    def _root(self):
+        """Level 0: the empty row as (counts, committed, assigned), if it
+        survives the prune."""
+        import numpy as np
+
+        counts = np.zeros((1, 0), dtype=self.small)
+        committed = np.zeros((1, len(self.lo)), dtype=self.small)
+        assigned = np.zeros(1, dtype=self.small)
+        ok = self._keep(0, committed, assigned)
+        return counts[ok], committed[ok], assigned[ok]
+
+    def _fanout(self, i: int, assigned):
+        """The number of candidate counts for group i under each row: from
+        its ``min_counts`` up to what its size and the seats left allow."""
+        import numpy as np
+
+        top = np.minimum(self.sizes[i], self.k - self.min_suffix[i + 1] - assigned.astype(self.work))
+        return np.maximum(top - self.min_counts[i] + 1, 0)
+
+    def _expand(self, i: int, counts, committed, assigned, reps):
+        """The children at group i of rows over groups 0..i-1, with ``reps``
+        from ``_fanout``: each row's candidate counts in ascending order,
+        less those the prune drops. Returns each child's parent row index and
+        the children's (counts, committed, assigned)."""
+        import numpy as np
+
+        ends = np.cumsum(reps, dtype=np.int64)
+        parent = np.repeat(np.arange(len(reps)), reps)
+        # Child j is the (j - first)-th candidate of its parent.
+        first = np.repeat(ends - reps, reps)
+        seats = (self.min_counts[i] + np.arange(len(parent)) - first).astype(self.work)
+        child_committed = committed[parent] + seats[:, None] * self.member[i]
+        child_assigned = assigned[parent] + seats
+        ok = self._keep(i + 1, child_committed, child_assigned)
+        child_counts = np.empty((int(ok.sum()), i + 1), dtype=self.small)
+        child_counts[:, :i] = counts[parent[ok]]
+        child_counts[:, i] = seats[ok]
+        return (parent[ok], child_counts, child_committed[ok].astype(self.small),
+                child_assigned[ok].astype(self.small))
 
     def count_matrix(self):
         """Every valid composition as a row of seat counts, columns in
         ``self.vectors`` order and rows in ascending lexicographic order; None
         as soon as one level's expansion would exceed ``COMPOSITION_CAP`` rows.
 
-        Level-wise: after level i the frontier holds every partial row over
-        the first i groups that survives the quota-propagation prune
-        (``_prune``, applied to whole arrays). Each row expands to its
-        candidate counts in ascending order, so the frontier stays sorted.
-        The cap is checked on a level's expansion before it is allocated,
-        and the expansion is built and pruned in chunks of at most
+        Level-wise: after level i the frontier holds every row over the
+        first i groups that ``_expand`` keeps, and it stays sorted. The cap
+        is checked on a level's expansion before it is allocated, and the
+        expansion is built and pruned in blocks of at most
         ``_EXPANSION_CHUNK`` rows, so the cap bounds working memory at every
         level, not only the size of the result.
         """
         import numpy as np
 
-        n_vec, k = len(self.vectors), self.k
-        # Every count, quota and availability fits in int32; the frontier is
-        # stored in the smallest unsigned type that holds k.
-        work, small = np.int32, np.min_scalar_type(k)
-        pair_at = {pair: j for j, pair in enumerate(self.pairs)}
-        lo = np.array([self.quota[pair][0] for pair in self.pairs], dtype=work)
-        hi = np.array([self.quota[pair][1] for pair in self.pairs], dtype=work)
-        avail = np.array([[row[pair] for pair in self.pairs] for row in self.avail], dtype=work)
-        member = np.zeros((n_vec, len(self.pairs)), dtype=work)
-        for i, vector in enumerate(self.vectors):
-            for f_idx, feature in enumerate(self.features):
-                member[i, pair_at[(feature, vector[f_idx])]] = 1
-        # Pairs are grouped by feature: each feature's first pair column.
-        pair_features = [feature for feature, _ in self.pairs]
-        feature_starts = [pair_features.index(feature) for feature in self.features]
-
-        def keep(level: int, committed, assigned):
-            rem = (k - assigned)[:, None]
-            need = np.add.reduceat(np.maximum(lo - committed, 0), feature_starts, axis=1)
-            room = np.add.reduceat(np.minimum(hi - committed, avail[level]), feature_starts, axis=1)
-            return ~(committed > hi).any(axis=1) & (need <= rem).all(axis=1) & (room >= rem).all(axis=1)
-
-        # The frontier after level i: counts of groups 0..i-1, the seats
-        # committed to each (feature, value) pair, and the seats assigned.
-        # Level 0 is the empty row, if it survives the prune.
-        counts = np.zeros((1, 0), dtype=small)
-        committed = np.zeros((1, len(self.pairs)), dtype=small)
-        assigned = np.zeros(1, dtype=small)
-        root = keep(0, committed, assigned)
-        counts, committed, assigned = counts[root], committed[root], assigned[root]
-        for i in range(n_vec):
-            top = np.minimum(self.sizes[i], k - self.min_suffix[i + 1] - assigned.astype(work))
-            reps = np.maximum(top - self.min_counts[i] + 1, 0)
+        counts, committed, assigned = self._root()
+        for i in range(len(self.vectors)):
+            reps = self._fanout(i, assigned)
             ends = np.cumsum(reps, dtype=np.int64)
             if len(ends) == 0 or ends[-1] == 0:
-                return np.zeros((0, n_vec), dtype=np.int32)
+                return np.zeros((0, len(self.vectors)), dtype=np.int32)
             if ends[-1] > COMPOSITION_CAP:
                 return None
             parts = []
             start = 0
             while start < len(reps):
-                base = int(ends[start - 1]) if start else 0
-                stop = max(int(np.searchsorted(ends, base + _EXPANSION_CHUNK, side="right")), start + 1)
-                chunk_reps = reps[start:stop]
-                # Expansion row j is the (j - first)-th child of its parent.
-                parent = np.repeat(np.arange(start, stop), chunk_reps)
-                first = np.repeat(ends[start:stop] - chunk_reps, chunk_reps)
-                seats = (self.min_counts[i] + np.arange(base, ends[stop - 1]) - first).astype(work)
-                child_committed = committed[parent] + seats[:, None] * member[i]
-                child_assigned = assigned[parent] + seats
-                ok = keep(i + 1, child_committed, child_assigned)
-                child_counts = np.empty((int(ok.sum()), i + 1), dtype=small)
-                child_counts[:, :i] = counts[parent[ok]]
-                child_counts[:, i] = seats[ok]
-                parts.append((child_counts, child_committed[ok].astype(small),
-                              child_assigned[ok].astype(small)))
+                stop = _block_end(ends, start)
+                block = slice(start, stop)
+                parts.append(self._expand(i, counts[block], committed[block], assigned[block], reps[block])[1:])
                 start = stop
-            counts = np.concatenate([part[0] for part in parts])
-            committed = np.concatenate([part[1] for part in parts])
-            assigned = np.concatenate([part[2] for part in parts])
-        return counts[assigned == k].astype(np.int32)
+            counts, committed, assigned = (np.concatenate(part) for part in zip(*parts))
+        return counts[assigned == self.k].astype(np.int32)
 
-    def best_composition(self, group_prefix: Mapping[FeatureVector, Sequence[float]]) -> dict[FeatureVector, int] | None:
-        """Exact max-weight composition via branch and bound.
+    def best_composition(self, group_prefix: Sequence[Sequence[float]]):
+        """The lexicographically first max-weight valid composition as a row
+        of seat counts, or None if there is none.
 
-        ``group_prefix[v][c]`` is the best total weight of c agents from group
-        v (prefix sums of the group's weights in descending order). The bound
-        ignores quotas: current score plus the ``rem`` largest weights still
-        available downstream can never be beaten.
+        ``group_prefix[i][c]`` is the weight of c seats of group i. Depth
+        first over blocks of rows on a stack, lexicographically later blocks
+        lower down, so leaves arrive in lexicographic order; each block's
+        children come from one ``_expand`` call of at most
+        ``_EXPANSION_CHUNK`` rows. Until the first leaf, only a block's first
+        row is expanded (a dive). After it, a row goes when its score plus
+        the ``rem`` heaviest seats left downstream, quotas ignored, cannot
+        beat the best leaf by more than 1e-12; a leaf replaces the best only
+        by more than that.
         """
-        # suffix_top[i] = descending weights of all agents in groups i..end,
-        # truncated to k entries.
-        n_vec = len(self.vectors)
-        suffix_top: list[list[float]] = [[] for _ in range(n_vec + 1)]
+        import numpy as np
+
+        n_vec, k = len(self.vectors), self.k
+        prefixes = [np.asarray(prefix) for prefix in group_prefix]
+        # bound[i, r]: the r heaviest seats of groups i..; -inf where fewer
+        # than r seats are left.
+        bound = np.full((n_vec + 1, k + 1), -math.inf)
+        bound[:, 0] = 0.0
+        heaviest = np.zeros(0)
         for i in range(n_vec - 1, -1, -1):
-            prefix = group_prefix[self.vectors[i]]
-            weights = [prefix[c + 1] - prefix[c] for c in range(len(prefix) - 1)]
-            merged = sorted(weights + suffix_top[i + 1], reverse=True)[: self.k]
-            suffix_top[i] = merged
-        suffix_cum = [[0.0] for _ in range(n_vec + 1)]
-        for i in range(n_vec + 1):
-            acc = 0.0
-            for w in suffix_top[i]:
-                acc += w
-                suffix_cum[i].append(acc)
+            heaviest = np.sort(np.concatenate([np.diff(prefixes[i]), heaviest]))[::-1][:k]
+            bound[i, 1:len(heaviest) + 1] = np.cumsum(heaviest)
 
-        committed = {pair: 0 for pair in self.pairs}
-        counts: list[int] = []
-        best: dict[str, object] = {"score": -math.inf, "counts": None}
-
-        def dfs(i: int, assigned: int, score: float) -> None:
-            rem = self.k - assigned
-            if i == n_vec:
-                if (
-                    assigned == self.k
-                    and not self._prune(i, assigned, committed)
-                    and score > best["score"] + 1e-12
-                ):
-                    best["score"] = score
-                    best["counts"] = list(counts)
-                return
-            if self._prune(i, assigned, committed):
-                return
-            if rem >= len(suffix_cum[i]):
-                return  # not enough agents left
-            if score + suffix_cum[i][rem] <= best["score"] + 1e-12:
-                return
-            vector = self.vectors[i]
-            prefix = group_prefix[vector]
-            for c in self._candidate_range(i, assigned):
-                for f_idx, feature in enumerate(self.features):
-                    committed[(feature, vector[f_idx])] += c
-                counts.append(c)
-                dfs(i + 1, assigned + c, score + prefix[c])
-                counts.pop()
-                for f_idx, feature in enumerate(self.features):
-                    committed[(feature, vector[f_idx])] -= c
-
-        dfs(0, 0, 0.0)
-        if best["counts"] is None:
-            return None
-        return {v: c for v, c in zip(self.vectors, best["counts"]) if c > 0}
+        counts, committed, assigned = self._root()
+        stack = [(0, counts, committed, assigned, np.zeros(len(counts)))]
+        best_score, best_row = -math.inf, None
+        while stack:
+            i, counts, committed, assigned, score = stack.pop()
+            if best_row is not None:
+                alive = score + bound[i, k - assigned] > best_score + 1e-12
+                counts, committed, assigned, score = counts[alive], committed[alive], assigned[alive], score[alive]
+            if len(score) == 0:
+                continue
+            reps = self._fanout(i, assigned)
+            take = 1 if best_row is None else _block_end(np.cumsum(reps, dtype=np.int64), 0)
+            if take < len(reps):
+                stack.append((i, counts[take:], committed[take:], assigned[take:], score[take:]))
+            parent, counts, committed, assigned = self._expand(
+                i, counts[:take], committed[:take], assigned[:take], reps[:take])
+            score = score[parent] + prefixes[i][counts[:, i]]
+            if i + 1 < n_vec:
+                stack.append((i + 1, counts, committed, assigned, score))
+                continue
+            for j in np.flatnonzero((assigned == k) & (score > best_score + 1e-12)):
+                if score[j] > best_score + 1e-12:
+                    best_score, best_row = score[j], counts[j]
+        return best_row
 
 
 def feasible_compositions(instance: Instance) -> list[PanelComposition]:
@@ -458,115 +461,76 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 
 # Composition spaces within COMPOSITION_CAP are enumerated once per instance
 # and memoized, turning every oracle call into a vectorized scoring pass;
-# larger spaces fall back to branch and bound per query.
-_COMP_CACHE_ATTR = "_cached_composition_matrix"
+# larger spaces fall back to branch and bound per query. The memo lives here,
+# keyed by id(instance), not in the frozen instance; an entry goes when its
+# instance is collected.
+_MEMO: dict[int, object] = {}
 
 
 def _composition_matrix(instance: Instance):
-    """(vectors, count matrix in lex order), or False when the space is too big.
+    """The count matrix of ``instance``'s valid compositions, columns in
+    ``present_vectors()`` order and rows in lex order, or False when the
+    space is too big.
 
     The matrix comes from ``_CompositionSearch.count_matrix``: the cap bounds
     every level's expansion, not only the number of valid compositions, so
     the enumeration gives up before allocating more than the cap.
     """
-    cached = getattr(instance, _COMP_CACHE_ATTR, None)
-    if cached is not None:
-        return cached
-    search = _CompositionSearch(instance)
-    matrix = search.count_matrix()
-    value = False if matrix is None else (search.vectors, matrix)
-    object.__setattr__(instance, _COMP_CACHE_ATTR, value)
-    return value
+    key = id(instance)
+    cached = _MEMO.get(key)
+    if cached is None:
+        matrix = _CompositionSearch(instance).count_matrix()
+        cached = _MEMO[key] = False if matrix is None else matrix
+        weakref.finalize(instance, _MEMO.pop, key, None)
+    return cached
 
 
 def has_valid_panel(instance: Instance) -> bool:
-    cache = _composition_matrix(instance)
-    if cache is not False:
-        return cache[1].shape[0] > 0
+    matrix = _composition_matrix(instance)
+    if matrix is not False:
+        return matrix.shape[0] > 0
     # Past the cap: with zero weights, branch and bound stops at the first
     # feasible composition.
     return composition_oracle(instance, [0.0] * len(instance.groups)) is not None
 
 
-def _vector_coverable(instance: Instance, vector: FeatureVector) -> bool:
-    """Is there a valid composition seating at least one agent of ``vector``?"""
-    cache = _composition_matrix(instance)
-    if cache is not False:
-        vectors, matrix = cache
-        column = vectors.index(vector)
-        return bool((matrix[:, column] > 0).any())
-    return composition_oracle(instance, [0.0] * len(instance.groups), min_counts={vector: 1}) is not None
-
-
 def composition_oracle(instance: Instance, group_weights: Sequence[float],
                        min_counts: Mapping[FeatureVector, int] | None = None) -> PanelComposition | None:
     """A valid composition maximizing ``sum_w group_weights[w] * seats_w``,
-    or None if none exists.
+    with at least ``min_counts[w]`` seats for each group named there, or None
+    if none exists.
 
     ``group_weights`` holds one weight per group, in
     ``instance.present_vectors()`` order: every seat of a group weighs the
-    same. Ties break as in ``panel_oracle``.
+    same, so this is the max-weight valid panel up to the choice of agents
+    within groups. Within the cap it is one scoring pass over the memo and
+    the first maximum wins; past it, ``_CompositionSearch.best_composition``.
+    Either way ties break toward the lexicographically first composition.
     """
+    import numpy as np
+
     vectors = instance.present_vectors()
     if len(group_weights) != len(vectors):
         raise ValidationError(f"expected {len(vectors)} group weights, got {len(group_weights)}")
-    group_prefix = {
-        vector: list(itertools.accumulate([weight] * min(instance.group_size(vector), instance.k), initial=0.0))
+    for vector, needed in (min_counts or {}).items():
+        if vector not in instance.groups:
+            raise ValidationError(f"min_counts names {vector!r}, which is not a vector of the pool")
+        if needed < 0:
+            raise ValidationError(f"min_counts for {vector!r} is {needed}, below 0")
+    prefixes = [
+        list(itertools.accumulate([weight] * min(instance.group_size(vector), instance.k), initial=0.0))
         for vector, weight in zip(vectors, group_weights)
-    }
-    counts = _best_counts(instance, group_prefix, min_counts)
-    return None if counts is None else PanelComposition(tuple(counts.items()))
+    ]
+    matrix = _composition_matrix(instance)
+    if matrix is False:
+        row = _CompositionSearch(instance, min_counts).best_composition(prefixes)
+        return None if row is None else PanelComposition(tuple(zip(vectors, row.tolist())))
 
-
-def panel_oracle(instance: Instance, weights: Mapping[str, float],
-                 min_counts: Mapping[FeatureVector, int] | None = None) -> Panel | None:
-    """A valid panel maximizing total agent weight, or None if none exists.
-
-    Exact: the search enumerates compositions with a sound optimistic bound,
-    and within a composition each group contributes its heaviest agents.
-    Ties break toward the lexicographically smallest composition, then the
-    smallest agent ids.
-    """
-    group_sorted: dict[FeatureVector, list[str]] = {}
-    group_prefix: dict[FeatureVector, list[float]] = {}
-    for vector, members in instance.groups.items():
-        ordered = sorted(members, key=lambda a: (-weights.get(a, 0.0), a))
-        group_sorted[vector] = ordered
-        prefix = [0.0]
-        for agent_id in ordered:
-            prefix.append(prefix[-1] + weights.get(agent_id, 0.0))
-        group_prefix[vector] = prefix
-
-    counts = _best_counts(instance, group_prefix, min_counts)
-    if counts is None:
-        return None
-    members: list[str] = []
-    for vector, c in counts.items():
-        members.extend(group_sorted[vector][:c])
-    return Panel(tuple(members))
-
-
-def _best_counts(
-    instance: Instance,
-    group_prefix: Mapping[FeatureVector, Sequence[float]],
-    min_counts: Mapping[FeatureVector, int] | None,
-) -> dict[FeatureVector, int] | None:
-    """Max-weight composition where ``group_prefix[v][c]`` is the weight of c
-    seats of group v: a scoring pass over the memo, or branch and bound."""
-    cache = _composition_matrix(instance)
-    if cache is False:
-        search = _CompositionSearch(instance, min_counts=min_counts)
-        return search.best_composition(group_prefix)
-
-    import numpy as np
-
-    vectors, matrix = cache
     if matrix.shape[0] == 0:
         return None
     scores = np.zeros(matrix.shape[0])
-    for column, vector in enumerate(vectors):
-        prefix = np.asarray(group_prefix[vector])
-        scores += prefix[matrix[:, column]]
+    for column, prefix in enumerate(prefixes):
+        scores += np.asarray(prefix)[matrix[:, column]]
     if min_counts:
         mask = np.ones(matrix.shape[0], dtype=bool)
         for vector, needed in min_counts.items():
@@ -575,8 +539,7 @@ def _best_counts(
             return None
         scores[~mask] = -math.inf
     best = int(np.argmax(scores))  # lex order in the matrix; first max wins
-    row = matrix[best]
-    return {v: int(c) for v, c in zip(vectors, row) if c > 0}
+    return PanelComposition(tuple(zip(vectors, matrix[best].tolist())))
 
 
 def enumerate_panels(instance: Instance, cap: int = 1_000_000) -> list[Panel]:
@@ -619,12 +582,21 @@ def marginals(instance: Instance, dist: PanelDistribution) -> ProbabilityAssignm
 def structurally_excluded(instance: Instance) -> set[str]:
     """Agents that appear on no valid panel.
 
-    Group-level query: agents sharing a vector are interchangeable, so one
-    forced-inclusion feasibility check per present vector suffices.
+    Group-level query: agents sharing a vector are interchangeable, so a
+    group is excluded exactly when no valid composition seats it: a column
+    of zeros in the memo, or, past the cap, a forced-inclusion oracle call
+    with zero weights that finds nothing.
     """
+    vectors = instance.present_vectors()
+    matrix = _composition_matrix(instance)
+    if matrix is not False:
+        coverable = (matrix > 0).any(axis=0).tolist()
+    else:
+        zeros = [0.0] * len(vectors)
+        coverable = [composition_oracle(instance, zeros, min_counts={v: 1}) is not None for v in vectors]
     excluded: set[str] = set()
-    for vector in instance.present_vectors():
-        if not _vector_coverable(instance, vector):
+    for vector, covered in zip(vectors, coverable):
+        if not covered:
             excluded.update(instance.groups[vector])
     return excluded
 

@@ -75,7 +75,6 @@ class SolveConfig:
     eps_master: float = 1e-8
     eps_colgen: float = 1e-3
     max_columns: int = 2000
-    seed: int = 42
     nash_gap: float = 1e-7  # nash optimality-gap target, geometric-mean units
     nash_max_iters: int = 20_000
 

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 import random
 import time
@@ -11,6 +13,7 @@ from conftest import reference_compositions, small_instances
 from panelot import fixtures, panels
 from panelot.errors import CapExceededError, NonCoalitionExclusionError, ValidationError
 from panelot.model import FeatureScheme, Instance
+from panelot.objectives import parse_objective
 from panelot.panels import (
     CompositionDistribution,
     Panel,
@@ -23,11 +26,11 @@ from panelot.panels import (
     feasible_compositions,
     has_valid_panel,
     marginals,
-    panel_oracle,
     strip_self_excluders,
     structurally_excluded,
 )
 from panelot.rounding import lottery_marginals, pipage_round
+from panelot.solver import SolveConfig, solve
 
 
 def _uniform(panels):
@@ -110,17 +113,10 @@ def test_marginals_rejects_invalid_panel(t1):
         marginals(t1, PanelDistribution(((bad, 1.0),)))
 
 
-def test_oracle_t1_weighted(t1):
-    weights = {"a1": 5.0, "a2": 1.0, "a3": 4.0, "a4": 2.0}
-    best = panel_oracle(t1, weights)
-    assert best.members == ("a1", "a3")
-    assert sum(weights[a] for a in best.members) == pytest.approx(9.0)
-
-
 def test_oracle_equal_weights(e2):
-    best = panel_oracle(e2, {a: 2.5 for a in e2.agent_ids})
+    best = composition_oracle(e2, [2.5] * len(e2.present_vectors()))
     assert best is not None and best.is_valid(e2)
-    assert sum(2.5 for _ in best.members) == pytest.approx(e2.k * 2.5)
+    assert 2.5 * best.size() == pytest.approx(e2.k * 2.5)
 
 
 def test_oracle_infeasible_returns_none():
@@ -129,7 +125,7 @@ def test_oracle_infeasible_returns_none():
     inst = Instance(
         scheme=scheme, agents=agents, k=3, quotas={("f", "1"): (2, 2), ("f", "0"): (1, 1)}
     )
-    assert panel_oracle(inst, {a: 1.0 for a in inst.agent_ids}) is None
+    assert composition_oracle(inst, [1.0] * len(inst.present_vectors())) is None
 
 
 def test_enumeration_matches_raw_subset_filter():
@@ -159,12 +155,13 @@ def test_oracle_matches_enumeration_on_random_instances():
     for seed in range(40):
         inst = fixtures.random_brute_instance(seed)
         rng = random.Random(seed + 1000)
-        weights = {a: rng.uniform(-2, 3) for a in inst.agent_ids}
-        best = panel_oracle(inst, weights)
+        weights = {v: rng.uniform(-2, 3) for v in inst.present_vectors()}
+        best = composition_oracle(inst, list(weights.values()))
         brute_best = max(
-            sum(weights[a] for a in p.members) for p in enumerate_panels(inst)
+            sum(weights[inst.vector_of[a]] for a in p.members) for p in enumerate_panels(inst)
         )
-        assert sum(weights[a] for a in best.members) == pytest.approx(brute_best, abs=1e-9)
+        assert best.is_valid(inst)
+        assert sum(weights[v] * c for v, c in best.items) == pytest.approx(brute_best, abs=1e-9)
 
 
 def _kernel_rows(instance, min_counts=None):
@@ -214,10 +211,15 @@ def _fallback_cases():
     return cases
 
 
-def test_branch_and_bound_fallback_agrees_with_the_memo(monkeypatch):
+_CHUNKS = [panels._EXPANSION_CHUNK, 1, 7]
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS, ids=["default", "1", "7"])
+def test_branch_and_bound_fallback_agrees_with_the_memo(chunk, monkeypatch):
     memo_side = [build() for _, build in _fallback_cases()]
     assert all(_composition_matrix(inst) is not False for inst in memo_side)
     monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    monkeypatch.setattr(panels, "_EXPANSION_CHUNK", chunk)
     for (seed, build), memo_inst in zip(_fallback_cases(), memo_side):
         inst = build()
         assert _composition_matrix(inst) is False
@@ -225,8 +227,6 @@ def test_branch_and_bound_fallback_agrees_with_the_memo(monkeypatch):
         assert structurally_excluded(inst) == structurally_excluded(memo_inst)
         rng = random.Random(seed + 2000)
         for _ in range(5):
-            weights = {a: rng.uniform(-2, 3) for a in inst.agent_ids}
-            assert panel_oracle(inst, weights) == panel_oracle(memo_inst, weights)
             group_weights = [rng.uniform(-2, 3) for _ in inst.present_vectors()]
             assert composition_oracle(inst, group_weights) == composition_oracle(memo_inst, group_weights)
             for vector in inst.present_vectors():
@@ -234,13 +234,27 @@ def test_branch_and_bound_fallback_agrees_with_the_memo(monkeypatch):
                         == composition_oracle(memo_inst, group_weights, min_counts={vector: 1}))
 
 
-def test_oracle_ties_break_toward_the_lexicographically_first_composition(monkeypatch):
+@pytest.mark.parametrize("chunk", _CHUNKS, ids=["default", "1", "7"])
+def test_oracle_ties_break_toward_the_lexicographically_first_composition(chunk, monkeypatch):
+    monkeypatch.setattr(panels, "_EXPANSION_CHUNK", chunk)
+
     def check():
         for seed in range(20):
             inst = fixtures.random_brute_instance(seed)
             vectors = inst.present_vectors()
             first = PanelComposition(tuple(zip(vectors, reference_compositions(inst)[0])))
             assert composition_oracle(inst, [0.0] * len(vectors)) == first
+        # Whole-number weights make exact ties among the best rows, met after
+        # a worse first leaf and often in one block. Python's max keeps the
+        # first maximum.
+        for inst in (fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(30, 5, (2, 3))):
+            vectors = inst.present_vectors()
+            rows = reference_compositions(inst)
+            for seed in range(5):
+                rng = random.Random(seed)
+                weights = [float(rng.randrange(3)) for _ in vectors]
+                best = max(rows, key=lambda row: sum(w * c for w, c in zip(weights, row)))
+                assert composition_oracle(inst, weights) == PanelComposition(tuple(zip(vectors, best)))
 
     check()  # scoring pass over the memo
     monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
@@ -259,14 +273,42 @@ def test_enumerator_gives_up_on_the_36_group_pool_within_a_second():
 
 def test_composition_oracle_weighs_every_seat_of_a_group_alike(e2):
     vectors = e2.present_vectors()
-    for w, vector in enumerate(vectors):
-        weights = [0.0] * len(vectors)
-        weights[w] = 1.0
-        comp = composition_oracle(e2, weights)
-        per_agent = {a: weights[vectors.index(v)] for a, v in e2.vector_of.items()}
-        assert comp == panel_oracle(e2, per_agent).composition(e2)
+    for vector in vectors:
+        weights = [1.0 if v == vector else 0.0 for v in vectors]
+        # Python's max keeps the first maximum: the lexicographically first.
+        assert composition_oracle(e2, weights) == max(feasible_compositions(e2), key=lambda c: c.seats(vector))
     with pytest.raises(ValidationError):
         composition_oracle(e2, [1.0])
+
+
+@pytest.mark.parametrize("cap", [panels.COMPOSITION_CAP, 0])
+def test_composition_oracle_rejects_bad_min_counts(cap, monkeypatch, e2):
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", cap)
+    zeros = [0.0] * len(e2.present_vectors())
+    present = e2.present_vectors()[0]
+    absent = ("9",) * len(present)
+    for min_counts in ({absent: 1}, {present: -1}):
+        with pytest.raises(ValidationError):
+            composition_oracle(e2, zeros, min_counts=min_counts)
+    assert composition_oracle(e2, zeros, min_counts={present: 0}) is not None
+
+
+def test_memo_stays_out_of_the_instance_and_goes_with_it(monkeypatch):
+    enumerations = []
+    count_matrix = _CompositionSearch.count_matrix
+    monkeypatch.setattr(_CompositionSearch, "count_matrix",
+                        lambda search: enumerations.append(1) or count_matrix(search))
+    inst = fixtures.skew_pool(48, 6, (2, 2, 2))
+    fields = {f.name for f in dataclasses.fields(inst)}
+    structurally_excluded(inst)
+    solve(inst, SolveConfig(objective=parse_objective("maximin")))
+    assert set(vars(inst)) == fields
+    assert len(enumerations) == 1  # the exclusion check's memo serves the solve
+    key = id(inst)
+    assert panels._MEMO[key] is _composition_matrix(inst)
+    del inst
+    gc.collect()
+    assert key not in panels._MEMO
 
 
 def test_structural_exclusion_empty(t1):

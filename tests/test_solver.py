@@ -307,6 +307,25 @@ def test_brute_backend_enforces_the_composition_cap(e2, monkeypatch):
     assert err.value.code == "CAP_EXCEEDED"
 
 
+def test_maximin_past_the_cap_on_the_16_group_pool():
+    # n=400, k=12: too many compositions to memoize, so every oracle call is
+    # a branch-and-bound search. It took about 16 s when that search was a
+    # scalar recursion.
+    import time
+
+    from panelot.panels import _composition_matrix
+
+    inst = fixtures.skew_pool(400, 12, (2, 2, 2, 2))
+    assert len(inst.groups) == 16
+    start = time.perf_counter()
+    assert _composition_matrix(inst) is False
+    result = solve(inst, SolveConfig(objective=parse_objective("maximin")))
+    assert time.perf_counter() - start < 8.0
+    assert result.converged
+    assert result.pi.min() == pytest.approx(0.03, abs=1e-9)
+    assert len(result.distribution.entries) == 16
+
+
 def test_minimax_can_zero_out_a_group():
     inst = fixtures.starved_minimum_instance()
     result = solve(inst, cfg("minimax", "brute"))
