@@ -1,9 +1,11 @@
-"""A small dense two-phase simplex solver for the master linear programs.
+"""A small dense two-phase simplex solver for the master and pricing LPs.
 
 Solves   min c.x  s.t.  A x = b,  x >= 0   and returns row duals alongside
 the primal solution. The masters built on top have a few dozen rows at most,
-so a dense tableau with Bland's rule (deterministic, cycle-free) is entirely
-adequate and keeps the package free of external solver dependencies.
+and the LP relaxations that the oracle's branch and bound solves past the
+composition cap have about 57 on a 36-group pool, so a dense tableau with
+Bland's rule (deterministic, cycle-free) is adequate and keeps the package
+free of external solver dependencies.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def _iterate(T: np.ndarray, basis: list[int], cost: np.ndarray, entering_limit: 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 0.0:
-            T[r] -= T[r, col] * T[row]
+    # A rank-1 update of the other rows with a nonzero in the pivot column.
+    nz = T[:, col] != 0.0
+    nz[row] = False
+    T[nz] -= np.outer(T[nz, col], T[row])
     basis[row] = col

@@ -9,14 +9,14 @@ what makes the exact weighted-panel oracle and brute enumeration tractable.
 One vectorized step, ``_CompositionSearch._expand``, holds the quota
 prune and the candidate seat range: it expands rows of seat counts over the
 first i sorted vector groups into their surviving children, in
-lexicographic order. Two searches drive it. ``count_matrix`` lists every
-valid composition level by level; the brute backend
-(``feasible_compositions``) and the oracle's per-instance memo
-(``_composition_matrix``) use it. ``best_composition`` runs it depth first
-with a weight bound. The one cap, ``COMPOSITION_CAP``, bounds each level's
-expansion, not only the number of compositions returned; past it, the one
-oracle, ``composition_oracle``, falls back to ``best_composition`` per
-query and brute raises CAP_EXCEEDED.
+lexicographic order. ``count_matrix`` drives it level by level to list every
+valid composition; the brute backend (``feasible_compositions``) and the
+oracle's per-instance memo (``_composition_matrix``) use it. The one cap,
+``COMPOSITION_CAP``, bounds each level's expansion, not only the number of
+compositions returned. Past it, brute raises CAP_EXCEEDED and the one
+oracle, ``composition_oracle``, answers each query by an LP branch and
+bound over group seat counts (``_branch_and_bound``) on the bundled
+simplex.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .errors import (
     CapExceededError,
     NonCoalitionExclusionError,
+    SolverError,
     ValidationError,
 )
 from .model import FeatureVector, Instance
@@ -275,8 +276,7 @@ class _CompositionSearch:
     the seats it assigns. ``_expand`` is the one step of the search: it gives
     every row its candidate counts for group i in ascending order and drops
     the children whose quotas no completion can meet. The level-wise
-    enumerator (``count_matrix``) and the depth-first branch and bound
-    (``best_composition``) both drive it, so both meet compositions in
+    enumerator, ``count_matrix``, drives it, so it meets compositions in
     lexicographic order.
     """
 
@@ -393,57 +393,70 @@ class _CompositionSearch:
             counts, committed, assigned = (np.concatenate(part) for part in zip(*parts))
         return counts[assigned == self.k].astype(np.int32)
 
-    def best_composition(self, group_prefix: Sequence[Sequence[float]]):
-        """The lexicographically first max-weight valid composition as a row
-        of seat counts, or None if there is none.
 
-        ``group_prefix[i][c]`` is the weight of c seats of group i. Depth
-        first over blocks of rows on a stack, lexicographically later blocks
-        lower down, so leaves arrive in lexicographic order; each block's
-        children come from one ``_expand`` call of at most
-        ``_EXPANSION_CHUNK`` rows. Until the first leaf, only a block's first
-        row is expanded (a dive). After it, a row goes when its score plus
-        the ``rem`` heaviest seats left downstream, quotas ignored, cannot
-        beat the best leaf by more than 1e-12; a leaf replaces the best only
-        by more than that.
-        """
-        import numpy as np
+def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
+                      min_counts: Mapping[FeatureVector, int] | None) -> PanelComposition | None:
+    """A max-weight valid composition by depth-first LP branch and bound, or
+    None if there is none; the oracle past the cap.
 
-        n_vec, k = len(self.vectors), self.k
-        prefixes = [np.asarray(prefix) for prefix in group_prefix]
-        # bound[i, r]: the r heaviest seats of groups i..; -inf where fewer
-        # than r seats are left.
-        bound = np.full((n_vec + 1, k + 1), -math.inf)
-        bound[:, 0] = 0.0
-        heaviest = np.zeros(0)
-        for i in range(n_vec - 1, -1, -1):
-            heaviest = np.sort(np.concatenate([np.diff(prefixes[i]), heaviest]))[::-1][:k]
-            bound[i, 1:len(heaviest) + 1] = np.cumsum(heaviest)
+    The relaxation is ``max sum_g w_g x_g`` subject to ``sum_g x_g = k``,
+    ``lo <= (seats on each (feature, value) pair) <= hi`` and
+    ``min_counts_g <= x_g <= min(n_g, k)``. It is written once in the
+    standard form ``solve_lp`` takes: x is shifted by its lower bounds, and
+    slack columns hold the upper bounds and the quota ranges, so a node,
+    which is a pair of bound vectors, changes only the right-hand side. A
+    node branches on its most fractional x_g, up branch first, and goes when
+    its LP is infeasible or cannot beat the best leaf by more than 1e-9. A
+    zero-weight call therefore stops at its first integral leaf.
+    """
+    import numpy as np
 
-        counts, committed, assigned = self._root()
-        stack = [(0, counts, committed, assigned, np.zeros(len(counts)))]
-        best_score, best_row = -math.inf, None
-        while stack:
-            i, counts, committed, assigned, score = stack.pop()
-            if best_row is not None:
-                alive = score + bound[i, k - assigned] > best_score + 1e-12
-                counts, committed, assigned, score = counts[alive], committed[alive], assigned[alive], score[alive]
-            if len(score) == 0:
-                continue
-            reps = self._fanout(i, assigned)
-            take = 1 if best_row is None else _block_end(np.cumsum(reps, dtype=np.int64), 0)
-            if take < len(reps):
-                stack.append((i, counts[take:], committed[take:], assigned[take:], score[take:]))
-            parent, counts, committed, assigned = self._expand(
-                i, counts[:take], committed[:take], assigned[:take], reps[:take])
-            score = score[parent] + prefixes[i][counts[:, i]]
-            if i + 1 < n_vec:
-                stack.append((i + 1, counts, committed, assigned, score))
-                continue
-            for j in np.flatnonzero((assigned == k) & (score > best_score + 1e-12)):
-                if score[j] > best_score + 1e-12:
-                    best_score, best_row = score[j], counts[j]
-        return best_row
+    from ._simplex import solve_lp
+
+    search = _CompositionSearch(instance, min_counts)
+    k, weights = search.k, np.asarray(group_weights, dtype=float)
+    member = search.member.T.astype(float)  # pairs x groups
+    n_pairs, n_groups = member.shape
+    eye_g, eye_p = np.eye(n_groups), np.eye(n_pairs)
+    zeros = np.zeros
+    # Columns: y = x - lower, upper slack, quota slack below hi, its slack below hi - lo.
+    A = np.block([
+        [np.ones((1, n_groups)), zeros((1, n_groups)), zeros((1, 2 * n_pairs))],
+        [eye_g, eye_g, zeros((n_groups, 2 * n_pairs))],
+        [member, zeros((n_pairs, n_groups)), eye_p, zeros((n_pairs, n_pairs))],
+        [zeros((n_pairs, 2 * n_groups)), eye_p, eye_p],
+    ])
+    c = np.concatenate([-weights, zeros(A.shape[1] - n_groups)])
+    hi, spread = search.hi.astype(float), (search.hi - search.lo).astype(float)
+
+    floors = np.array(search.min_counts, dtype=float)
+    stack = [(floors, np.minimum(np.array(search.sizes, dtype=float), k))]
+    best_score, best = -math.inf, None
+    while stack:
+        lower, upper = stack.pop()
+        if (lower > upper).any():
+            continue
+        b = np.concatenate([[k - lower.sum()], upper - lower, hi - member @ lower, spread])
+        res = solve_lp(c, A, b)
+        if res.status != "optimal" or weights @ lower - res.objective <= best_score + 1e-9:
+            continue
+        x = lower + res.x[:n_groups]
+        off = np.abs(x - np.round(x))
+        g = int(np.argmax(off))
+        if off[g] > 1e-6:
+            split = math.floor(x[g])
+            down, up = upper.copy(), lower.copy()
+            down[g], up[g] = split, split + 1
+            stack += [(lower, down), (up, upper)]
+            continue
+        counts = np.round(x).astype(int)
+        comp = PanelComposition(tuple(zip(search.vectors, counts.tolist())))
+        if (counts < floors).any() or not comp.is_valid(instance):
+            raise SolverError(f"branch and bound reached an invalid leaf {counts.tolist()}")
+        score = float(weights @ counts)
+        if score > best_score:
+            best_score, best = score, comp
+    return best
 
 
 def feasible_compositions(instance: Instance) -> list[PanelComposition]:
@@ -461,7 +474,7 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 
 # Composition spaces within COMPOSITION_CAP are enumerated once per instance
 # and memoized, turning every oracle call into a vectorized scoring pass;
-# larger spaces fall back to branch and bound per query. The memo lives here,
+# larger spaces go to an LP branch and bound per query. The memo lives here,
 # keyed by id(instance), not in the frozen instance; an entry goes when its
 # instance is collected.
 _MEMO: dict[int, object] = {}
@@ -489,8 +502,8 @@ def has_valid_panel(instance: Instance) -> bool:
     matrix = _composition_matrix(instance)
     if matrix is not False:
         return matrix.shape[0] > 0
-    # Past the cap: with zero weights, branch and bound stops at the first
-    # feasible composition.
+    # Past the cap: with zero weights, the LP branch and bound stops at its
+    # first integral leaf.
     return composition_oracle(instance, [0.0] * len(instance.groups)) is not None
 
 
@@ -503,9 +516,10 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float],
     ``group_weights`` holds one weight per group, in
     ``instance.present_vectors()`` order: every seat of a group weighs the
     same, so this is the max-weight valid panel up to the choice of agents
-    within groups. Within the cap it is one scoring pass over the memo and
-    the first maximum wins; past it, ``_CompositionSearch.best_composition``.
-    Either way ties break toward the lexicographically first composition.
+    within groups. Within the cap it is one scoring pass over the memo, and
+    ties break toward the lexicographically first composition. Past it,
+    ``_branch_and_bound`` returns a deterministic maximum, but not
+    necessarily the lexicographically first.
     """
     import numpy as np
 
@@ -517,17 +531,16 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float],
             raise ValidationError(f"min_counts names {vector!r}, which is not a vector of the pool")
         if needed < 0:
             raise ValidationError(f"min_counts for {vector!r} is {needed}, below 0")
+    matrix = _composition_matrix(instance)
+    if matrix is False:
+        return _branch_and_bound(instance, group_weights, min_counts)
+
+    if matrix.shape[0] == 0:
+        return None
     prefixes = [
         list(itertools.accumulate([weight] * min(instance.group_size(vector), instance.k), initial=0.0))
         for vector, weight in zip(vectors, group_weights)
     ]
-    matrix = _composition_matrix(instance)
-    if matrix is False:
-        row = _CompositionSearch(instance, min_counts).best_composition(prefixes)
-        return None if row is None else PanelComposition(tuple(zip(vectors, row.tolist())))
-
-    if matrix.shape[0] == 0:
-        return None
     scores = np.zeros(matrix.shape[0])
     for column, prefix in enumerate(prefixes):
         scores += np.asarray(prefix)[matrix[:, column]]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_compositions, small_instances
 from panelot import fixtures, panels
-from panelot.errors import CapExceededError, NonCoalitionExclusionError, ValidationError
+from panelot.errors import CapExceededError, NonCoalitionExclusionError, SolverError, ValidationError
 from panelot.model import FeatureScheme, Instance
 from panelot.objectives import parse_objective
 from panelot.panels import (
@@ -237,28 +237,121 @@ def test_branch_and_bound_fallback_agrees_with_the_memo(chunk, monkeypatch):
 @pytest.mark.parametrize("chunk", _CHUNKS, ids=["default", "1", "7"])
 def test_oracle_ties_break_toward_the_lexicographically_first_composition(chunk, monkeypatch):
     monkeypatch.setattr(panels, "_EXPANSION_CHUNK", chunk)
+    for seed in range(20):
+        inst = fixtures.random_brute_instance(seed)
+        vectors = inst.present_vectors()
+        first = PanelComposition(tuple(zip(vectors, reference_compositions(inst)[0])))
+        assert composition_oracle(inst, [0.0] * len(vectors)) == first
+    # Whole-number weights make exact ties among the best rows. Python's max
+    # keeps the first maximum.
+    for inst in (fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(30, 5, (2, 3))):
+        vectors = inst.present_vectors()
+        rows = reference_compositions(inst)
+        for seed in range(5):
+            rng = random.Random(seed)
+            weights = [float(rng.randrange(3)) for _ in vectors]
+            best = max(rows, key=lambda row: sum(w * c for w, c in zip(weights, row)))
+            assert composition_oracle(inst, weights) == PanelComposition(tuple(zip(vectors, best)))
 
-    def check():
-        for seed in range(20):
-            inst = fixtures.random_brute_instance(seed)
-            vectors = inst.present_vectors()
-            first = PanelComposition(tuple(zip(vectors, reference_compositions(inst)[0])))
-            assert composition_oracle(inst, [0.0] * len(vectors)) == first
-        # Whole-number weights make exact ties among the best rows, met after
-        # a worse first leaf and often in one block. Python's max keeps the
-        # first maximum.
-        for inst in (fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(30, 5, (2, 3))):
-            vectors = inst.present_vectors()
-            rows = reference_compositions(inst)
-            for seed in range(5):
-                rng = random.Random(seed)
-                weights = [float(rng.randrange(3)) for _ in vectors]
-                best = max(rows, key=lambda row: sum(w * c for w, c in zip(weights, row)))
-                assert composition_oracle(inst, weights) == PanelComposition(tuple(zip(vectors, best)))
 
-    check()  # scoring pass over the memo
+def _score(comp, vectors, weights):
+    seats = comp.counts
+    return sum(w * seats.get(v, 0) for v, w in zip(vectors, weights))
+
+
+def test_oracle_past_the_cap_finds_a_maximum_on_tie_prone_weights(monkeypatch):
+    # Past the cap any maximum may come back, not the lexicographically
+    # first: the score, validity and existence must match the memo's.
+    builders = [lambda s=seed: fixtures.random_brute_instance(s) for seed in range(20)]
+    builders += [lambda: fixtures.skew_pool(48, 6, (2, 2, 2)), lambda: fixtures.skew_pool(30, 5, (2, 3))]
+    queries = []
+    for build in builders:
+        inst = build()
+        vectors = inst.present_vectors()
+        weight_sets = [[0.0] * len(vectors)]
+        for seed in range(5):
+            rng = random.Random(seed)
+            weight_sets.append([float(rng.randrange(3)) for _ in vectors])
+        queries.append((build, [(w, composition_oracle(inst, w)) for w in weight_sets]))
     monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
-    check()  # branch and bound
+    for build, answers in queries:
+        inst = build()
+        assert _composition_matrix(inst) is False
+        vectors = inst.present_vectors()
+        for weights, expected in answers:
+            got = composition_oracle(inst, weights)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.is_valid(inst)
+                assert _score(got, vectors, weights) == pytest.approx(_score(expected, vectors, weights), abs=1e-9)
+
+
+def _milp_best_score(inst, weights, min_counts):
+    """The max-weight composition score from scipy's MILP over group counts,
+    or None when it reports the model infeasible."""
+    optimize = pytest.importorskip("scipy.optimize")
+    vectors = inst.present_vectors()
+    pairs = inst.scheme.feature_value_pairs()
+    rows = [[1.0] * len(vectors)]
+    lo, hi = [inst.k], [inst.k]
+    for feature, value in pairs:
+        f_idx = inst.scheme.features.index(feature)
+        rows.append([1.0 if v[f_idx] == value else 0.0 for v in vectors])
+        lo.append(inst.quota(feature, value)[0])
+        hi.append(inst.quota(feature, value)[1])
+    bounds = optimize.Bounds([min_counts.get(v, 0) for v in vectors],
+                             [min(inst.group_size(v), inst.k) for v in vectors])
+    res = optimize.milp(-np.asarray(weights), constraints=optimize.LinearConstraint(np.array(rows), lo, hi),
+                        integrality=np.ones(len(vectors)), bounds=bounds, options={"mip_rel_gap": 0})
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_oracle_past_the_cap_matches_scipy_milp_on_the_36_group_pool():
+    pytest.importorskip("scipy")
+    inst = fixtures.skew_pool(500, 20, (2, 3, 3, 2))
+    assert _composition_matrix(inst) is False
+    vectors = inst.present_vectors()
+    rng = np.random.default_rng(36)
+    for _ in range(30):
+        weights = rng.uniform(-1, 1, size=len(vectors))
+        group = vectors[int(rng.integers(len(vectors)))]
+        for min_counts in ({}, {group: 1}):
+            got = composition_oracle(inst, weights, min_counts=min_counts)
+            expected = _milp_best_score(inst, weights, min_counts)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.is_valid(inst)
+                assert got.seats(group) >= min_counts.get(group, 0)
+                assert _score(got, vectors, weights) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("leaf", ["no_seats", "all_on_one_group", "below_min_counts"])
+def test_oracle_past_the_cap_rejects_a_leaf_off_its_constraints(leaf, monkeypatch, e2):
+    from panelot import _simplex
+
+    vectors = e2.present_vectors()
+    valid = next(comp for comp in feasible_compositions(e2) if len(comp.items) < len(vectors))
+    empty = next(v for v in vectors if valid.seats(v) == 0)
+    min_counts = {empty: 1} if leaf == "below_min_counts" else None
+
+    def wrong_lp(c, A, b):
+        # Integral, but off the constraints: the LP's columns start with the
+        # seat counts less their lower bounds.
+        x = np.zeros(len(c))
+        if leaf == "all_on_one_group":
+            x[0] = e2.k  # more seats than group 0 has, and off the quotas
+        elif leaf == "below_min_counts":
+            x[:len(vectors)] = [valid.seats(v) - (v == empty) for v in vectors]
+        return _simplex.LPResult(status="optimal", x=x, objective=float(c @ x), duals=np.zeros(len(b)))
+
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    monkeypatch.setattr(_simplex, "solve_lp", wrong_lp)
+    with pytest.raises(SolverError) as err:
+        composition_oracle(e2, [1.0] * len(vectors), min_counts=min_counts)
+    assert err.value.code == "SOLVER_ERROR"
 
 
 def test_enumerator_gives_up_on_the_36_group_pool_within_a_second():

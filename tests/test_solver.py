@@ -326,6 +326,49 @@ def test_maximin_past_the_cap_on_the_16_group_pool():
     assert len(result.distribution.entries) == 16
 
 
+@pytest.mark.parametrize("objective", ["goldilocks:1", "maximin"])
+def test_the_36_group_pool_converges_within_the_ladder_limit(objective):
+    # Past the cap, so every oracle call is an LP branch and bound. 8 s is
+    # the benchmark ladder's per-op limit.
+    import time
+
+    inst = fixtures.skew_pool(500, 20, (2, 3, 3, 2))
+    assert len(inst.groups) == 36
+    start = time.perf_counter()
+    result = solve(inst, SolveConfig(objective=parse_objective(objective)))
+    assert time.perf_counter() - start < 8.0
+    assert result.converged
+    result.distribution.check_valid(inst)
+
+
+def test_pricing_past_the_cap_does_not_import_scipy():
+    # import scipy.optimize more than doubles a process's peak RSS, so the
+    # oracle past the cap runs on the bundled simplex.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import panelot
+
+    script = (
+        "import sys\n"
+        "from panelot import fixtures\n"
+        "from panelot.objectives import parse_objective\n"
+        "from panelot.panels import _composition_matrix\n"
+        "from panelot.solver import SolveConfig, solve\n"
+        "inst = fixtures.skew_pool(400, 12, (2, 2, 2, 2))\n"
+        "assert _composition_matrix(inst) is False\n"
+        "assert solve(inst, SolveConfig(objective=parse_objective('maximin'))).converged\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(panelot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_minimax_can_zero_out_a_group():
     inst = fixtures.starved_minimum_instance()
     result = solve(inst, cfg("minimax", "brute"))
