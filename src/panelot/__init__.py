@@ -37,6 +37,7 @@ from .panels import (
     PanelDistribution,
     ProbabilityAssignment,
     composition_oracle,
+    covering_compositions,
     enumerate_panels,
     feasible_compositions,
     marginals,

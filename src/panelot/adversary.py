@@ -94,6 +94,16 @@ def apply_misreport(instance: Instance, mis: Misreport, strict: bool = False) ->
     return strip_self_excluders(manipulated, set(mis.coalition))
 
 
+def _midpoint_share_ratio(instance: Instance, feature: str, value: str) -> float | None:
+    """The quota midpoint (in seats) over the pool share, or None for a value
+    absent from the pool."""
+    share = pool_share(instance, feature, value)
+    if share == 0:
+        return None
+    lo, hi = instance.quota(feature, value)
+    return ((lo + hi) / 2.0) / float(share)
+
+
 def mu_vector(instance: Instance) -> FeatureVector:
     """The most-underrepresented vector: per feature, the value whose quota
     midpoint most exceeds its pool share.
@@ -103,19 +113,17 @@ def mu_vector(instance: Instance) -> FeatureVector:
     order.
     """
     chosen: list[str] = []
-    for f_idx, feature in enumerate(instance.scheme.features):
+    for feature in instance.scheme.features:
         best_value = None
         best_ratio = -math.inf
         for value in instance.scheme.values[feature]:
-            share = pool_share(instance, feature, value)
-            if share == 0:
+            ratio = _midpoint_share_ratio(instance, feature, value)
+            if ratio is None:
                 if (feature, value) in instance.quotas:
                     raise ValidationError(
                         f"pair ({feature}, {value}) is quota-constrained but absent from the pool"
                     )
                 continue
-            lo, hi = instance.quota(feature, value)
-            ratio = ((lo + hi) / 2.0) / float(share)
             if ratio > best_ratio + 1e-12:
                 best_ratio = ratio
                 best_value = value
@@ -303,14 +311,10 @@ def manip_metric_exhaustive(
 
 def feature_bias_spread(instance: Instance, feature: str) -> float:
     """Spread of quota-midpoint/pool-share ratios across a feature's values."""
-    ratios = []
-    f_idx = instance.scheme.features.index(feature)
-    for value in instance.scheme.values[feature]:
-        share = pool_share(instance, feature, value)
-        if share == 0:
-            continue
-        lo, hi = instance.quota(feature, value)
-        ratios.append(((lo + hi) / 2.0) / float(share))
+    ratios = [
+        ratio for value in instance.scheme.values[feature]
+        if (ratio := _midpoint_share_ratio(instance, feature, value)) is not None
+    ]
     if not ratios:
         return 0.0
     return max(ratios) - min(ratios)

@@ -49,20 +49,20 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--objective", default="goldilocks:1", help="objective spec string")
-    parser.add_argument("--backend", default="colgen", choices=["colgen", "brute"])
-    parser.add_argument("--eps", type=float, default=1e-8, help="master tolerance")
-    parser.add_argument("--eps-colgen", type=float, default=1e-3, help="column-generation slack")
-    parser.add_argument("--max-columns", type=int, default=2000)
+    parser.add_argument("--backend", default=SolveConfig.backend, choices=["colgen", "brute"])
+    parser.add_argument("--eps", type=float, default=SolveConfig.eps_master, help="master tolerance")
+    parser.add_argument("--eps-colgen", type=float, default=SolveConfig.eps_colgen,
+                        help="column-generation slack")
+    parser.add_argument("--max-columns", type=int, default=SolveConfig.max_columns)
 
 
 def _config(args, objective_spec: str | None = None) -> SolveConfig:
-    objective = parse_objective(objective_spec or args.objective)
     return SolveConfig(
-        objective=objective,
-        backend=getattr(args, "backend", "colgen"),
-        eps_master=getattr(args, "eps", 1e-8),
-        eps_colgen=getattr(args, "eps_colgen", 1e-3),
-        max_columns=getattr(args, "max_columns", 2000),
+        objective=parse_objective(objective_spec or args.objective),
+        backend=args.backend,
+        eps_master=args.eps,
+        eps_colgen=args.eps_colgen,
+        max_columns=args.max_columns,
     )
 
 

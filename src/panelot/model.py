@@ -197,17 +197,12 @@ def stats(instance: Instance) -> InstanceStats:
     """Exact pool statistics; shares use rational arithmetic."""
     counts = Counter(vector for _, vector in instance.agents)
     present = tuple(sorted(counts))
-    shares: dict[tuple[str, str], Fraction] = {}
-    for idx, feature in enumerate(instance.scheme.features):
-        for value in instance.scheme.values[feature]:
-            matching = sum(1 for _, vector in instance.agents if vector[idx] == value)
-            shares[(feature, value)] = Fraction(matching, instance.n)
     return InstanceStats(
         n=instance.n,
         group_counts=dict(counts),
         present_vectors=present,
         min_group_size=min(counts.values()),
-        pool_shares=shares,
+        pool_shares={pair: pool_share(instance, *pair) for pair in instance.scheme.feature_value_pairs()},
     )
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
-from .model import Instance
+from .model import Instance, pool_share
 from .panels import ProbabilityAssignment
 
 
@@ -185,11 +184,9 @@ def quota_pool_ratios(instance: Instance) -> dict[tuple[str, str], float]:
     """
     ratios: dict[tuple[str, str], float] = {}
     for (feature, value), (lo, hi) in instance.quotas.items():
-        idx = instance.scheme.features.index(feature)
-        count = sum(1 for _, vector in instance.agents if vector[idx] == value)
-        if count == 0:
+        share = pool_share(instance, feature, value)
+        if share == 0:
             raise ValidationError(f"pair ({feature}, {value}) is quota-constrained but absent from the pool")
-        share = Fraction(count, instance.n)
         ratios[(feature, value)] = ((lo + hi) / (2.0 * instance.k)) / float(share)
     return ratios
 

@@ -10,13 +10,18 @@ One vectorized step, ``_CompositionSearch._expand``, holds the quota
 prune and the candidate seat range: it expands rows of seat counts over the
 first i sorted vector groups into their surviving children, in
 lexicographic order. ``count_matrix`` drives it level by level to list every
-valid composition; the brute backend (``feasible_compositions``) and the
-oracle's per-instance memo (``_composition_matrix``) use it. The one cap,
+valid composition once per instance into the memo (``_composition_matrix``),
+which the brute backend (``feasible_compositions``) reads. The one cap,
 ``COMPOSITION_CAP``, bounds each level's expansion, not only the number of
-compositions returned. Past it, brute raises CAP_EXCEEDED and the one
-oracle, ``composition_oracle``, answers each query by an LP branch and
-bound over group seat counts (``_branch_and_bound``) on the bundled
-simplex.
+compositions returned. Past it, brute raises CAP_EXCEEDED and every query
+is an LP branch and bound over group seat counts (``_branch_and_bound``) on
+the bundled simplex.
+
+Two queries answer the rest. Feasibility (``has_valid_panel``) is a
+zero-weight call of the oracle, ``composition_oracle``. Structural exclusion
+and the column-generation seed read the per-group covers,
+``covering_compositions``: one pass over the memo within the cap, one
+branch and bound per group past it.
 """
 
 from __future__ import annotations
@@ -280,15 +285,12 @@ class _CompositionSearch:
     lexicographic order.
     """
 
-    def __init__(self, instance: Instance, min_counts: Mapping[FeatureVector, int] | None = None):
+    def __init__(self, instance: Instance):
         import numpy as np
 
         self.vectors = instance.present_vectors()
         self.k = k = instance.k
         self.sizes = [instance.group_size(v) for v in self.vectors]
-        self.min_counts = [0 if min_counts is None else min_counts.get(v, 0) for v in self.vectors]
-        # min_suffix[i]: the seats groups i.. must take at least.
-        self.min_suffix = list(itertools.accumulate(reversed(self.min_counts), initial=0))[::-1]
         features = instance.scheme.features
         pairs = instance.scheme.feature_value_pairs()
         pair_at = {pair: j for j, pair in enumerate(pairs)}
@@ -333,12 +335,11 @@ class _CompositionSearch:
         return counts[ok], committed[ok], assigned[ok]
 
     def _fanout(self, i: int, assigned):
-        """The number of candidate counts for group i under each row: from
-        its ``min_counts`` up to what its size and the seats left allow."""
+        """The number of candidate counts for group i under each row: from 0
+        up to what its size and the seats left allow."""
         import numpy as np
 
-        top = np.minimum(self.sizes[i], self.k - self.min_suffix[i + 1] - assigned.astype(self.work))
-        return np.maximum(top - self.min_counts[i] + 1, 0)
+        return np.minimum(self.sizes[i], self.k - assigned.astype(self.work)) + 1
 
     def _expand(self, i: int, counts, committed, assigned, reps):
         """The children at group i of rows over groups 0..i-1, with ``reps``
@@ -351,7 +352,7 @@ class _CompositionSearch:
         parent = np.repeat(np.arange(len(reps)), reps)
         # Child j is the (j - first)-th candidate of its parent.
         first = np.repeat(ends - reps, reps)
-        seats = (self.min_counts[i] + np.arange(len(parent)) - first).astype(self.work)
+        seats = (np.arange(len(parent)) - first).astype(self.work)
         child_committed = committed[parent] + seats[:, None] * self.member[i]
         child_assigned = assigned[parent] + seats
         ok = self._keep(i + 1, child_committed, child_assigned)
@@ -395,7 +396,7 @@ class _CompositionSearch:
 
 
 def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
-                      min_counts: Mapping[FeatureVector, int] | None) -> PanelComposition | None:
+                      min_counts: Mapping[FeatureVector, int]) -> PanelComposition | None:
     """A max-weight valid composition by depth-first LP branch and bound, or
     None if there is none; the oracle past the cap.
 
@@ -413,7 +414,7 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
 
     from ._simplex import solve_lp
 
-    search = _CompositionSearch(instance, min_counts)
+    search = _CompositionSearch(instance)
     k, weights = search.k, np.asarray(group_weights, dtype=float)
     member = search.member.T.astype(float)  # pairs x groups
     n_pairs, n_groups = member.shape
@@ -429,7 +430,7 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
     c = np.concatenate([-weights, zeros(A.shape[1] - n_groups)])
     hi, spread = search.hi.astype(float), (search.hi - search.lo).astype(float)
 
-    floors = np.array(search.min_counts, dtype=float)
+    floors = np.array([min_counts.get(v, 0) for v in search.vectors], dtype=float)
     stack = [(floors, np.minimum(np.array(search.sizes, dtype=float), k))]
     best_score, best = -math.inf, None
     while stack:
@@ -465,18 +466,18 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
     Raises CAP_EXCEEDED when one level of the enumeration would expand to
     more than ``COMPOSITION_CAP`` rows (see ``_CompositionSearch.count_matrix``).
     """
-    search = _CompositionSearch(instance)
-    matrix = search.count_matrix()
-    if matrix is None:
+    matrix = _composition_matrix(instance)
+    if matrix is False:
         raise CapExceededError(f"enumeration would expand past {COMPOSITION_CAP} rows")
-    return [PanelComposition(tuple(zip(search.vectors, row))) for row in matrix.tolist()]
+    vectors = instance.present_vectors()
+    return [PanelComposition(tuple(zip(vectors, row))) for row in matrix.tolist()]
 
 
 # Composition spaces within COMPOSITION_CAP are enumerated once per instance
-# and memoized, turning every oracle call into a vectorized scoring pass;
-# larger spaces go to an LP branch and bound per query. The memo lives here,
-# keyed by id(instance), not in the frozen instance; an entry goes when its
-# instance is collected.
+# and memoized: brute reads the list from it, and every oracle and covering
+# query is a vectorized pass over it; larger spaces go to an LP branch and
+# bound per query. The memo lives here, keyed by id(instance), not in the
+# frozen instance; an entry goes when its instance is collected.
 _MEMO: dict[int, object] = {}
 
 
@@ -499,19 +500,14 @@ def _composition_matrix(instance: Instance):
 
 
 def has_valid_panel(instance: Instance) -> bool:
-    matrix = _composition_matrix(instance)
-    if matrix is not False:
-        return matrix.shape[0] > 0
-    # Past the cap: with zero weights, the LP branch and bound stops at its
-    # first integral leaf.
+    """Whether any valid panel exists: a zero-weight oracle call, which past
+    the cap stops at the branch and bound's first integral leaf."""
     return composition_oracle(instance, [0.0] * len(instance.groups)) is not None
 
 
-def composition_oracle(instance: Instance, group_weights: Sequence[float],
-                       min_counts: Mapping[FeatureVector, int] | None = None) -> PanelComposition | None:
+def composition_oracle(instance: Instance, group_weights: Sequence[float]) -> PanelComposition | None:
     """A valid composition maximizing ``sum_w group_weights[w] * seats_w``,
-    with at least ``min_counts[w]`` seats for each group named there, or None
-    if none exists.
+    or None if none exists.
 
     ``group_weights`` holds one weight per group, in
     ``instance.present_vectors()`` order: every seat of a group weighs the
@@ -526,14 +522,9 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float],
     vectors = instance.present_vectors()
     if len(group_weights) != len(vectors):
         raise ValidationError(f"expected {len(vectors)} group weights, got {len(group_weights)}")
-    for vector, needed in (min_counts or {}).items():
-        if vector not in instance.groups:
-            raise ValidationError(f"min_counts names {vector!r}, which is not a vector of the pool")
-        if needed < 0:
-            raise ValidationError(f"min_counts for {vector!r} is {needed}, below 0")
     matrix = _composition_matrix(instance)
     if matrix is False:
-        return _branch_and_bound(instance, group_weights, min_counts)
+        return _branch_and_bound(instance, group_weights, {})
 
     if matrix.shape[0] == 0:
         return None
@@ -544,13 +535,6 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float],
     scores = np.zeros(matrix.shape[0])
     for column, prefix in enumerate(prefixes):
         scores += np.asarray(prefix)[matrix[:, column]]
-    if min_counts:
-        mask = np.ones(matrix.shape[0], dtype=bool)
-        for vector, needed in min_counts.items():
-            mask &= matrix[:, vectors.index(vector)] >= needed
-        if not mask.any():
-            return None
-        scores[~mask] = -math.inf
     best = int(np.argmax(scores))  # lex order in the matrix; first max wins
     return PanelComposition(tuple(zip(vectors, matrix[best].tolist())))
 
@@ -592,24 +576,41 @@ def marginals(instance: Instance, dist: PanelDistribution) -> ProbabilityAssignm
     return ProbabilityAssignment(pi)
 
 
+def covering_compositions(instance: Instance) -> list[PanelComposition | None]:
+    """For each group, in ``present_vectors()`` order, the valid composition
+    that seats the most of its members, or None when no valid panel seats
+    any of them.
+
+    Within the cap this is one pass over the memo: each column's first
+    maximum, so ties go to the lexicographically first composition, as the
+    oracle's do. Past it, one branch and bound per group, weighing only that
+    group's seats and requiring at least one.
+    """
+    import numpy as np
+
+    vectors = instance.present_vectors()
+    matrix = _composition_matrix(instance)
+    if matrix is False:
+        unit = np.eye(len(vectors))
+        return [_branch_and_bound(instance, unit[w], {v: 1}) for w, v in enumerate(vectors)]
+    if matrix.shape[0] == 0:
+        return [None] * len(vectors)
+    rows = matrix.argmax(axis=0)
+    return [
+        PanelComposition(tuple(zip(vectors, matrix[row].tolist()))) if matrix[row, w] > 0 else None
+        for w, row in enumerate(rows.tolist())
+    ]
+
+
 def structurally_excluded(instance: Instance) -> set[str]:
     """Agents that appear on no valid panel.
 
     Group-level query: agents sharing a vector are interchangeable, so a
-    group is excluded exactly when no valid composition seats it: a column
-    of zeros in the memo, or, past the cap, a forced-inclusion oracle call
-    with zero weights that finds nothing.
+    group is excluded exactly when it has no covering composition.
     """
-    vectors = instance.present_vectors()
-    matrix = _composition_matrix(instance)
-    if matrix is not False:
-        coverable = (matrix > 0).any(axis=0).tolist()
-    else:
-        zeros = [0.0] * len(vectors)
-        coverable = [composition_oracle(instance, zeros, min_counts={v: 1}) is not None for v in vectors]
     excluded: set[str] = set()
-    for vector, covered in zip(vectors, coverable):
-        if not covered:
+    for vector, cover in zip(instance.present_vectors(), covering_compositions(instance)):
+        if cover is None:
             excluded.update(instance.groups[vector])
     return excluded
 

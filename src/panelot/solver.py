@@ -51,6 +51,7 @@ from .panels import (
     PanelComposition,
     ProbabilityAssignment,
     composition_oracle,
+    covering_compositions,
     feasible_compositions,
 )
 
@@ -618,8 +619,10 @@ def _nash_master(
                 raise SolverError("nash iterate lost all mass")
             q /= total
 
+        # The inner loop can also stop on its iteration budget or a stall.
+        inner_met = bool(gap_value_units <= config.nash_gap)
         if config.backend == "brute":
-            converged = bool(gap_value_units <= config.nash_gap)
+            converged = inner_met
             break
 
         # Pricing over the full composition space.
@@ -627,7 +630,7 @@ def _nash_master(
         geomean, _ = _nash_geomean(pool, q)
         outside_gap = geomean * max(score - n_total, 0.0) / n_total
         if comp in pool or outside_gap <= max(config.eps_colgen, config.nash_gap):
-            converged = True
+            converged = inner_met
             gap_value_units = max(outside_gap, gap_value_units)
             break
         if len(pool) >= config.max_columns:
@@ -653,39 +656,25 @@ def _nash_master(
 def _initial_pool(instance: Instance, config: SolveConfig) -> _ColumnPool:
     """Seed the pool and enforce that nobody is structurally excluded.
 
-    Brute backend: every valid composition. Colgen: one covering column per
-    vector group, found by forced-inclusion oracle calls; a group the oracle
-    cannot cover is exactly a structurally excluded group.
+    The pool starts with every valid composition (brute) or with a
+    zero-weight oracle column (colgen), then the per-group covers of
+    ``covering_compositions`` (on brute they are already in it). A group
+    with no cover is exactly a structurally excluded group.
     """
     pool = _ColumnPool(instance)
     if config.backend == "brute":
         comps = feasible_compositions(instance)
-        if not comps:
-            raise NoValidPanelError("the quotas admit no valid panel")
-        covered: set[FeatureVector] = set()
-        for comp in comps:
-            pool.add(comp)
-            covered.update(v for v, _ in comp.items)
-        missing = [v for v in pool.vectors if v not in covered]
-        if missing:
-            raise StructuralExclusionError(
-                f"agents with vectors {missing} appear on no valid panel"
-            )
-        return pool
-
-    any_comp = composition_oracle(instance, np.zeros(len(pool.vectors)))
-    if any_comp is None:
+    else:
+        first = composition_oracle(instance, np.zeros(len(pool.vectors)))
+        comps = [] if first is None else [first]
+    if not comps:
         raise NoValidPanelError("the quotas admit no valid panel")
-    pool.add(any_comp)
-    for w, vector in enumerate(pool.vectors):
-        weights = np.zeros(len(pool.vectors))
-        weights[w] = 1.0
-        covering = composition_oracle(instance, weights, min_counts={vector: 1})
-        if covering is None:
-            raise StructuralExclusionError(
-                f"agents with vector {vector} appear on no valid panel"
-            )
-        pool.add(covering)
+    covers = covering_compositions(instance)
+    missing = [v for v, cover in zip(pool.vectors, covers) if cover is None]
+    if missing:
+        raise StructuralExclusionError(f"agents with vectors {missing} appear on no valid panel")
+    for comp in comps + covers:
+        pool.add(comp)
     return pool
 
 

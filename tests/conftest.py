@@ -40,7 +40,7 @@ def write_instance_csvs(tmp_path, instance, stem="inst"):
     return agents, quotas
 
 
-def reference_compositions(instance, min_counts=None):
+def reference_compositions(instance):
     """Every valid composition as a tuple of seat counts over
     ``instance.present_vectors()``, in ascending lexicographic order.
 
@@ -50,7 +50,6 @@ def reference_compositions(instance, min_counts=None):
     """
     vectors = instance.present_vectors()
     sizes = [instance.group_size(v) for v in vectors]
-    floors = [0 if min_counts is None else min_counts.get(v, 0) for v in vectors]
     features = instance.scheme.features
     out = []
 
@@ -69,8 +68,8 @@ def reference_compositions(instance, min_counts=None):
             if assigned == instance.k and quotas_hold(counts):
                 out.append(tuple(counts))
             return
-        for c in range(floors[i], sizes[i] + 1):
-            if assigned + c + sum(floors[i + 1:]) > instance.k:
+        for c in range(sizes[i] + 1):
+            if assigned + c > instance.k:
                 break
             dfs(counts + [c], assigned + c)
 

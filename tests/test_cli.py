@@ -3,9 +3,11 @@ import json
 import pytest
 
 from panelot import fixtures
-from panelot.cli import main
+from panelot.cli import _config, build_parser, main
 from panelot.model import load_instance
+from panelot.objectives import parse_objective
 from panelot.rounding import rounding_bounds
+from panelot.solver import SolveConfig
 
 from conftest import write_instance_csvs
 
@@ -48,6 +50,11 @@ def test_select_writes_result_json(tmp_path, t1):
     payload = json.loads(path.read_text())
     assert payload["objective"] == "goldilocks:1"
     assert all(abs(v - 0.5) < 1e-9 for v in payload["pi"].values())
+
+
+def test_bare_select_solves_with_the_config_defaults():
+    args = build_parser().parse_args(["select", "--agents", "a.csv", "--quotas", "q.csv", "-k", "2"])
+    assert _config(args) == SolveConfig(objective=parse_objective("goldilocks:1"))
 
 
 @pytest.mark.parametrize("pool", ["thm43a", "e2"])

@@ -6,10 +6,8 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import reference_compositions, small_instances
+from conftest import reference_compositions
 from panelot import fixtures, panels
 from panelot.errors import CapExceededError, NonCoalitionExclusionError, SolverError, ValidationError
 from panelot.model import FeatureScheme, Instance
@@ -19,9 +17,11 @@ from panelot.panels import (
     Panel,
     PanelComposition,
     PanelDistribution,
+    _branch_and_bound,
     _composition_matrix,
     _CompositionSearch,
     composition_oracle,
+    covering_compositions,
     enumerate_panels,
     feasible_compositions,
     has_valid_panel,
@@ -164,8 +164,8 @@ def test_oracle_matches_enumeration_on_random_instances():
         assert sum(weights[v] * c for v, c in best.items) == pytest.approx(brute_best, abs=1e-9)
 
 
-def _kernel_rows(instance, min_counts=None):
-    matrix = _CompositionSearch(instance, min_counts).count_matrix()
+def _kernel_rows(instance):
+    matrix = _CompositionSearch(instance).count_matrix()
     assert matrix.dtype == np.int32 and matrix.flags["C_CONTIGUOUS"]
     return [tuple(row) for row in matrix.tolist()]
 
@@ -174,15 +174,6 @@ def test_enumerator_matches_reference_search_on_random_instances():
     for seed in range(200):
         inst = fixtures.random_brute_instance(seed)
         assert _kernel_rows(inst) == reference_compositions(inst), seed
-
-
-@given(small_instances(), st.data())
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_enumerator_matches_reference_search_with_min_counts(inst, data):
-    vectors = inst.present_vectors()
-    floors = data.draw(st.lists(st.integers(0, 2), min_size=len(vectors), max_size=len(vectors)))
-    min_counts = dict(zip(vectors, floors))
-    assert _kernel_rows(inst, min_counts) == reference_compositions(inst, min_counts)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])
@@ -225,13 +216,17 @@ def test_branch_and_bound_fallback_agrees_with_the_memo(chunk, monkeypatch):
         assert _composition_matrix(inst) is False
         assert has_valid_panel(inst) == has_valid_panel(memo_inst)
         assert structurally_excluded(inst) == structurally_excluded(memo_inst)
+        # Past the cap a cover may be another composition with as many seats.
+        for vector, got, expected in zip(inst.present_vectors(), covering_compositions(inst),
+                                         covering_compositions(memo_inst)):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.is_valid(inst)
+                assert got.seats(vector) == expected.seats(vector)
         rng = random.Random(seed + 2000)
         for _ in range(5):
             group_weights = [rng.uniform(-2, 3) for _ in inst.present_vectors()]
             assert composition_oracle(inst, group_weights) == composition_oracle(memo_inst, group_weights)
-            for vector in inst.present_vectors():
-                assert (composition_oracle(inst, group_weights, min_counts={vector: 1})
-                        == composition_oracle(memo_inst, group_weights, min_counts={vector: 1}))
 
 
 @pytest.mark.parametrize("chunk", _CHUNKS, ids=["default", "1", "7"])
@@ -318,8 +313,9 @@ def test_oracle_past_the_cap_matches_scipy_milp_on_the_36_group_pool():
     for _ in range(30):
         weights = rng.uniform(-1, 1, size=len(vectors))
         group = vectors[int(rng.integers(len(vectors)))]
+        # A floor on one group is the branch and bound's covering query.
         for min_counts in ({}, {group: 1}):
-            got = composition_oracle(inst, weights, min_counts=min_counts)
+            got = _branch_and_bound(inst, weights, min_counts) if min_counts else composition_oracle(inst, weights)
             expected = _milp_best_score(inst, weights, min_counts)
             assert (got is None) == (expected is None)
             if got is not None:
@@ -333,9 +329,9 @@ def test_oracle_past_the_cap_rejects_a_leaf_off_its_constraints(leaf, monkeypatc
     from panelot import _simplex
 
     vectors = e2.present_vectors()
-    valid = next(comp for comp in feasible_compositions(e2) if len(comp.items) < len(vectors))
+    # The reference search leaves e2 out of the memo, so the oracle below runs past the cap.
+    valid = PanelComposition(tuple(zip(vectors, next(row for row in reference_compositions(e2) if 0 in row))))
     empty = next(v for v in vectors if valid.seats(v) == 0)
-    min_counts = {empty: 1} if leaf == "below_min_counts" else None
 
     def wrong_lp(c, A, b):
         # Integral, but off the constraints: the LP's columns start with the
@@ -349,8 +345,12 @@ def test_oracle_past_the_cap_rejects_a_leaf_off_its_constraints(leaf, monkeypatc
 
     monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
     monkeypatch.setattr(_simplex, "solve_lp", wrong_lp)
+    weights = [1.0] * len(vectors)
     with pytest.raises(SolverError) as err:
-        composition_oracle(e2, [1.0] * len(vectors), min_counts=min_counts)
+        if leaf == "below_min_counts":
+            _branch_and_bound(e2, weights, {empty: 1})
+        else:
+            composition_oracle(e2, weights)
     assert err.value.code == "SOLVER_ERROR"
 
 
@@ -374,34 +374,46 @@ def test_composition_oracle_weighs_every_seat_of_a_group_alike(e2):
         composition_oracle(e2, [1.0])
 
 
-@pytest.mark.parametrize("cap", [panels.COMPOSITION_CAP, 0])
-def test_composition_oracle_rejects_bad_min_counts(cap, monkeypatch, e2):
-    monkeypatch.setattr(panels, "COMPOSITION_CAP", cap)
-    zeros = [0.0] * len(e2.present_vectors())
-    present = e2.present_vectors()[0]
-    absent = ("9",) * len(present)
-    for min_counts in ({absent: 1}, {present: -1}):
-        with pytest.raises(ValidationError):
-            composition_oracle(e2, zeros, min_counts=min_counts)
-    assert composition_oracle(e2, zeros, min_counts={present: 0}) is not None
-
-
 def test_memo_stays_out_of_the_instance_and_goes_with_it(monkeypatch):
     enumerations = []
     count_matrix = _CompositionSearch.count_matrix
     monkeypatch.setattr(_CompositionSearch, "count_matrix",
                         lambda search: enumerations.append(1) or count_matrix(search))
-    inst = fixtures.skew_pool(48, 6, (2, 2, 2))
-    fields = {f.name for f in dataclasses.fields(inst)}
-    structurally_excluded(inst)
-    solve(inst, SolveConfig(objective=parse_objective("maximin")))
-    assert set(vars(inst)) == fields
-    assert len(enumerations) == 1  # the exclusion check's memo serves the solve
+    for backend in ("colgen", "brute"):
+        enumerations.clear()
+        inst = fixtures.skew_pool(48, 6, (2, 2, 2))
+        fields = {f.name for f in dataclasses.fields(inst)}
+        structurally_excluded(inst)
+        solve(inst, SolveConfig(objective=parse_objective("maximin"), backend=backend))
+        assert set(vars(inst)) == fields
+        assert len(enumerations) == 1, backend  # the exclusion check's memo serves the solve
     key = id(inst)
     assert panels._MEMO[key] is _composition_matrix(inst)
     del inst
     gc.collect()
     assert key not in panels._MEMO
+
+
+def _reference_covers(instance):
+    """Per group, the first reference row with the most seats for it, or None
+    when no row seats it."""
+    vectors = instance.present_vectors()
+    rows = reference_compositions(instance)
+    covers = []
+    for w in range(len(vectors)):
+        seated = [row for row in rows if row[w] > 0]
+        best = max(seated, key=lambda row: row[w]) if seated else None  # max keeps the first
+        covers.append(None if best is None else PanelComposition(tuple(zip(vectors, best))))
+    return covers
+
+
+def test_covering_compositions_match_the_reference_search():
+    pools = [fixtures.random_brute_instance(seed) for seed in range(200)]
+    pools += [fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(100, 10, (3, 3)),
+              fixtures.skew_pool(200, 10, (2, 2, 3)), fixtures.excluded_agent_instance()]
+    for inst in pools:
+        assert covering_compositions(inst) == _reference_covers(inst), inst.label
+    assert covering_compositions(pools[-1]).count(None) == 1
 
 
 def test_structural_exclusion_empty(t1):

@@ -579,9 +579,10 @@ def test_single_group_pool_returns_uniform():
     assert all(v == pytest.approx(0.4) for v in result.pi.pi.values())
 
 
-def test_budget_exhaustion_reports_nonconverged():
+@pytest.mark.parametrize("backend", ["brute", "colgen"])
+def test_budget_exhaustion_reports_nonconverged(backend):
     inst = fixtures.starved_minimum_instance()
-    config = replace(cfg("nash", "brute"), nash_max_iters=1, nash_gap=1e-12)
+    config = replace(cfg("nash", backend), nash_max_iters=1, nash_gap=1e-12)
     result = solve(inst, config)
     assert not result.converged
     assert result.certificate is not None and result.certificate > 1e-12
