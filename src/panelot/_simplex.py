@@ -52,7 +52,7 @@ def solve_lp(c, A, b) -> LPResult:
     T[:, :n] = A
     T[:, n : n + m] = np.eye(m)
     T[:, -1] = b
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     if not _iterate(T, basis, phase1_cost, entering_limit=n + m):
@@ -105,7 +105,7 @@ def certify_optimal(c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray, 
         raise SolverError(f"simplex answer fails its certificate: reduced cost {lowest_reduced:.3g}")
 
 
-def _iterate(T: np.ndarray, basis: list[int], cost: np.ndarray, entering_limit: int) -> bool:
+def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, entering_limit: int) -> bool:
     """Run simplex pivots in place; False only when the LP is unbounded.
 
     Pricing uses Dantzig's rule (most negative reduced cost) for speed and
@@ -113,7 +113,6 @@ def _iterate(T: np.ndarray, basis: list[int], cost: np.ndarray, entering_limit: 
     restores the termination guarantee without paying Bland's cost on every
     step.
     """
-    m = T.shape[0]
     stalled = 0
     for _ in range(_MAX_PIVOTS):
         reduced = cost[:entering_limit] - cost[basis] @ T[:, :entering_limit]
@@ -129,26 +128,22 @@ def _iterate(T: np.ndarray, basis: list[int], cost: np.ndarray, entering_limit: 
                     break
         if entering < 0:
             return True
-        # Ratio test; ties break toward the smallest basic variable index.
-        leaving = -1
-        best_ratio = np.inf
-        for row in range(m):
-            coeff = T[row, entering]
-            if coeff > _TOL:
-                ratio = T[row, -1] / coeff
-                if ratio < best_ratio - _TOL or (
-                    ratio < best_ratio + _TOL and (leaving < 0 or basis[row] < basis[leaving])
-                ):
-                    best_ratio = min(ratio, best_ratio)
-                    leaving = row
-        if leaving < 0:
+        # Ratio test; among rows within _TOL of the minimum ratio, the
+        # smallest basic variable index leaves.
+        column = T[:, entering]
+        rows = np.flatnonzero(column > _TOL)
+        if rows.size == 0:
             return False  # unbounded in phase 2; cannot happen in phase 1
+        ratios = T[rows, -1] / column[rows]
+        best_ratio = ratios.min()
+        tied = rows[ratios < best_ratio + _TOL]
+        leaving = tied[np.argmin(basis[tied])]
         stalled = stalled + 1 if best_ratio <= _TOL else 0
         _pivot(T, basis, leaving, entering)
     raise SolverError("simplex exceeded the pivot budget")
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     # A rank-1 update of the other rows with a nonzero in the pivot column.
     nz = T[:, col] != 0.0
