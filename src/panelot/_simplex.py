@@ -1,11 +1,24 @@
-"""A small dense two-phase simplex solver for the master and pricing LPs.
+"""A dense simplex solver for the master and pricing LPs, with warm starts.
 
-Solves   min c.x  s.t.  A x = b,  x >= 0   and returns row duals alongside
-the primal solution. The masters built on top have a few dozen rows at most,
-and the LP relaxations that the oracle's branch and bound solves past the
-composition cap have about 57 on a 36-group pool, so a dense tableau with
-Bland's rule (deterministic, cycle-free) is adequate and keeps the package
-free of external solver dependencies.
+Solves   min c.x  s.t.  A x = b,  x >= 0   on a dense tableau and returns the
+row duals with the primal solution, so the package needs no external
+solver. Pricing is Dantzig's rule, falling back to Bland's rule after a
+stretch of degenerate pivots, and ``certify_optimal`` checks every optimal
+answer before it is returned.
+
+An optimal answer carries its final ``Basis``: the basic column of each row
+and B^-1 for the A it was given (none when a redundant row keeps its
+artificial basic). ``solve_lp(c, A, b, start=basis)`` builds
+its tableau from such a basis. The caller keeps the basic columns where they
+were; it may append columns and change c and b:
+
+* if B^-1 b >= 0 the basis is primal feasible (only c or the columns moved,
+  as between column-generation rounds), and phase 2 starts from it;
+* else, if no reduced cost is negative, it is dual feasible (only b moved,
+  as for a branch-and-bound child or a new floor), and the dual simplex
+  regains primal feasibility before phase 2, or proves the LP infeasible;
+* else the LP is solved from scratch, by phase 1 over one artificial per
+  row.
 """
 
 from __future__ import annotations
@@ -24,21 +37,38 @@ _BLAND_AFTER = 40
 _CERT_TOL = 1e-7
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis: ``columns[i]`` is basic in row i, and ``inverse`` is
+    B^-1 for B = A[:, columns]."""
+
+    columns: np.ndarray
+    inverse: np.ndarray
+
+
 @dataclass
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None  # one per input row, for the original rhs
+    basis: Basis | None = None  # the final basis of an optimal answer
+    pivots: int = 0
 
 
-def solve_lp(c, A, b) -> LPResult:
+def solve_lp(c, A, b, start: Basis | None = None) -> LPResult:
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise SolverError("inconsistent LP dimensions")
+    if start is not None:
+        if start.columns.shape != (m,) or start.inverse.shape != (m, m) or start.columns.max(initial=-1) >= n:
+            raise SolverError("start basis does not fit the LP")
+        warm = _solve_warm(c, A, b, start)
+        if warm is not None:
+            return warm
 
     # Normalize to b >= 0; remember the flips to unflip duals later.
     signs = np.where(b < 0, -1.0, 1.0)
@@ -55,27 +85,57 @@ def solve_lp(c, A, b) -> LPResult:
     basis = np.arange(n, n + m)
 
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    if not _iterate(T, basis, phase1_cost, entering_limit=n + m):
+    bounded, pivots = _iterate(T, basis, phase1_cost, entering_limit=n + m)
+    if not bounded:
         raise SolverError("phase-1 simplex failed to terminate")
     if phase1_cost[basis] @ T[:, -1] > 1e-7:
-        return LPResult(status="infeasible")
+        return LPResult(status="infeasible", pivots=pivots)
 
     # Pivot leftover artificials out of the basis where possible; rows where
     # that fails are redundant equalities and their dual is zero.
     for row in range(m):
         if basis[row] >= n and T[row, -1] <= _TOL:
-            for j in range(n):
-                if abs(T[row, j]) > 1e-7:
-                    _pivot(T, basis, row, j)
-                    break
+            candidates = np.flatnonzero(np.abs(T[row, :n]) > 1e-7)
+            if candidates.size:
+                _pivot(T, basis, row, candidates[0])
+                pivots += 1
+    return _phase2(c, A, b, T, basis, signs, pivots)
 
+
+def _solve_warm(c: np.ndarray, A: np.ndarray, b: np.ndarray, start: Basis) -> LPResult | None:
+    """Solve from ``start`` when it is primal or dual feasible; None otherwise."""
+    m, n = A.shape
+    T = np.empty((m, n + m + 1))
+    T[:, :n] = start.inverse @ A
+    T[:, n : n + m] = start.inverse
+    T[:, -1] = start.inverse @ b
+    basis = start.columns.copy()
+    pivots = 0
+    if T[:, -1].min() < -_TOL:
+        reduced = c - c[basis] @ T[:, :n]
+        if reduced.min() < -_TOL:
+            return None
+        feasible, pivots = _dual_iterate(T, basis, c)
+        if not feasible:
+            return LPResult(status="infeasible", pivots=pivots)
+    # Entries within _TOL below zero would turn phase 2's ratio test around.
+    np.maximum(T[:, -1], 0.0, out=T[:, -1])
+    return _phase2(c, A, b, T, basis, np.ones(m), pivots)
+
+
+def _phase2(c: np.ndarray, A: np.ndarray, b: np.ndarray, T: np.ndarray, basis: np.ndarray,
+            signs: np.ndarray, pivots: int) -> LPResult:
+    """Phase 2 from a primal feasible tableau of ``A x = b``, whose rows are
+    the input's times ``signs``; certify and unflip the answer."""
+    m, n = A.shape
     full_cost = np.concatenate([c, np.zeros(m)])
-    if not _iterate(T, basis, full_cost, entering_limit=n):
-        return LPResult(status="unbounded")
+    bounded, more = _iterate(T, basis, full_cost, entering_limit=n)
+    pivots += more
+    if not bounded:
+        return LPResult(status="unbounded", pivots=pivots)
 
     x = np.zeros(n + m)
-    for row, var in enumerate(basis):
-        x[var] = T[row, -1]
+    x[basis] = T[:, -1]
     duals = full_cost[basis] @ T[:, n : n + m]
     certify_optimal(c, A, b, x[:n], duals)
     return LPResult(
@@ -83,6 +143,8 @@ def solve_lp(c, A, b) -> LPResult:
         x=x[:n],
         objective=float(c @ x[:n]),
         duals=duals * signs,
+        basis=Basis(basis, T[:, n : n + m] * signs) if basis.max() < n else None,
+        pivots=pivots,
     )
 
 
@@ -105,8 +167,9 @@ def certify_optimal(c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray, 
         raise SolverError(f"simplex answer fails its certificate: reduced cost {lowest_reduced:.3g}")
 
 
-def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, entering_limit: int) -> bool:
-    """Run simplex pivots in place; False only when the LP is unbounded.
+def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, entering_limit: int) -> tuple[bool, int]:
+    """Run simplex pivots in place; return whether the LP is bounded, and the
+    pivots made.
 
     Pricing uses Dantzig's rule (most negative reduced cost) for speed and
     falls back to Bland's rule after a stretch of degenerate pivots, which
@@ -114,7 +177,7 @@ def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, entering_limit:
     step.
     """
     stalled = 0
-    for _ in range(_MAX_PIVOTS):
+    for pivots in range(_MAX_PIVOTS):
         reduced = cost[:entering_limit] - cost[basis] @ T[:, :entering_limit]
         entering = -1
         if stalled < _BLAND_AFTER:
@@ -127,13 +190,13 @@ def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, entering_limit:
                     entering = j
                     break
         if entering < 0:
-            return True
+            return True, pivots
         # Ratio test; among rows within _TOL of the minimum ratio, the
         # smallest basic variable index leaves.
         column = T[:, entering]
         rows = np.flatnonzero(column > _TOL)
         if rows.size == 0:
-            return False  # unbounded in phase 2; cannot happen in phase 1
+            return False, pivots  # unbounded in phase 2; cannot happen in phase 1
         ratios = T[rows, -1] / column[rows]
         best_ratio = ratios.min()
         tied = rows[ratios < best_ratio + _TOL]
@@ -141,6 +204,39 @@ def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, entering_limit:
         stalled = stalled + 1 if best_ratio <= _TOL else 0
         _pivot(T, basis, leaving, entering)
     raise SolverError("simplex exceeded the pivot budget")
+
+
+def _dual_iterate(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> tuple[bool, int]:
+    """Run dual simplex pivots in place from a dual feasible tableau until no
+    basic value is below -_TOL; return whether the LP is feasible, and the
+    pivots made.
+
+    The most negative basic value leaves. Entering is the column that keeps
+    every reduced cost nonnegative; among ties within _TOL, the one with the
+    largest |pivot|. A leaving row with no negative entry proves the LP
+    infeasible. After a stretch of degenerate pivots both choices follow
+    Bland's rule (smallest basic index, then smallest column index), as in
+    ``_iterate``.
+    """
+    n = c.shape[0]
+    stalled = 0
+    for pivots in range(_MAX_PIVOTS):
+        rows = np.flatnonzero(T[:, -1] < -_TOL)
+        if rows.size == 0:
+            return True, pivots
+        bland = stalled >= _BLAND_AFTER
+        row = rows[np.argmin(basis[rows] if bland else T[rows, -1])]
+        alpha = T[row, :n]
+        cols = np.flatnonzero(alpha < -_TOL)
+        if cols.size == 0:
+            return False, pivots
+        reduced = c[cols] - c[basis] @ T[:, cols]
+        ratios = np.maximum(reduced, 0.0) / -alpha[cols]
+        best_ratio = ratios.min()
+        tied = cols[ratios < best_ratio + _TOL]
+        stalled = stalled + 1 if best_ratio <= _TOL else 0
+        _pivot(T, basis, row, tied[0] if bland else tied[np.argmin(alpha[tied])])
+    raise SolverError("dual simplex exceeded the pivot budget")
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

@@ -18,8 +18,6 @@ from pathlib import Path
 
 from . import fixtures
 from .adversary import (
-    METRIC_INT,
-    SEARCH_MU,
     make_lb_instance,
     manip_metric_exhaustive,
     worst_mu_manipulator,

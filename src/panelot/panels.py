@@ -409,6 +409,11 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
     node branches on its most fractional x_g, up branch first, and goes when
     its LP is infeasible or cannot beat the best leaf by more than 1e-9. A
     zero-weight call therefore stops at its first integral leaf.
+
+    Each child's LP starts from its parent's final basis, which stays dual
+    feasible when only b moves, so the dual simplex reoptimizes it in a few
+    pivots. The root starts from the instance's last root basis (kept in
+    the memo): primal feasible when only the weights changed.
     """
     import numpy as np
 
@@ -431,14 +436,18 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
     hi, spread = search.hi.astype(float), (search.hi - search.lo).astype(float)
 
     floors = np.array([min_counts.get(v, 0) for v in search.vectors], dtype=float)
-    stack = [(floors, np.minimum(np.array(search.sizes, dtype=float), k))]
-    best_score, best = -math.inf, None
+    memo = _memo(instance)
+    stack = [(floors, np.minimum(np.array(search.sizes, dtype=float), k), memo.root_basis)]
+    best_score, best, root = -math.inf, None, True
     while stack:
-        lower, upper = stack.pop()
+        lower, upper, start = stack.pop()
         if (lower > upper).any():
             continue
         b = np.concatenate([[k - lower.sum()], upper - lower, hi - member @ lower, spread])
-        res = solve_lp(c, A, b)
+        res = solve_lp(c, A, b, start)
+        if root and res.basis is not None:
+            memo.root_basis = res.basis
+        root = False
         if res.status != "optimal" or weights @ lower - res.objective <= best_score + 1e-9:
             continue
         x = lower + res.x[:n_groups]
@@ -448,7 +457,7 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
             split = math.floor(x[g])
             down, up = upper.copy(), lower.copy()
             down[g], up[g] = split, split + 1
-            stack += [(lower, down), (up, upper)]
+            stack += [(lower, down, res.basis), (up, upper, res.basis)]
             continue
         counts = np.round(x).astype(int)
         comp = PanelComposition(tuple(zip(search.vectors, counts.tolist())))
@@ -476,9 +485,25 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 # Composition spaces within COMPOSITION_CAP are enumerated once per instance
 # and memoized: brute reads the list from it, and every oracle and covering
 # query is a vectorized pass over it; larger spaces go to an LP branch and
-# bound per query. The memo lives here, keyed by id(instance), not in the
-# frozen instance; an entry goes when its instance is collected.
-_MEMO: dict[int, object] = {}
+# bound per query, which starts from the last query's root basis. The memo
+# lives here, keyed by id(instance), not in the frozen instance; an entry
+# goes when its instance is collected.
+@dataclass
+class _Memo:
+    matrix: object = None  # the count matrix, or False past the cap
+    root_basis: object = None  # the branch and bound's last root basis
+
+
+_MEMO: dict[int, _Memo] = {}
+
+
+def _memo(instance: Instance) -> _Memo:
+    key = id(instance)
+    memo = _MEMO.get(key)
+    if memo is None:
+        memo = _MEMO[key] = _Memo()
+        weakref.finalize(instance, _MEMO.pop, key, None)
+    return memo
 
 
 def _composition_matrix(instance: Instance):
@@ -490,13 +515,11 @@ def _composition_matrix(instance: Instance):
     every level's expansion, not only the number of valid compositions, so
     the enumeration gives up before allocating more than the cap.
     """
-    key = id(instance)
-    cached = _MEMO.get(key)
-    if cached is None:
+    memo = _memo(instance)
+    if memo.matrix is None:
         matrix = _CompositionSearch(instance).count_matrix()
-        cached = _MEMO[key] = False if matrix is None else matrix
-        weakref.finalize(instance, _MEMO.pop, key, None)
-    return cached
+        memo.matrix = False if matrix is None else matrix
+    return memo.matrix
 
 
 def has_valid_panel(instance: Instance) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._simplex import solve_lp
+from ._simplex import Basis, solve_lp
 from .errors import (
     NoValidPanelError,
     RestartLimitError,
@@ -131,6 +131,9 @@ class _ColumnPool:
         self._keys: set[tuple] = set()
         self._cols: list[np.ndarray] = []
         self._matrix: np.ndarray | None = None
+        # The last master's shape (kind and rows) and final basis; the next
+        # master of the same shape starts from that basis.
+        self.last_master: tuple[tuple | None, Basis | None] = (None, None)
 
     def add(self, comp: PanelComposition) -> bool:
         if comp.items in self._keys:
@@ -193,6 +196,12 @@ def _lp_master(
     master with floors t, ``value + floor_slope * (t' - t)`` is a lower bound
     on the value at t' (LP duality), provided no column outside the pool
     prices out.
+
+    A master of the same shape as the pool's last one (same kind and rows)
+    starts from that master's final basis. Between column-generation rounds
+    only a column is appended, so the basis stays primal feasible; between
+    floor evaluations only the right-hand side moves, so it stays dual
+    feasible (see ``_simplex``).
     """
     A = pool.A
     n_groups, n_cols = A.shape
@@ -230,31 +239,36 @@ def _lp_master(
         rows.append((w, A[w], {}, +1.0, ceiling_value))
     rows.append((None, np.ones(n_cols), {}, 0.0, 1.0))
 
-    extra_pos = {name: n_cols + i for i, name in enumerate(extras)}
+    # Columns: extras, slacks, then q, so that a column added to the pool
+    # leaves every index of the last basis in place.
     n_slack = sum(1 for row in rows if row[3] != 0.0)
-    n_vars = n_cols + len(extras) + n_slack
-    M = np.zeros((len(rows), n_vars))
+    extra_pos = {name: i for i, name in enumerate(extras)}
+    q_at = len(extras) + n_slack
+    M = np.zeros((len(rows), q_at + n_cols))
     b = np.zeros(len(rows))
-    slack_at = n_cols + len(extras)
+    slack_at = len(extras)
     for r, (w, q_coeff, extra_coeff, slack_sign, rhs) in enumerate(rows):
-        M[r, :n_cols] = q_coeff
+        M[r, q_at:] = q_coeff
         for name, coeff in extra_coeff.items():
             M[r, extra_pos[name]] = coeff
         if slack_sign != 0.0:
             M[r, slack_at] = slack_sign
             slack_at += 1
         b[r] = rhs
-    c = np.zeros(n_vars)
+    c = np.zeros(q_at + n_cols)
     for name, coeff in cost.items():
         c[extra_pos[name]] = coeff
 
-    res = solve_lp(c, M, b)
+    shape = (kind, tuple(w for w, *_ in rows), len(floors), len(ceilings))
+    last_shape, last_basis = pool.last_master
+    res = solve_lp(c, M, b, last_basis if shape == last_shape else None)
     if res.status == "infeasible":
         raise SolverError("master LP infeasible (floor above what the columns can support)")
     if res.status != "optimal":
         raise SolverError(f"master LP ended with status {res.status}")
+    pool.last_master = (shape, res.basis)
 
-    q = res.x[:n_cols].copy()
+    q = res.x[q_at:].copy()
     q[q < 0.0] = 0.0
     group_duals = np.zeros(n_groups)
     for r, (w, *_rest) in enumerate(rows):

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -333,7 +334,7 @@ def test_oracle_past_the_cap_rejects_a_leaf_off_its_constraints(leaf, monkeypatc
     valid = PanelComposition(tuple(zip(vectors, next(row for row in reference_compositions(e2) if 0 in row))))
     empty = next(v for v in vectors if valid.seats(v) == 0)
 
-    def wrong_lp(c, A, b):
+    def wrong_lp(c, A, b, start=None):
         # Integral, but off the constraints: the LP's columns start with the
         # seat counts less their lower bounds.
         x = np.zeros(len(c))
@@ -388,10 +389,28 @@ def test_memo_stays_out_of_the_instance_and_goes_with_it(monkeypatch):
         assert set(vars(inst)) == fields
         assert len(enumerations) == 1, backend  # the exclusion check's memo serves the solve
     key = id(inst)
-    assert panels._MEMO[key] is _composition_matrix(inst)
+    assert panels._MEMO[key].matrix is _composition_matrix(inst)
     del inst
     gc.collect()
     assert key not in panels._MEMO
+
+
+def test_warm_start_basis_stays_out_of_the_instance_and_goes_with_it(monkeypatch):
+    # Past the cap every oracle call is a branch and bound, and its root
+    # starts from the last root basis, which the instance's memo entry keeps.
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    inst = fixtures.skew_pool(48, 6, (2, 2, 2))
+    fields = {f.name for f in dataclasses.fields(inst)}
+    solve(inst, SolveConfig(objective=parse_objective("goldilocks:1")))
+    assert set(vars(inst)) == fields
+    key = id(inst)
+    basis = panels._MEMO[key].root_basis
+    assert basis is not None
+    freed = weakref.ref(basis)
+    del inst, basis
+    gc.collect()
+    assert key not in panels._MEMO
+    assert freed() is None
 
 
 def _reference_covers(instance):

@@ -132,3 +132,130 @@ def test_certificate_rejects_corrupted_answers():
     y[0] += np.sign(A[0, j]) * (reduced.max() + 1.0) / abs(A[0, j])
     with pytest.raises(SolverError, match="reduced cost"):
         certify_optimal(c, A, b, res.x, y)
+
+
+# Warm starts: each case is solved from the previous answer's basis and
+# checked against a cold solve of the same LP and against HiGHS.
+
+
+def _box_lp(rng, m, n):
+    """A random feasible LP ``min c.x, A x = b, 0 <= x <= ub`` in standard
+    form: the columns are x then one slack per upper bound, and the last
+    row of A fixes sum(x), which keeps it bounded."""
+    A0 = np.vstack([rng.uniform(-2, 2, size=(m - 1, n)), np.ones(n)])
+    ub = rng.uniform(0.5, 2.0, size=n)
+    b0 = A0 @ (ub * rng.uniform(0.1, 0.9, size=n))
+    A = np.block([[A0, np.zeros((m, n))], [np.eye(n), np.eye(n)]])
+    c = np.concatenate([rng.uniform(-1, 1, size=n), np.zeros(n)])
+    return c, A, np.concatenate([b0, ub])
+
+
+def _check_warm(c, A, b, start, linprog):
+    warm = solve_lp(c, A, b, start=start)
+    cold = solve_lp(c, A, b)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert warm.status == cold.status
+    if cold.status == "infeasible":
+        assert ref.status == 2
+        return warm, cold
+    assert cold.status == "optimal" and ref.status == 0
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+    assert warm.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert warm.duals @ b == pytest.approx(ref.fun, abs=1e-7)
+    certify_optimal(c, A, b, warm.x, warm.duals)
+    return warm, cold
+
+
+def test_warm_start_after_b_moves_matches_cold_and_highs():
+    # A branch-and-bound child: one upper bound drops below the root's value.
+    # The root basis stays dual feasible, and the dual simplex reoptimizes it
+    # in fewer pivots than a cold phase 1 needs.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
+        c, A, b = _box_lp(rng, m, n)
+        root = solve_lp(c, A, b)
+        assert root.status == "optimal" and root.basis is not None
+        j = int(np.argmax(root.x[:n]))
+        child = b.copy()
+        child[m + j] = 0.5 * root.x[j]
+        warm, cold = _check_warm(c, A, child, root.basis, linprog)
+        if warm.status == "optimal":
+            assert warm.pivots < cold.pivots, trial
+
+
+def test_warm_start_after_c_moves_matches_cold_and_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
+        c, A, b = _box_lp(rng, m, n)
+        root = solve_lp(c, A, b)
+        c2 = c.copy()
+        c2[:n] = rng.uniform(-1, 1, size=n)
+        _check_warm(c2, A, b, root.basis, linprog)
+
+
+def test_warm_start_after_a_column_is_appended_matches_cold_and_highs():
+    # Column generation: new columns go after the old ones, so the basis
+    # indices still name the same columns.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(41)
+    for trial in range(40):
+        m = int(rng.integers(2, 7))
+        c, A, b = _bounded_lp(rng, m, int(rng.integers(m, 12)))
+        root = solve_lp(c, A, b)
+        column = np.append(rng.uniform(-2, 2, size=m - 1), 1.0)
+        _check_warm(np.append(c, rng.uniform(-2, 0)), np.column_stack([A, column]), b, root.basis, linprog)
+
+
+def test_warm_start_proves_an_infeasible_child_infeasible():
+    # Every upper bound cut to a third: sum(x) can no longer reach its row.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(43)
+    for trial in range(20):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
+        c, A, b = _box_lp(rng, m, n)
+        root = solve_lp(c, A, b)
+        child = b.copy()
+        child[m:] = np.minimum(child[m:], child[m - 1] / (3 * n))
+        warm, _cold = _check_warm(c, A, child, root.basis, linprog)
+        assert warm.status == "infeasible"
+        assert warm.basis is None
+
+
+def test_warm_start_from_a_basis_neither_primal_nor_dual_feasible():
+    # Both b and c moved: the start is of no use, and the solve runs cold,
+    # pivot for pivot.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(47)
+    tried = 0
+    for trial in range(40):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
+        c, A, b = _box_lp(rng, m, n)
+        root = solve_lp(c, A, b)
+        j = int(np.argmax(root.x[:n]))
+        nonbasic = sorted(set(range(n)) - set(root.basis.columns.tolist()))
+        if not nonbasic:
+            continue
+        child, c2 = b.copy(), c.copy()
+        child[m + j] = 0.5 * root.x[j]
+        c2[nonbasic[0]] -= 100.0
+        inverse = root.basis.inverse
+        if (inverse @ child).min() >= 0 or (c2 - c2[root.basis.columns] @ inverse @ A).min() >= 0:
+            continue
+        tried += 1
+        warm, cold = _check_warm(c2, A, child, root.basis, linprog)
+        assert warm.pivots == cold.pivots, trial
+    assert tried >= 10
+
+
+def test_start_basis_must_fit_the_lp():
+    rng = np.random.default_rng(53)
+    c, A, b = _bounded_lp(rng, 3, 6)
+    basis = solve_lp(c, A, b).basis
+    with pytest.raises(SolverError, match="start basis"):
+        solve_lp(c[:2], A[:, :2], b, start=basis)
+    with pytest.raises(SolverError, match="start basis"):
+        solve_lp(c, A[:2], b[:2], start=basis)

@@ -488,6 +488,29 @@ def test_auto_gammas_resolve(e2):
     assert biased.objective.gamma is not None and biased.converged
 
 
+def test_goldilocks_past_the_cap_restarts_its_lps_from_bases(monkeypatch):
+    # On the 36-group pool every branch-and-bound child starts from its
+    # parent's basis, and every master from the last one of its shape, so
+    # the solve takes a few thousand pivots; it took about 27,000 when every
+    # LP started cold, and the value is the one those cold LPs gave.
+    from panelot import _simplex, solver
+
+    solve_lp = _simplex.solve_lp
+    pivots = []
+
+    def counted(c, A, b, start=None):
+        res = solve_lp(c, A, b, start)
+        pivots.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(_simplex, "solve_lp", counted)
+    monkeypatch.setattr(solver, "solve_lp", counted)
+    result = solve(fixtures.skew_pool(500, 20, (2, 3, 3, 2)), SolveConfig(objective=parse_objective("goldilocks:1")))
+    assert result.converged
+    assert result.objective_value == pytest.approx(2.695318608784077, rel=1e-9)
+    assert sum(pivots) <= 8000
+
+
 # ---------------------------------------------------------------------------
 # Nash optimality certificate
 # ---------------------------------------------------------------------------
