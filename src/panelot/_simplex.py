@@ -8,9 +8,9 @@ answer before it is returned.
 
 An optimal answer carries its final ``Basis``: the basic column of each row
 and B^-1 for the A it was given (none when a redundant row keeps its
-artificial basic). ``solve_lp(c, A, b, start=basis)`` builds
-its tableau from such a basis. The caller keeps the basic columns where they
-were; it may append columns and change c and b:
+artificial basic). ``solve_lp(c, A, b, start=basis)`` builds its tableau
+from such a basis. The caller keeps the basic columns where they were; it
+may append columns and change c and b:
 
 * if B^-1 b >= 0 the basis is primal feasible (only c or the columns moved,
   as between column-generation rounds), and phase 2 starts from it;
@@ -64,7 +64,8 @@ def solve_lp(c, A, b, start: Basis | None = None) -> LPResult:
     if c.shape != (n,) or b.shape != (m,):
         raise SolverError("inconsistent LP dimensions")
     if start is not None:
-        if start.columns.shape != (m,) or start.inverse.shape != (m, m) or start.columns.max(initial=-1) >= n:
+        columns, inverse = start.columns, start.inverse
+        if inverse.shape != (m, m) or columns.shape != (m,) or columns.max(initial=-1) >= n:
             raise SolverError("start basis does not fit the LP")
         warm = _solve_warm(c, A, b, start)
         if warm is not None:
