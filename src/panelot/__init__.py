@@ -34,13 +34,10 @@ from .panels import (
     CompositionDistribution,
     Panel,
     PanelComposition,
-    PanelDistribution,
     ProbabilityAssignment,
     composition_oracle,
     covering_compositions,
-    enumerate_panels,
     feasible_compositions,
-    marginals,
     strip_self_excluders,
     structurally_excluded,
 )

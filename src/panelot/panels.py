@@ -1,10 +1,13 @@
-"""Reasoning over valid panels.
+"""Valid compositions and the distributions over them.
 
 Agents with the same feature vector are interchangeable for every objective
 this package optimizes, so all search happens in *composition* space: a
 composition assigns a seat count to each vector group. A pool with millions
 of valid panels typically has only a handful of valid compositions, which is
 what makes the exact weighted-panel oracle and brute enumeration tractable.
+A solve returns a ``CompositionDistribution``, whose ``marginals`` give every
+agent's selection probability; concrete ``Panel``s are built only as lottery
+tickets and as the ``legacy`` baseline's panel, never enumerated.
 
 One vectorized step, ``_CompositionSearch._expand``, holds the quota
 prune and the candidate seat range: it expands rows of seat counts over the
@@ -30,7 +33,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -125,47 +128,6 @@ class PanelComposition:
         return True
 
 
-def _check_mass(keyed: Iterable[tuple[Hashable, float]], what: str) -> None:
-    """No negative mass, no repeated support point, total mass 1."""
-    total = 0.0
-    seen: set = set()
-    for key, prob in keyed:
-        if prob < -PROB_EPS:
-            raise ValidationError(f"negative probability {prob} on {what} {key}")
-        if key in seen:
-            raise ValidationError(f"{what} {key} appears twice in the support")
-        seen.add(key)
-        total += prob
-    if abs(total - 1.0) > PROB_EPS:
-        raise ValidationError(f"support probabilities sum to {total}, expected 1")
-
-
-@dataclass(frozen=True)
-class PanelDistribution:
-    """A probability distribution over distinct panels."""
-
-    entries: tuple[tuple[Panel, float], ...]
-
-    def __post_init__(self):
-        _check_mass(((panel.members, prob) for panel, prob in self.entries), "panel")
-
-    def support(self) -> list[Panel]:
-        return [panel for panel, _ in self.entries]
-
-    def to_json(self) -> dict:
-        return {
-            "panels": [
-                {"members": list(panel.members), "prob": prob} for panel, prob in self.entries
-            ]
-        }
-
-    @staticmethod
-    def from_json(payload: dict) -> "PanelDistribution":
-        return PanelDistribution(
-            tuple((Panel(tuple(p["members"])), float(p["prob"])) for p in payload["panels"])
-        )
-
-
 @dataclass(frozen=True)
 class CompositionDistribution:
     """A probability distribution over distinct compositions: what a solve
@@ -174,7 +136,18 @@ class CompositionDistribution:
     entries: tuple[tuple[PanelComposition, float], ...]
 
     def __post_init__(self):
-        _check_mass(((comp.items, prob) for comp, prob in self.entries), "composition")
+        """No negative mass, no repeated composition, total mass 1."""
+        total = 0.0
+        seen: set = set()
+        for comp, prob in self.entries:
+            if prob < -PROB_EPS:
+                raise ValidationError(f"negative probability {prob} on composition {comp.items}")
+            if comp.items in seen:
+                raise ValidationError(f"composition {comp.items} appears twice in the support")
+            seen.add(comp.items)
+            total += prob
+        if abs(total - 1.0) > PROB_EPS:
+            raise ValidationError(f"support probabilities sum to {total}, expected 1")
 
     def support(self) -> list[PanelComposition]:
         return [comp for comp, _ in self.entries]
@@ -560,43 +533,6 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float]) -> Pa
         scores += np.asarray(prefix)[matrix[:, column]]
     best = int(np.argmax(scores))  # lex order in the matrix; first max wins
     return PanelComposition(tuple(zip(vectors, matrix[best].tolist())))
-
-
-def enumerate_panels(instance: Instance, cap: int = 1_000_000) -> list[Panel]:
-    """All valid panels, each exactly once, in deterministic order.
-
-    Compositions are enumerated first; the total panel count is checked
-    against ``cap`` before any expansion happens.
-    """
-    compositions = feasible_compositions(instance)
-    total = 0
-    for comp in compositions:
-        count = 1
-        for vector, c in comp.items:
-            count *= math.comb(instance.group_size(vector), c)
-        total += count
-        if total > cap:
-            raise CapExceededError(f"instance has more than {cap} valid panels")
-    panels: list[Panel] = []
-    for comp in compositions:
-        pools = [
-            itertools.combinations(instance.groups[vector], c) for vector, c in comp.items
-        ]
-        for pick in itertools.product(*pools):
-            members = tuple(itertools.chain.from_iterable(pick))
-            panels.append(Panel(members))
-    return panels
-
-
-def marginals(instance: Instance, dist: PanelDistribution) -> ProbabilityAssignment:
-    """Per-agent selection probabilities implied by a panel distribution."""
-    pi = {agent_id: 0.0 for agent_id in instance.agent_ids}
-    for panel, prob in dist.entries:
-        if not panel.is_valid(instance):
-            raise ValidationError(f"support panel {panel.members} is not valid for this instance")
-        for agent_id in panel.members:
-            pi[agent_id] += prob
-    return ProbabilityAssignment(pi)
 
 
 def covering_compositions(instance: Instance) -> list[PanelComposition | None]:

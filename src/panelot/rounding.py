@@ -25,13 +25,7 @@ from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .model import Instance, instance_hash
-from .panels import (
-    CompositionDistribution,
-    Panel,
-    PanelComposition,
-    PanelDistribution,
-    ProbabilityAssignment,
-)
+from .panels import CompositionDistribution, Panel, PanelComposition, ProbabilityAssignment
 
 _INT_SNAP = 1e-9
 # Ticket lines per write. Larger chunks gain little speed and raise the
@@ -101,14 +95,6 @@ class UniformLottery:
     def multiplicities(self) -> Iterator[tuple[Panel, int]]:
         """(panel, tickets it sits on) per run and distinct panel."""
         return itertools.chain.from_iterable(run.multiplicities() for run in self.runs)
-
-    def distribution(self) -> PanelDistribution:
-        counts: dict[tuple[str, ...], int] = {}
-        for panel, count in self.multiplicities():
-            counts[panel.members] = counts.get(panel.members, 0) + count
-        return PanelDistribution(
-            tuple((Panel(members), cnt / self.m) for members, cnt in sorted(counts.items()))
-        )
 
 
 def _cycle_runs(tickets: Iterable[Panel]) -> list[TicketRun]:

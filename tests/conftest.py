@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -75,6 +76,29 @@ def reference_compositions(instance):
 
     dfs([], 0)
     return out
+
+
+def reference_panels(instance):
+    """Every valid panel as a sorted tuple of agent ids, each exactly once:
+    every way of seating each ``reference_compositions`` row's counts from
+    its groups' members."""
+    vectors = instance.present_vectors()
+    panels = []
+    for counts in reference_compositions(instance):
+        picks = [itertools.combinations(instance.groups[v], c) for v, c in zip(vectors, counts)]
+        for pick in itertools.product(*picks):
+            panels.append(tuple(sorted(itertools.chain.from_iterable(pick))))
+    return panels
+
+
+def reference_marginals(instance, weighted_panels):
+    """Every agent's selection probability under a distribution given as
+    (members, prob) pairs: the mass of the panels it sits on."""
+    pi = dict.fromkeys(instance.agent_ids, 0.0)
+    for members, prob in weighted_panels:
+        for agent in members:
+            pi[agent] += prob
+    return pi
 
 
 @st.composite

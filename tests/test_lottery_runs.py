@@ -13,7 +13,7 @@ import pytest
 
 from panelot import fixtures
 from panelot.objectives import parse_objective
-from panelot.panels import CompositionDistribution, Panel, PanelDistribution, feasible_compositions
+from panelot.panels import CompositionDistribution, Panel, feasible_compositions
 from panelot.report import lottery_stats
 from panelot.rounding import (
     UniformLottery,
@@ -58,10 +58,12 @@ def _reference_marginals(instance, tickets):
     return {agent: value / len(tickets) for agent, value in pi.items()}
 
 
-def _reference_distribution(tickets):
-    counts = Counter(p.members for p in tickets)
-    m = len(tickets)
-    return PanelDistribution(tuple((Panel(members), c / m) for members, c in sorted(counts.items())))
+def _tally(lottery):
+    """Tickets per distinct panel, summed over the lottery's runs."""
+    tally = Counter()
+    for panel, count in lottery.multiplicities():
+        tally[panel.members] += count
+    return tally
 
 
 def _period(instance, comp):
@@ -108,7 +110,7 @@ def _check_against_reference(tmp_path, inst, dist, m, seed):
     write_lottery(lottery, path, inst, seed)
     _assert_same(path.read_text(encoding="utf-8").splitlines(True), _reference_file(reference).splitlines(True))
     assert lottery_marginals(inst, lottery).pi == _reference_marginals(inst, reference)
-    assert lottery.distribution() == _reference_distribution(reference)
+    assert _tally(lottery) == Counter(p.members for p in reference)
 
     again = read_lottery(path)
     assert again.m == m
@@ -155,6 +157,8 @@ def test_tallies_and_writer_never_build_tickets(tmp_path, monkeypatch, instance_
     path = tmp_path / "lottery.txt"
     write_lottery(lottery, path, inst, seed=3)
     assert lottery_marginals(inst, lottery).total() == pytest.approx(inst.k)
-    assert len(lottery.distribution().entries) == sum(len(run.panels) for run in lottery.runs)
+    tally = _tally(lottery)
+    assert len(tally) == sum(len(run.panels) for run in lottery.runs)
+    assert sum(tally.values()) == 50_000
     assert lottery_stats(inst, dist, 50_000, 3, seed=3)["runs"] == 3
     assert read_lottery(path).m == 50_000

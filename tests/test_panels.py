@@ -4,11 +4,12 @@ import math
 import random
 import time
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import reference_compositions
+from conftest import reference_compositions, reference_marginals, reference_panels
 from panelot import fixtures, panels
 from panelot.errors import CapExceededError, NonCoalitionExclusionError, SolverError, ValidationError
 from panelot.model import FeatureScheme, Instance
@@ -17,35 +18,40 @@ from panelot.panels import (
     CompositionDistribution,
     Panel,
     PanelComposition,
-    PanelDistribution,
     _branch_and_bound,
     _composition_matrix,
     _CompositionSearch,
     composition_oracle,
     covering_compositions,
-    enumerate_panels,
     feasible_compositions,
     has_valid_panel,
-    marginals,
     strip_self_excluders,
     structurally_excluded,
 )
-from panelot.rounding import lottery_marginals, pipage_round
+from panelot.rounding import UniformLottery, lottery_marginals, pipage_round
 from panelot.solver import SolveConfig, solve
 
 
-def _uniform(panels):
-    return PanelDistribution(tuple((p, 1.0 / len(panels)) for p in panels))
+def _uniform(compositions):
+    return CompositionDistribution(tuple((c, 1.0 / len(compositions)) for c in compositions))
+
+
+def _random_mixture(items, rng):
+    weights = [rng.random() for _ in items]
+    total = sum(weights)
+    return [(item, w / total) for item, w in zip(items, weights)]
 
 
 def test_enumerate_t1(t1):
-    panels = enumerate_panels(t1)
-    assert [p.members for p in panels] == [
+    panels = reference_panels(t1)
+    assert sorted(panels) == [
         ("a1", "a3"),
         ("a1", "a4"),
         ("a2", "a3"),
         ("a2", "a4"),
     ]
+    assert all(Panel(p).is_valid(t1) for p in panels)
+    assert {Panel(p).composition(t1) for p in panels} == set(feasible_compositions(t1))
 
 
 def test_enumerate_infeasible_group_too_small():
@@ -54,64 +60,76 @@ def test_enumerate_infeasible_group_too_small():
     inst = Instance(
         scheme=scheme, agents=agents, k=3, quotas={("f", "1"): (2, 2), ("f", "0"): (1, 1)}
     )
-    assert enumerate_panels(inst) == []
+    assert reference_panels(inst) == []
+    assert feasible_compositions(inst) == []
     assert not has_valid_panel(inst)
 
 
-def test_enumerate_cap(e2):
-    with pytest.raises(CapExceededError):
-        enumerate_panels(e2, cap=3)
-
-
 def test_e2_panels_balance_linked_groups(e2):
-    for panel in enumerate_panels(e2):
-        comp = panel.composition(e2)
+    for members in reference_panels(e2):
+        comp = Panel(members).composition(e2)
+        assert comp.seats(("1", "0")) == comp.seats(("0", "1"))
+    for comp in feasible_compositions(e2):
         assert comp.seats(("1", "0")) == comp.seats(("0", "1"))
 
 
 def test_e2_linked_fate_probability_ratio(e2):
-    panels = enumerate_panels(e2)
+    panels = reference_panels(e2)
     rng = random.Random(5)
     lone = e2.groups[("0", "1")][0]
     ten_group = e2.groups[("1", "0")]
     for _ in range(25):
-        weights = [rng.random() for _ in panels]
-        total = sum(weights)
-        dist = PanelDistribution(tuple((p, w / total) for p, w in zip(panels, weights)))
-        pi = marginals(e2, dist)
-        p01 = pi.pi[lone]
-        p10 = sum(pi.pi[a] for a in ten_group) / len(ten_group)
+        pi = reference_marginals(e2, _random_mixture(panels, rng))
+        p01 = pi[lone]
+        p10 = sum(pi[a] for a in ten_group) / len(ten_group)
         assert p01 == pytest.approx(3.0 * p10, abs=1e-9)
 
 
 def test_e1_any_distribution_hits_min_group_floor(e1):
-    panels = enumerate_panels(e1)
+    panels = reference_panels(e1)
     rng = random.Random(6)
     scarce = e1.groups[("1",)]
     for _ in range(25):
-        weights = [rng.random() for _ in panels]
-        total = sum(weights)
-        dist = PanelDistribution(tuple((p, w / total) for p, w in zip(panels, weights)))
-        pi = marginals(e1, dist)
-        assert max(pi.pi[a] for a in scarce) >= 1.0 / e1.min_group_size() - 1e-9
+        pi = reference_marginals(e1, _random_mixture(panels, rng))
+        assert max(pi[a] for a in scarce) >= 1.0 / e1.min_group_size() - 1e-9
 
 
 def test_marginals_uniform_t1(t1):
-    pi = marginals(t1, _uniform(enumerate_panels(t1)))
+    pi = _uniform(feasible_compositions(t1)).marginals(t1)
+    panels = reference_panels(t1)
+    uniform = reference_marginals(t1, [(p, 1.0 / len(panels)) for p in panels])
+    assert pi.pi == pytest.approx(uniform, abs=1e-12)
     assert all(v == pytest.approx(0.5) for v in pi.pi.values())
     assert pi.total() == pytest.approx(t1.k)
 
 
 def test_marginals_point_mass(t1):
-    panel = enumerate_panels(t1)[0]
-    pi = marginals(t1, PanelDistribution(((panel, 1.0),)))
+    members = reference_panels(t1)[0]
+    pi = lottery_marginals(t1, UniformLottery(m=1, tickets=[Panel(members)]))
+    assert pi.pi == reference_marginals(t1, [(members, 1.0)])
     assert sorted(pi.pi.values()) == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_marginals_rejects_invalid_panel(t1):
     bad = Panel(("a1", "a2"))  # two agents from the same group break the quotas
+    assert not bad.is_valid(t1)
     with pytest.raises(ValidationError):
-        marginals(t1, PanelDistribution(((bad, 1.0),)))
+        CompositionDistribution(((bad.composition(t1), 1.0),)).check_valid(t1)
+
+
+def test_composition_marginals_match_panel_reference():
+    # Spreading each composition's mass evenly over its panels gives the
+    # same selection probabilities as the group-level formula.
+    for seed in range(20):
+        inst = fixtures.random_brute_instance(seed + 700)
+        comps = feasible_compositions(inst)
+        rng = random.Random(seed)
+        dist = CompositionDistribution(tuple(_random_mixture(comps, rng)))
+        weight = dict(dist.entries)
+        panels = [(members, Panel(members).composition(inst)) for members in reference_panels(inst)]
+        per_comp = Counter(comp for _, comp in panels)
+        spread = [(members, weight[comp] / per_comp[comp]) for members, comp in panels]
+        assert dist.marginals(inst).pi == pytest.approx(reference_marginals(inst, spread), abs=1e-12)
 
 
 def test_oracle_equal_weights(e2):
@@ -148,8 +166,8 @@ def test_enumeration_matches_raw_subset_filter():
                         ok = False
             if ok:
                 expected.add(tuple(sorted(subset)))
-        got = {p.members for p in enumerate_panels(inst)}
-        assert got == expected
+        assert set(reference_panels(inst)) == expected
+        assert {Panel(p).composition(inst) for p in expected} == set(feasible_compositions(inst))
 
 
 def test_oracle_matches_enumeration_on_random_instances():
@@ -159,7 +177,7 @@ def test_oracle_matches_enumeration_on_random_instances():
         weights = {v: rng.uniform(-2, 3) for v in inst.present_vectors()}
         best = composition_oracle(inst, list(weights.values()))
         brute_best = max(
-            sum(weights[inst.vector_of[a]] for a in p.members) for p in enumerate_panels(inst)
+            sum(weights[inst.vector_of[a]] for a in p) for p in reference_panels(inst)
         )
         assert best.is_valid(inst)
         assert sum(weights[v] * c for v, c in best.items) == pytest.approx(brute_best, abs=1e-9)
@@ -516,14 +534,14 @@ def test_expand_rejects_oversized_composition(t1):
 
 
 def test_distribution_validation_rejects_bad_mass(t1):
-    panel = enumerate_panels(t1)[0]
+    (comp,) = feasible_compositions(t1)
     with pytest.raises(ValidationError):
-        PanelDistribution(((panel, 0.5),))
+        CompositionDistribution(((comp, 0.5),))
 
 
 def test_distribution_json_round_trip(t1):
-    dist = _uniform(enumerate_panels(t1))
-    again = PanelDistribution.from_json(dist.to_json())
+    dist = _uniform(feasible_compositions(t1))
+    again = CompositionDistribution.from_json(dist.to_json())
     assert again == dist
 
 

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
+from conftest import reference_panels
 from panelot import fixtures
 from panelot.errors import ValidationError
 from panelot.objectives import parse_objective
-from panelot.panels import CompositionDistribution, enumerate_panels, feasible_compositions
+from panelot.panels import CompositionDistribution, Panel, feasible_compositions
 from panelot.rounding import (
     UniformLottery,
     _round_counts,
@@ -216,7 +217,7 @@ def test_lottery_file_round_trip(tmp_path, t1):
 
 
 def test_uniform_lottery_validation(t1):
-    panel = enumerate_panels(t1)[0]
+    panel = Panel(reference_panels(t1)[0])
     (comp,) = feasible_compositions(t1)
     with pytest.raises(ValidationError):
         UniformLottery(m=3, tickets=(panel, panel))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from conftest import reference_compositions, small_instances
+from conftest import reference_compositions, reference_marginals, reference_panels, small_instances
 from panelot import fixtures
 from panelot.errors import (
     CapExceededError,
@@ -19,13 +19,7 @@ from panelot.errors import (
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
 from panelot.objectives import parse_objective
-from panelot.panels import (
-    enumerate_panels,
-    feasible_compositions,
-    has_valid_panel,
-    marginals,
-    structurally_excluded,
-)
+from panelot.panels import feasible_compositions, has_valid_panel, structurally_excluded
 from panelot.solver import (
     SolveConfig,
     _initial_pool,
@@ -283,15 +277,12 @@ def test_leximin_lex_dominates_random_mixtures():
     for seed in range(8):
         inst = fixtures.random_brute_instance(seed + 500)
         best = sorted(solve_leximin(inst, cfg("leximin", "brute")).pi.pi.values())
-        panels = enumerate_panels(inst)
+        panels = reference_panels(inst)
         rng = _random.Random(seed)
         for _ in range(15):
             weights = [rng.random() for _ in panels]
             total = sum(weights)
-            from panelot.panels import PanelDistribution
-
-            dist = PanelDistribution(tuple((p, w / total) for p, w in zip(panels, weights)))
-            other = sorted(marginals(inst, dist).pi.values())
+            other = sorted(reference_marginals(inst, zip(panels, (w / total for w in weights))).values())
             for ours, theirs in zip(best, other):
                 if ours > theirs + 1e-6:
                     break
