@@ -50,7 +50,6 @@ from .solver import (
     solve,
     solve_legacy,
     solve_leximin,
-    solve_nash,
 )
 
 __version__ = "0.1.0"

@@ -771,28 +771,19 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
         q[0] = 1.0
         return _assemble_result(instance, pool, q, objective, 1 + extra_iters, True, 0.0)
 
-    if objective.kind == Kind.MAXIMIN:
-        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
+    if objective.kind in (Kind.MAXIMIN, Kind.MINIMAX):
+        # Optimize the one extreme; the tie-break then holds every group
+        # within 1e-12 of that value and optimizes the other extreme.
+        first, second, bound, slack = (
+            ("max_min", "min_max", "floors", -1e-12) if objective.kind == Kind.MAXIMIN
+            else ("min_max", "max_min", "ceilings", 1e-12)
+        )
+        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, first), config)
         iterations, converged, gap = outcome.rounds, outcome.converged, outcome.gap
         solution = outcome.solution
         if objective.tie_break:
-            floor = {w: solution.value - 1e-12 for w in range(len(pool.vectors))}
-            tb = _run_colgen(
-                instance, pool, lambda p: _lp_master(p, "min_max", floors=floor), config
-            )
-            solution = tb.solution
-            iterations += tb.rounds
-            converged &= tb.converged
-            gap = max(gap, tb.gap)
-    elif objective.kind == Kind.MINIMAX:
-        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, "min_max"), config)
-        iterations, converged, gap = outcome.rounds, outcome.converged, outcome.gap
-        solution = outcome.solution
-        if objective.tie_break:
-            ceiling = {w: solution.value + 1e-12 for w in range(len(pool.vectors))}
-            tb = _run_colgen(
-                instance, pool, lambda p: _lp_master(p, "max_min", ceilings=ceiling), config
-            )
+            held = {bound: {w: solution.value + slack for w in range(len(pool.vectors))}}
+            tb = _run_colgen(instance, pool, lambda p: _lp_master(p, second, **held), config)
             solution = tb.solution
             iterations += tb.rounds
             converged &= tb.converged
@@ -829,11 +820,6 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
     return _assemble_result(
         instance, pool, solution.q, objective, iterations + extra_iters, converged, gap
     )
-
-
-def solve_nash(instance: Instance, config: SolveConfig) -> SolveResult:
-    """Convenience dispatch of solve() with the nash objective."""
-    return solve(instance, replace(config, objective=EqualityObjective(Kind.NASH)))
 
 
 def solve_leximin(instance: Instance, config: SolveConfig) -> SolveResult:

@@ -29,7 +29,6 @@ from panelot.solver import (
     solve,
     solve_legacy,
     solve_leximin,
-    solve_nash,
 )
 
 ROOT3 = math.sqrt(3.0)
@@ -99,7 +98,7 @@ def test_e2_nash_matches_grid_oracle(e2):
     d = np.linspace(1e-6, 1.0, 200_001)
     log_obj = 4.0 * np.log((2.0 - d) / 2.0) + 3.0 * np.log(d / 3.0) + np.log(d)
     d_best = d[int(np.argmax(log_obj))]
-    result = solve_nash(e2, cfg("maximin"))
+    result = solve(e2, cfg("nash"))
     probs = group_probs(e2, result)
     assert probs[("0", "1")] == pytest.approx(d_best, abs=1e-4)
     geomean = math.exp(float(np.max(log_obj)) / e2.n)
