@@ -203,7 +203,11 @@ def gamma_selection_bias(instance: Instance) -> float:
 
 
 def gini(pi: ProbabilityAssignment | Sequence[float]) -> float:
-    """Gini coefficient of an assignment; 0 iff perfectly equal."""
+    """Gini coefficient of an assignment: sum_{i,j} |v_i - v_j| / (2 n sum_i v_i).
+
+    0 iff perfectly equal, below 1 always, and unchanged when every value is
+    scaled by the same positive factor.
+    """
     values = sorted(_values(pi))
     n = len(values)
     total = sum(values)
@@ -211,4 +215,4 @@ def gini(pi: ProbabilityAssignment | Sequence[float]) -> float:
         raise ValidationError("gini is undefined for an all-zero assignment")
     # sum_{i,j} |v_i - v_j| via the sorted-order identity
     abs_diff_sum = 2.0 * sum((2 * idx + 1 - n) * v for idx, v in enumerate(values))
-    return abs_diff_sum / (2.0 * total * total)
+    return abs_diff_sum / (2.0 * n * total)

@@ -153,8 +153,10 @@ def test_gamma_selection_bias_rejects_zero_share():
 
 def test_gini_examples():
     assert gini([0.5, 0.5, 0.5, 0.5]) == 0.0
-    assert gini([1.0, 0.0]) == pytest.approx(1.0)
+    assert gini([1.0, 0.0]) == pytest.approx(0.5)
     assert gini([1.0, 1.0]) == 0.0
+    assert gini([0.1, 0.1, 0.0, 0.0]) == pytest.approx(0.5)
+    assert gini([1.0, 1.0, 0.0, 0.0]) == pytest.approx(0.5)
     with pytest.raises(ValidationError):
         gini([0.0, 0.0])
 
@@ -164,8 +166,21 @@ def test_gini_matches_pairwise_definition():
     for _ in range(20):
         values = [rng.random() for _ in range(rng.randint(2, 9))]
         num = sum(abs(a - b) for a in values for b in values)
-        den = 2.0 * sum(a * b for a in values for b in values)
+        den = 2.0 * len(values) * sum(values)
         assert gini(values) == pytest.approx(num / den, abs=1e-12)
+
+
+def test_gini_is_scale_free_and_below_one():
+    rng = random.Random(4)
+    for _ in range(50):
+        values = [rng.random() * rng.choice([0.0, 1.0]) for _ in range(rng.randint(1, 12))]
+        if not any(values):
+            values[0] = 1.0
+        for scale in (1e-3, 0.37, 6.0, 1e4):
+            assert gini([scale * v for v in values]) == pytest.approx(gini(values), abs=1e-12)
+        assert 0.0 <= gini(values) < 1.0
+    # A single agent holding all the mass: the largest value, (n - 1) / n.
+    assert gini([0.0] * 9 + [0.2]) == pytest.approx(0.9)
 
 
 # ---------------------------------------------------------------------------
