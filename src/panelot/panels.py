@@ -183,15 +183,27 @@ class CompositionDistribution:
     def from_json(payload: dict) -> "CompositionDistribution":
         try:
             entries = tuple(
-                (
-                    PanelComposition(tuple((tuple(vector), int(seats)) for vector, seats in c["seats"])),
-                    float(c["prob"]),
-                )
-                for c in payload["compositions"]
+                (_composition_from_json(c["seats"]), float(c["prob"])) for c in payload["compositions"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"result has no well-formed compositions list ({exc!r})") from exc
         return CompositionDistribution(entries)
+
+
+def _composition_from_json(rows) -> PanelComposition:
+    """A composition from its ``[vector, seats]`` rows. Every seat count
+    must be a whole number >= 0 and every vector appear once: truncating or
+    dropping a row would load a different composition than the one stored."""
+    counts: dict[FeatureVector, int] = {}
+    for vector, seats in rows:
+        vector = tuple(vector)
+        whole = isinstance(seats, int) or (isinstance(seats, float) and seats.is_integer())
+        if isinstance(seats, bool) or not whole or seats < 0:
+            raise ValidationError(f"seat count {seats!r} of vector {vector} is not a whole number >= 0")
+        if vector in counts:
+            raise ValidationError(f"vector {vector} appears twice in one composition")
+        counts[vector] = int(seats)
+    return PanelComposition(tuple(counts.items()))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,9 @@ class SolveConfig:
         for name in ("eps_master", "eps_colgen", "nash_gap"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
+        for name in ("max_columns", "nash_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
 
 
 @dataclass

@@ -57,6 +57,19 @@ def test_bare_select_solves_with_the_config_defaults():
     assert _config(args) == SolveConfig(objective=parse_objective("goldilocks:1"))
 
 
+@pytest.mark.parametrize("columns", ["0", "-3"])
+def test_select_rejects_a_column_budget_below_one(tmp_path, capsys, e2, columns):
+    agents, quotas = _files(tmp_path, e2)
+    out = tmp_path / "artifacts"
+    code = main(
+        ["--out", str(out), "select", "--agents", agents, "--quotas", quotas, "-k", "4",
+         "--objective", "maximin", "--max-columns", columns]
+    )
+    assert code == 1
+    assert "INVALID_INPUT" in capsys.readouterr().err
+    assert not list(out.glob("select_*"))
+
+
 @pytest.mark.parametrize("pool", ["thm43a", "e2"])
 def test_select_nash_brute_writes_valid_json(tmp_path, pool, e2, instance_b):
     instance = e2 if pool == "e2" else instance_b[2]
@@ -182,6 +195,31 @@ def test_round_rejects_unreadable_result_file(tmp_path, t1, capsys, kind):
         bad.write_text('{"compositions": [')
     elif kind == "not-utf8":
         bad.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",
+         "--result", str(bad), "--m", "100"]
+    )
+    assert code == 1
+    assert "INVALID_INPUT" in capsys.readouterr().err
+    assert not list(out.glob("lottery_*"))
+
+
+@pytest.mark.parametrize("kind", ["fractional", "negative", "repeated"])
+def test_round_rejects_malformed_seat_counts(tmp_path, t1, capsys, kind):
+    # Each edit used to load as a valid composition: 1.7 seats truncated to
+    # 1, and a negative or zero row dropped.
+    agents, quotas, out, result_path = _select_t1(tmp_path, t1)
+    payload = json.loads(result_path.read_text())
+    seats = payload["compositions"][0]["seats"]
+    if kind == "fractional":
+        seats[0][1] = 1.7
+    elif kind == "negative":
+        seats.append([["9"], -1])
+    else:
+        seats.append([seats[0][0], 0])
+    bad = tmp_path / "bad_result.json"
+    bad.write_text(json.dumps(payload))
     capsys.readouterr()
     code = main(
         ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",

@@ -16,6 +16,7 @@ from panelot.errors import (
     PanelotError,
     RestartLimitError,
     StructuralExclusionError,
+    ValidationError,
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
 from panelot.objectives import parse_objective
@@ -57,6 +58,13 @@ def test_t1_everything_is_uniform(t1, backend, spec):
     assert result.pi.min() == pytest.approx(0.5, abs=1e-9)
     assert result.pi.max() == pytest.approx(0.5, abs=1e-9)
     assert result.converged
+
+
+@pytest.mark.parametrize("name", ["max_columns", "nash_max_iters"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_rejects_budgets_below_one(name, value):
+    with pytest.raises(ValidationError):
+        cfg("maximin", **{name: value})
 
 
 @pytest.mark.parametrize("backend", ["brute", "colgen"])
