@@ -34,7 +34,7 @@ class InfeasibleQuotasError(ValidationError):
 
 
 class CapExceededError(PanelotError):
-    """Enumeration would exceed its size cap (valid compositions, or panels)."""
+    """Composition enumeration would expand past ``COMPOSITION_CAP`` rows."""
 
     code = "CAP_EXCEEDED"
 
