@@ -10,15 +10,18 @@ agent's selection probability; concrete ``Panel``s are built only as lottery
 tickets and as the ``legacy`` baseline's panel, never enumerated.
 
 One vectorized step, ``_CompositionSearch._expand``, holds the quota
-prune and the candidate seat range: it expands rows of seat counts over the
-first i sorted vector groups into their surviving children, in
-lexicographic order. ``count_matrix`` drives it level by level to list every
-valid composition once per instance into the memo (``_composition_matrix``),
-which the brute backend (``feasible_compositions``) reads. The one cap,
-``COMPOSITION_CAP``, bounds each level's expansion, not only the number of
-compositions returned. Past it, brute raises CAP_EXCEEDED and every query
-is an LP branch and bound over group seat counts (``_branch_and_bound``) on
-the bundled simplex.
+prune and the candidate seat range: it expands search states over the first
+i sorted vector groups into their surviving children. A state is the seats
+committed to each (feature, value) pair, which is all a partial row's
+completions depend on, so ``count_matrix`` merges equal states level by
+level, keeps those that still reach k seats, and builds rows only along
+them. It lists every valid composition once per instance, in lexicographic
+order, into the memo (``_composition_matrix``), which the brute backend
+(``feasible_compositions``) reads. The one cap, ``COMPOSITION_CAP``, bounds
+each level's expansion in partial rows, counted through the states' path
+counts, not only the number of compositions returned. Past it, brute raises
+CAP_EXCEEDED and every query is an LP branch and bound over group seat
+counts (``_branch_and_bound``) on the bundled simplex.
 
 Two queries answer the rest. Feasibility (``has_valid_panel``) is a
 zero-weight call of the oracle, ``composition_oracle``. Structural exclusion
@@ -52,9 +55,10 @@ PROB_EPS = 1e-9
 
 # The one size cap on composition spaces: brute enumeration raises
 # CAP_EXCEEDED beyond it, and the oracle memoizes spaces up to it. It bounds
-# every level of the enumeration, so it is also the enumerator's memory cap.
+# the partial rows of every level of the enumeration, so it also bounds the
+# enumerator's distinct states and memory.
 COMPOSITION_CAP = 300_000
-# Expansion rows the enumerator builds and prunes at once.
+# Children the enumerator builds and prunes at once.
 _EXPANSION_CHUNK = 4096
 
 
@@ -249,25 +253,35 @@ class ProbabilityAssignment:
 
 
 def _block_end(ends, start: int) -> int:
-    """End of the block of rows from ``start`` whose expansion fits in
-    ``_EXPANSION_CHUNK`` rows (at least one row); ``ends`` is the running
-    total of the rows' fan-outs."""
+    """End of the block of states from ``start`` whose expansion fits in
+    ``_EXPANSION_CHUNK`` rows (at least one state); ``ends`` is the running
+    total of the states' fan-outs."""
     import numpy as np
 
     base = int(ends[start - 1]) if start else 0
     return max(int(np.searchsorted(ends, base + _EXPANSION_CHUNK, side="right")), start + 1)
 
 
+def _runs(starts, lengths):
+    """The integer runs starts[j], starts[j] + 1, ... of lengths[j] each,
+    concatenated."""
+    import numpy as np
+
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+
+
 class _CompositionSearch:
     """Search over seat-count rows with quota propagation.
 
     A row over the first i vector groups (in canonical sorted order) holds
-    their seat counts, the seats it commits to each (feature, value) pair and
-    the seats it assigns. ``_expand`` is the one step of the search: it gives
-    every row its candidate counts for group i in ascending order and drops
-    the children whose quotas no completion can meet. The level-wise
-    enumerator, ``count_matrix``, drives it, so it meets compositions in
-    lexicographic order.
+    their seat counts. Its state, the seats it commits to each (feature,
+    value) pair and the seats it assigns, is all that the prune and every
+    later choice read, so the search runs over distinct states. ``_expand``
+    is its one step: it gives every state its candidate counts for group i
+    in ascending order and drops the children whose quotas no completion can
+    meet. The level-wise enumerator, ``count_matrix``, drives it and builds
+    the rows, in lexicographic order, along the states that reach k seats.
     """
 
     def __init__(self, instance: Instance):
@@ -292,92 +306,147 @@ class _CompositionSearch:
         agents = self.member * np.array(self.sizes, dtype=self.work)[:, None]
         self.avail = np.zeros((len(self.vectors) + 1, len(pairs)), dtype=self.work)
         self.avail[:-1] = np.cumsum(agents[::-1], axis=0)[::-1]
-        # Pairs are grouped by feature: each feature's first pair column.
-        pair_features = [feature for feature, _ in pairs]
-        self.feature_starts = [pair_features.index(feature) for feature in features]
+        # by_feature[j, f]: 1 when pair j is a value of feature f.
+        self.by_feature = np.array([[pair[0] == feature for feature in features] for pair in pairs],
+                                   dtype=self.work).reshape(len(pairs), len(features))
 
     def _keep(self, level: int, committed, assigned):
-        """The quota-propagation prune: False for rows that no seats from
+        """The quota-propagation prune: False for states that no seats from
         groups ``level``.. can complete, because a pair is over its upper
         quota, or a feature's lower quotas need more seats than are left, or
         its upper quotas and the agents left leave too little room."""
         import numpy as np
 
         rem = (self.k - assigned)[:, None]
-        need = np.add.reduceat(np.maximum(self.lo - committed, 0), self.feature_starts, axis=1)
-        room = np.add.reduceat(np.minimum(self.hi - committed, self.avail[level]), self.feature_starts, axis=1)
+        need = np.maximum(self.lo - committed, 0) @ self.by_feature
+        room = np.minimum(self.hi - committed, self.avail[level]) @ self.by_feature
         return ~(committed > self.hi).any(axis=1) & (need <= rem).all(axis=1) & (room >= rem).all(axis=1)
 
     def _root(self):
-        """Level 0: the empty row as (counts, committed, assigned), if it
+        """Level 0: the empty row's state as (committed, assigned), if it
         survives the prune."""
         import numpy as np
 
-        counts = np.zeros((1, 0), dtype=self.small)
         committed = np.zeros((1, len(self.lo)), dtype=self.small)
         assigned = np.zeros(1, dtype=self.small)
         ok = self._keep(0, committed, assigned)
-        return counts[ok], committed[ok], assigned[ok]
+        return committed[ok], assigned[ok]
 
     def _fanout(self, i: int, assigned):
-        """The number of candidate counts for group i under each row: from 0
-        up to what its size and the seats left allow."""
+        """The number of candidate counts for group i under each state: from
+        0 up to what its size and the seats left allow."""
         import numpy as np
 
         return np.minimum(self.sizes[i], self.k - assigned.astype(self.work)) + 1
 
-    def _expand(self, i: int, counts, committed, assigned, reps):
-        """The children at group i of rows over groups 0..i-1, with ``reps``
-        from ``_fanout``: each row's candidate counts in ascending order,
-        less those the prune drops. Returns each child's parent row index and
-        the children's (counts, committed, assigned)."""
+    def _expand(self, i: int, committed, assigned, reps):
+        """The children at group i of states over groups 0..i-1, with
+        ``reps`` from ``_fanout``: each state's candidate counts in ascending
+        order, less those the prune drops. Returns each child's parent index,
+        its seat count for group i and the children's (committed, assigned)."""
         import numpy as np
 
-        ends = np.cumsum(reps, dtype=np.int64)
         parent = np.repeat(np.arange(len(reps)), reps)
-        # Child j is the (j - first)-th candidate of its parent.
-        first = np.repeat(ends - reps, reps)
-        seats = (np.arange(len(parent)) - first).astype(self.work)
+        seats = _runs(0, reps).astype(self.work)
         child_committed = committed[parent] + seats[:, None] * self.member[i]
         child_assigned = assigned[parent] + seats
         ok = self._keep(i + 1, child_committed, child_assigned)
-        child_counts = np.empty((int(ok.sum()), i + 1), dtype=self.small)
-        child_counts[:, :i] = counts[parent[ok]]
-        child_counts[:, i] = seats[ok]
-        return (parent[ok], child_counts, child_committed[ok].astype(self.small),
+        return (parent[ok], seats[ok].astype(self.small), child_committed[ok].astype(self.small),
                 child_assigned[ok].astype(self.small))
+
+    def _merge(self, i: int, committed, assigned, paths, reps):
+        """One forward level over distinct states, with ``reps`` from
+        ``_fanout``: the edges (parent state, seats, child state) that
+        ``_expand`` keeps, then the distinct child states as (committed,
+        assigned) and each one's path count, the number of partial rows that
+        reach it.
+
+        The states are expanded in blocks whose expansion fits in
+        ``_EXPANSION_CHUNK`` rows. Children merge when their committed and
+        assigned seats are equal. They are sorted and compared column by
+        column, so the key holds at every pool size."""
+        import numpy as np
+
+        ends = np.cumsum(reps, dtype=np.int64)
+        parts = []
+        start = 0
+        while start < len(reps):
+            stop = _block_end(ends, start)
+            parent, *rest = self._expand(i, committed[start:stop], assigned[start:stop], reps[start:stop])
+            parts.append((parent + start, *rest))
+            start = stop
+        parent, seats, child_committed, child_assigned = (np.concatenate(part) for part in zip(*parts))
+        key = np.column_stack((child_committed, child_assigned))
+        order = np.lexsort(key.T)
+        ranked = key[order]
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        child = np.empty(len(order), dtype=np.intp)
+        child[order] = np.cumsum(fresh) - 1
+        firsts = order[fresh]
+        child_paths = np.bincount(child, weights=paths[parent], minlength=len(firsts)).astype(np.int64)
+        return (parent, seats, child), child_committed[firsts], child_assigned[firsts], child_paths
 
     def count_matrix(self):
         """Every valid composition as a row of seat counts, columns in
         ``self.vectors`` order and rows in ascending lexicographic order; None
         as soon as one level's expansion would exceed ``COMPOSITION_CAP`` rows.
 
-        Level-wise: after level i the frontier holds every row over the
-        first i groups that ``_expand`` keeps, and it stays sorted. The cap
-        is checked on a level's expansion before it is allocated, and the
-        expansion is built and pruned in blocks of at most
-        ``_EXPANSION_CHUNK`` rows, so the cap bounds working memory at every
-        level, not only the size of the result.
+        Whether a partial row can be completed, and how, depends only on its
+        state: the seats it commits to each (feature, value) pair. So the
+        rows are never carried from level to level. Three passes do the work:
+
+        1. Forward over distinct states (``_merge``): each level expands its
+           states, merges equal children and records the edges (parent
+           state, seats, child state). A state's path count is the number of
+           partial rows that reach it, and a state's fan-out depends only on
+           the state, so path counts times fan-outs is the level's row
+           expansion. The cap is checked on it before the level is built,
+           with the same verdict as if every row were carried.
+        2. Backward: keep only the edges into states that still reach k
+           assigned seats.
+        3. Materialize: from the root, follow the kept edges in ascending
+           seat order, which lists the rows in lexicographic order.
+
+        Working memory is the distinct states, expanded in blocks of at most
+        ``_EXPANSION_CHUNK`` rows, their edges, and the valid rows.
         """
         import numpy as np
 
-        counts, committed, assigned = self._root()
+        committed, assigned = self._root()
+        paths = np.ones(len(assigned), dtype=np.int64)
+        levels = []
         for i in range(len(self.vectors)):
-            reps = self._fanout(i, assigned)
-            ends = np.cumsum(reps, dtype=np.int64)
-            if len(ends) == 0 or ends[-1] == 0:
+            if len(assigned) == 0:
                 return np.zeros((0, len(self.vectors)), dtype=np.int32)
-            if ends[-1] > COMPOSITION_CAP:
+            reps = self._fanout(i, assigned)
+            if int(paths @ reps) > COMPOSITION_CAP:
                 return None
-            parts = []
-            start = 0
-            while start < len(reps):
-                stop = _block_end(ends, start)
-                block = slice(start, stop)
-                parts.append(self._expand(i, counts[block], committed[block], assigned[block], reps[block])[1:])
-                start = stop
-            counts, committed, assigned = (np.concatenate(part) for part in zip(*parts))
-        return counts[assigned == self.k].astype(np.int32)
+            n_parents = len(assigned)
+            edges, committed, assigned, paths = self._merge(i, committed, assigned, paths, reps)
+            levels.append((n_parents, *edges))
+
+        viable = assigned == self.k
+        for i in reversed(range(len(levels))):
+            n_parents, parent, seats, child = levels[i]
+            keep = viable[child]
+            levels[i] = n_parents, parent[keep], seats[keep], child[keep]
+            viable = np.zeros(n_parents, dtype=bool)
+            viable[parent[keep]] = True
+
+        state = np.flatnonzero(viable)
+        rows = np.zeros((len(state), 0), dtype=self.small)
+        for n_parents, parent, seats, child in levels:
+            # A state's kept edges are contiguous, in ascending seat order.
+            degree = np.bincount(parent, minlength=n_parents)
+            reps = degree[state]
+            source = np.repeat(np.arange(len(state)), reps)
+            edge = _runs((np.cumsum(degree) - degree)[state], reps)
+            grown = np.empty((len(edge), rows.shape[1] + 1), dtype=self.small)
+            grown[:, :-1] = rows[source]
+            grown[:, -1] = seats[edge]
+            rows, state = grown, child[edge]
+        return rows.astype(np.int32)
 
 
 def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
@@ -496,9 +565,11 @@ def _composition_matrix(instance: Instance):
     ``present_vectors()`` order and rows in lex order, or False when the
     space is too big.
 
-    The matrix comes from ``_CompositionSearch.count_matrix``: the cap bounds
-    every level's expansion, not only the number of valid compositions, so
-    the enumeration gives up before allocating more than the cap.
+    The matrix comes from ``_CompositionSearch.count_matrix``, which merges
+    partial rows with equal quota states. The cap bounds every level's
+    expansion in partial rows (the states' path counts times their
+    fan-outs), not only the number of valid compositions, so the
+    enumeration gives up before it builds a level past the cap.
     """
     memo = _memo(instance)
     if memo.matrix is None:

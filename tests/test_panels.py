@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -197,12 +198,40 @@ def test_enumerator_matches_reference_search_on_random_instances():
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])
 def test_enumerator_rows_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    pools = [fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(100, 10, (3, 3))]
+    pools = [fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(100, 10, (3, 3)),
+             fixtures.skew_pool(200, 10, (2, 2, 3))]
     expected = [_kernel_rows(inst) for inst in pools]
-    assert [len(rows) for rows in expected] == [501, 585]
+    assert [len(rows) for rows in expected] == [501, 585, 12_888]
     assert expected[0] == reference_compositions(pools[0])
     monkeypatch.setattr(panels, "_EXPANSION_CHUNK", chunk)
     assert [_kernel_rows(inst) for inst in pools] == expected
+    assert _CompositionSearch(fixtures.skew_pool(500, 20, (2, 3, 3, 2))).count_matrix() is None
+
+
+def test_the_cap_bounds_the_largest_level_expansion_exactly(monkeypatch):
+    # The 12-group pool's largest level expands 36,389 partial rows, although
+    # only 12,888 compositions are valid.
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 36_389)
+    assert _composition_matrix(fixtures.skew_pool(200, 10, (2, 2, 3))).shape == (12_888, 12)
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 36_388)
+    inst = fixtures.skew_pool(200, 10, (2, 2, 3))
+    assert _composition_matrix(inst) is False
+    with pytest.raises(CapExceededError) as err:
+        solve(inst, SolveConfig(objective=parse_objective("maximin"), backend="brute"))
+    assert err.value.code == "CAP_EXCEEDED"
+
+
+def test_enumerator_memory_stays_small_on_the_36_group_pool():
+    # The expansion is built in blocks; expanding a whole level of the
+    # 36-group pool at once peaks at about 18 MB.
+    inst = fixtures.skew_pool(500, 20, (2, 3, 3, 2))
+    tracemalloc.start()
+    try:
+        assert _CompositionSearch(inst).count_matrix() is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def _fallback_cases():
