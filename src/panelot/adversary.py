@@ -238,7 +238,14 @@ def manip_metric_exhaustive(
             f"{coalition_count * report_count} misreport candidates exceed the budget {budget}"
         )
 
+    def pool_key(reported: Mapping[str, FeatureVector]) -> tuple:
+        return tuple(sorted(Counter(reported.get(a, v) for a, v in instance.agents).items()))
+
     solve_cache: dict[tuple, dict[FeatureVector, float] | None] = {}
+    # A misreport that leaves the truthful multiset solves to the base
+    # result, unless self-excluders would be stripped from that pool.
+    if metric == METRIC_FAIRNESS or not structurally_excluded(instance):
+        solve_cache[pool_key({})] = base_groups
     best_value = -math.inf if metric != METRIC_FAIRNESS else math.inf
     best_witness = Misreport(frozenset(), {})
 
@@ -254,23 +261,17 @@ def manip_metric_exhaustive(
                     reported[agent_id] = rep
             mis = Misreport(coalition, reported)
 
-            pool_key = tuple(
-                sorted(
-                    Counter(
-                        reported.get(a, v) for a, v in instance.agents
-                    ).items()
-                )
-            )
+            key = pool_key(reported)
             try:
                 manipulated = apply_misreport(instance, mis)
             except NonCoalitionExclusionError:
                 if metric == METRIC_FAIRNESS and 0.0 < best_value:
                     best_value, best_witness = 0.0, mis
                 continue
-            if pool_key not in solve_cache:
+            if key not in solve_cache:
                 attacked = solve(manipulated, config)
-                solve_cache[pool_key] = _group_probabilities(manipulated, attacked)
-            attacked_groups = solve_cache[pool_key]
+                solve_cache[key] = _group_probabilities(manipulated, attacked)
+            attacked_groups = solve_cache[key]
 
             def prob_after(agent_id: str) -> float:
                 if agent_id not in manipulated.vector_of:
