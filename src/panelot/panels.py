@@ -77,13 +77,6 @@ class Panel:
     def __contains__(self, agent_id: str) -> bool:
         return agent_id in self.members
 
-    def composition(self, instance: Instance) -> "PanelComposition":
-        counts: dict[FeatureVector, int] = {}
-        for agent_id in self.members:
-            vector = instance.vector_of[agent_id]
-            counts[vector] = counts.get(vector, 0) + 1
-        return PanelComposition(tuple(sorted(counts.items())))
-
     def is_valid(self, instance: Instance) -> bool:
         if len(self.members) != instance.k:
             return False

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from panelot import fixtures
 from panelot.adversary import apply_misreport, make_lb_instance
 from panelot.model import FeatureScheme, Instance
+from panelot.panels import PanelComposition
 
 
 @pytest.fixture
@@ -89,6 +91,12 @@ def reference_panels(instance):
         for pick in itertools.product(*picks):
             panels.append(tuple(sorted(itertools.chain.from_iterable(pick))))
     return panels
+
+
+def panel_composition(panel, instance):
+    """The composition of a concrete ``Panel``: its members counted by
+    feature vector."""
+    return PanelComposition(tuple(Counter(instance.vector_of[a] for a in panel.members).items()))
 
 
 def reference_marginals(instance, weighted_panels):

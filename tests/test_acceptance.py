@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import panel_composition
 from panelot import fixtures
 from panelot.adversary import (
     apply_misreport,
@@ -205,7 +206,7 @@ def test_criterion_07_pipage_statistics(t1, e2):
         for seed in range(runs):
             lottery = pipage_round(result.distribution, inst, m, seed=seed)
             ok &= len(lottery.tickets) == m
-            ok &= all(p.composition(inst) in support for p in set(lottery.tickets))
+            ok &= all(panel_composition(p, inst) in support for p in set(lottery.tickets))
             rounded = lottery_marginals(inst, lottery)
             ok &= all(abs(v * m - round(v * m)) < 1e-9 for v in rounded.pi.values())
             for agent, value in rounded.pi.items():

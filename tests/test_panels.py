@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import reference_compositions, reference_marginals, reference_panels
+from conftest import panel_composition, reference_compositions, reference_marginals, reference_panels
 from panelot import fixtures, panels
 from panelot.errors import CapExceededError, NonCoalitionExclusionError, SolverError, ValidationError
 from panelot.model import FeatureScheme, Instance
@@ -52,7 +52,7 @@ def test_enumerate_t1(t1):
         ("a2", "a4"),
     ]
     assert all(Panel(p).is_valid(t1) for p in panels)
-    assert {Panel(p).composition(t1) for p in panels} == set(feasible_compositions(t1))
+    assert {panel_composition(Panel(p), t1) for p in panels} == set(feasible_compositions(t1))
 
 
 def test_enumerate_infeasible_group_too_small():
@@ -68,7 +68,7 @@ def test_enumerate_infeasible_group_too_small():
 
 def test_e2_panels_balance_linked_groups(e2):
     for members in reference_panels(e2):
-        comp = Panel(members).composition(e2)
+        comp = panel_composition(Panel(members), e2)
         assert comp.seats(("1", "0")) == comp.seats(("0", "1"))
     for comp in feasible_compositions(e2):
         assert comp.seats(("1", "0")) == comp.seats(("0", "1"))
@@ -115,7 +115,7 @@ def test_marginals_rejects_invalid_panel(t1):
     bad = Panel(("a1", "a2"))  # two agents from the same group break the quotas
     assert not bad.is_valid(t1)
     with pytest.raises(ValidationError):
-        CompositionDistribution(((bad.composition(t1), 1.0),)).check_valid(t1)
+        CompositionDistribution(((panel_composition(bad, t1), 1.0),)).check_valid(t1)
 
 
 def test_composition_marginals_match_panel_reference():
@@ -127,7 +127,7 @@ def test_composition_marginals_match_panel_reference():
         rng = random.Random(seed)
         dist = CompositionDistribution(tuple(_random_mixture(comps, rng)))
         weight = dict(dist.entries)
-        panels = [(members, Panel(members).composition(inst)) for members in reference_panels(inst)]
+        panels = [(members, panel_composition(Panel(members), inst)) for members in reference_panels(inst)]
         per_comp = Counter(comp for _, comp in panels)
         spread = [(members, weight[comp] / per_comp[comp]) for members, comp in panels]
         assert dist.marginals(inst).pi == pytest.approx(reference_marginals(inst, spread), abs=1e-12)
@@ -168,7 +168,7 @@ def test_enumeration_matches_raw_subset_filter():
             if ok:
                 expected.add(tuple(sorted(subset)))
         assert set(reference_panels(inst)) == expected
-        assert {Panel(p).composition(inst) for p in expected} == set(feasible_compositions(inst))
+        assert {panel_composition(Panel(p), inst) for p in expected} == set(feasible_compositions(inst))
 
 
 def test_oracle_matches_enumeration_on_random_instances():
