@@ -12,11 +12,12 @@ tickets and as the ``legacy`` baseline's panel, never enumerated.
 One vectorized step, ``_CompositionSearch._expand``, holds the quota
 prune and the candidate seat range: it expands search states over the first
 i sorted vector groups into their surviving children. A state is the seats
-committed to each (feature, value) pair, which is all a partial row's
-completions depend on, so ``count_matrix`` merges equal states level by
-level, keeps those that still reach k seats, and builds rows only along
-them. It lists every valid composition once per instance, in lexicographic
-order, into the memo (``_composition_matrix``), which the brute backend
+committed to each (feature, value) pair and the seats assigned, which is
+all a partial row's completions depend on, so ``count_matrix`` merges equal
+states level by level and then builds each state's completions backward
+from its children's, never a row that fails to reach k seats. It lists
+every valid composition once per instance, in lexicographic order, into the
+memo (``_composition_matrix``), which the brute backend
 (``feasible_compositions``) reads. The one cap, ``COMPOSITION_CAP``, bounds
 each level's expansion in partial rows, counted through the states' path
 counts, not only the number of compositions returned. Past it, brute raises
@@ -268,13 +269,14 @@ class _CompositionSearch:
     """Search over seat-count rows with quota propagation.
 
     A row over the first i vector groups (in canonical sorted order) holds
-    their seat counts. Its state, the seats it commits to each (feature,
-    value) pair and the seats it assigns, is all that the prune and every
-    later choice read, so the search runs over distinct states. ``_expand``
-    is its one step: it gives every state its candidate counts for group i
-    in ascending order and drops the children whose quotas no completion can
-    meet. The level-wise enumerator, ``count_matrix``, drives it and builds
-    the rows, in lexicographic order, along the states that reach k seats.
+    their seat counts. Its state, one row of the seats it commits to each
+    (feature, value) pair followed by the seats it assigns, is all that the
+    prune and every later choice read, so the search runs over distinct
+    states. ``_expand`` is its one step: it gives every state its candidate
+    counts for group i in ascending order and drops the children whose
+    quotas no completion can meet. The level-wise enumerator,
+    ``count_matrix``, drives it and builds the rows, in lexicographic order,
+    from the states that reach k seats.
     """
 
     def __init__(self, instance: Instance):
@@ -286,8 +288,8 @@ class _CompositionSearch:
         features = instance.scheme.features
         pairs = instance.scheme.feature_value_pairs()
         pair_at = {pair: j for j, pair in enumerate(pairs)}
-        # Every count, quota and availability fits in int32; rows are stored
-        # in the smallest unsigned type that holds k.
+        # Every count, quota and availability fits in int32; states and rows
+        # are stored in the smallest unsigned type that holds k.
         self.work, self.small = np.int32, np.min_scalar_type(k)
         self.lo = np.array([instance.quota(*pair)[0] for pair in pairs], dtype=self.work)
         self.hi = np.array([instance.quota(*pair)[1] for pair in pairs], dtype=self.work)
@@ -295,6 +297,8 @@ class _CompositionSearch:
         for i, vector in enumerate(self.vectors):
             for f_idx, feature in enumerate(features):
                 self.member[i, pair_at[(feature, vector[f_idx])]] = 1
+        # step[i]: what one seat of group i adds to a state.
+        self.step = np.hstack([self.member, np.ones((len(self.vectors), 1), dtype=self.work)])
         # avail[i]: agents with each (feature, value) among groups i..
         agents = self.member * np.array(self.sizes, dtype=self.work)[:, None]
         self.avail = np.zeros((len(self.vectors) + 1, len(pairs)), dtype=self.work)
@@ -303,61 +307,57 @@ class _CompositionSearch:
         self.by_feature = np.array([[pair[0] == feature for feature in features] for pair in pairs],
                                    dtype=self.work).reshape(len(pairs), len(features))
 
-    def _keep(self, level: int, committed, assigned):
+    def _keep(self, level: int, states):
         """The quota-propagation prune: False for states that no seats from
         groups ``level``.. can complete, because a pair is over its upper
         quota, or a feature's lower quotas need more seats than are left, or
         its upper quotas and the agents left leave too little room."""
         import numpy as np
 
-        rem = (self.k - assigned)[:, None]
+        committed, rem = states[:, :-1], self.k - states[:, -1:]
+        below_hi = self.hi - committed
         need = np.maximum(self.lo - committed, 0) @ self.by_feature
-        room = np.minimum(self.hi - committed, self.avail[level]) @ self.by_feature
-        return ~(committed > self.hi).any(axis=1) & (need <= rem).all(axis=1) & (room >= rem).all(axis=1)
+        room = np.minimum(below_hi, self.avail[level]) @ self.by_feature
+        # Every slack must be >= 0; ``initial`` passes a pool with no features.
+        return np.concatenate([below_hi, rem - need, room - rem], axis=1).min(axis=1, initial=0) >= 0
 
     def _root(self):
-        """Level 0: the empty row's state as (committed, assigned), if it
-        survives the prune."""
+        """Level 0: the empty row's state, if it survives the prune."""
         import numpy as np
 
-        committed = np.zeros((1, len(self.lo)), dtype=self.small)
-        assigned = np.zeros(1, dtype=self.small)
-        ok = self._keep(0, committed, assigned)
-        return committed[ok], assigned[ok]
+        states = np.zeros((1, len(self.lo) + 1), dtype=self.small)
+        return states[self._keep(0, states)]
 
-    def _fanout(self, i: int, assigned):
+    def _fanout(self, i: int, states):
         """The number of candidate counts for group i under each state: from
         0 up to what its size and the seats left allow."""
         import numpy as np
 
-        return np.minimum(self.sizes[i], self.k - assigned.astype(self.work)) + 1
+        return np.minimum(self.sizes[i], self.k - states[:, -1].astype(self.work)) + 1
 
-    def _expand(self, i: int, committed, assigned, reps):
-        """The children at group i of states over groups 0..i-1, with
-        ``reps`` from ``_fanout``: each state's candidate counts in ascending
-        order, less those the prune drops. Returns each child's parent index,
-        its seat count for group i and the children's (committed, assigned)."""
+    def _expand(self, i: int, states, reps, start: int):
+        """The children at group i of the states numbered from ``start``,
+        over groups 0..i-1, with ``reps`` from ``_fanout``: each state's
+        candidate counts in ascending order, less those the prune drops.
+        Returns each child's parent number, its seat count for group i and
+        its state."""
         import numpy as np
 
-        parent = np.repeat(np.arange(len(reps)), reps)
+        parent = np.repeat(np.arange(start, start + len(reps)), reps)
         seats = _runs(0, reps).astype(self.work)
-        child_committed = committed[parent] + seats[:, None] * self.member[i]
-        child_assigned = assigned[parent] + seats
-        ok = self._keep(i + 1, child_committed, child_assigned)
-        return (parent[ok], seats[ok].astype(self.small), child_committed[ok].astype(self.small),
-                child_assigned[ok].astype(self.small))
+        children = states[parent - start] + seats[:, None] * self.step[i]
+        ok = self._keep(i + 1, children)
+        return parent[ok], seats[ok], children[ok].astype(self.small)
 
-    def _merge(self, i: int, committed, assigned, paths, reps):
+    def _merge(self, i: int, states, paths, reps):
         """One forward level over distinct states, with ``reps`` from
         ``_fanout``: the edges (parent state, seats, child state) that
-        ``_expand`` keeps, then the distinct child states as (committed,
-        assigned) and each one's path count, the number of partial rows that
-        reach it.
+        ``_expand`` keeps, then the distinct child states and each one's
+        path count, the number of partial rows that reach it.
 
         The states are expanded in blocks whose expansion fits in
-        ``_EXPANSION_CHUNK`` rows. Children merge when their committed and
-        assigned seats are equal. They are sorted and compared column by
-        column, so the key holds at every pool size."""
+        ``_EXPANSION_CHUNK`` rows. Equal children merge; they are sorted and
+        compared column by column, so the key holds at every pool size."""
         import numpy as np
 
         ends = np.cumsum(reps, dtype=np.int64)
@@ -365,20 +365,17 @@ class _CompositionSearch:
         start = 0
         while start < len(reps):
             stop = _block_end(ends, start)
-            parent, *rest = self._expand(i, committed[start:stop], assigned[start:stop], reps[start:stop])
-            parts.append((parent + start, *rest))
+            parts.append(self._expand(i, states[start:stop], reps[start:stop], start))
             start = stop
-        parent, seats, child_committed, child_assigned = (np.concatenate(part) for part in zip(*parts))
-        key = np.column_stack((child_committed, child_assigned))
-        order = np.lexsort(key.T)
-        ranked = key[order]
+        parent, seats, children = (np.concatenate(part) for part in zip(*parts))
+        order = np.lexsort(children.T)
+        ranked = children[order]
         fresh = np.ones(len(order), dtype=bool)
         fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
         child = np.empty(len(order), dtype=np.intp)
         child[order] = np.cumsum(fresh) - 1
-        firsts = order[fresh]
-        child_paths = np.bincount(child, weights=paths[parent], minlength=len(firsts)).astype(np.int64)
-        return (parent, seats, child), child_committed[firsts], child_assigned[firsts], child_paths
+        child_paths = np.bincount(child, weights=paths[parent]).astype(np.int64)
+        return (parent, seats, child), ranked[fresh], child_paths
 
     def count_matrix(self):
         """Every valid composition as a row of seat counts, columns in
@@ -386,8 +383,7 @@ class _CompositionSearch:
         as soon as one level's expansion would exceed ``COMPOSITION_CAP`` rows.
 
         Whether a partial row can be completed, and how, depends only on its
-        state: the seats it commits to each (feature, value) pair. So the
-        rows are never carried from level to level. Three passes do the work:
+        state. So the rows are never carried from level to level:
 
         1. Forward over distinct states (``_merge``): each level expands its
            states, merges equal children and records the edges (parent
@@ -396,49 +392,45 @@ class _CompositionSearch:
            the state, so path counts times fan-outs is the level's row
            expansion. The cap is checked on it before the level is built,
            with the same verdict as if every row were carried.
-        2. Backward: keep only the edges into states that still reach k
-           assigned seats.
-        3. Materialize: from the root, follow the kept edges in ascending
-           seat order, which lists the rows in lexicographic order.
+        2. Backward, the rows: every state gets its completions, the rows
+           over the groups after it that reach k seats. A state's
+           completions are, edge by edge in ascending seat order, the seats
+           followed by each completion of the child, so they come in
+           lexicographic order, and a dead end has none. The root's
+           completions are the valid compositions.
 
         Working memory is the distinct states, expanded in blocks of at most
-        ``_EXPANSION_CHUNK`` rows, their edges, and the valid rows.
+        ``_EXPANSION_CHUNK`` rows, their edges, and the completions, which
+        are at most as many as the valid compositions on every level.
         """
         import numpy as np
 
-        committed, assigned = self._root()
-        paths = np.ones(len(assigned), dtype=np.int64)
+        states = self._root()
+        paths = np.ones(len(states), dtype=np.int64)
         levels = []
         for i in range(len(self.vectors)):
-            if len(assigned) == 0:
+            if len(states) == 0:
                 return np.zeros((0, len(self.vectors)), dtype=np.int32)
-            reps = self._fanout(i, assigned)
+            reps = self._fanout(i, states)
             if int(paths @ reps) > COMPOSITION_CAP:
                 return None
-            n_parents = len(assigned)
-            edges, committed, assigned, paths = self._merge(i, committed, assigned, paths, reps)
+            n_parents = len(states)
+            edges, states, paths = self._merge(i, states, paths, reps)
             levels.append((n_parents, *edges))
 
-        viable = assigned == self.k
-        for i in reversed(range(len(levels))):
-            n_parents, parent, seats, child = levels[i]
-            keep = viable[child]
-            levels[i] = n_parents, parent[keep], seats[keep], child[keep]
-            viable = np.zeros(n_parents, dtype=bool)
-            viable[parent[keep]] = True
-
-        state = np.flatnonzero(viable)
-        rows = np.zeros((len(state), 0), dtype=self.small)
-        for n_parents, parent, seats, child in levels:
-            # A state's kept edges are contiguous, in ascending seat order.
-            degree = np.bincount(parent, minlength=n_parents)
-            reps = degree[state]
-            source = np.repeat(np.arange(len(state)), reps)
-            edge = _runs((np.cumsum(degree) - degree)[state], reps)
-            grown = np.empty((len(edge), rows.shape[1] + 1), dtype=self.small)
-            grown[:, :-1] = rows[source]
-            grown[:, -1] = seats[edge]
-            rows, state = grown, child[edge]
+        # Completions of each state as a block of rows, ``count`` rows from ``first``.
+        count = (states[:, -1] == self.k).astype(np.int64)
+        first = np.cumsum(count) - count
+        rows = np.zeros((int(count.sum()), 0), dtype=self.small)
+        for n_parents, parent, seats, child in reversed(levels):
+            # A state's edges are contiguous, in ascending seat order.
+            edge_count = count[child]
+            grown = np.empty((int(edge_count.sum()), rows.shape[1] + 1), dtype=self.small)
+            grown[:, 0] = np.repeat(seats, edge_count)
+            grown[:, 1:] = rows[_runs(first[child], edge_count)]
+            count = np.bincount(parent, weights=edge_count, minlength=n_parents).astype(np.int64)
+            first = np.cumsum(count) - count
+            rows = grown
         return rows.astype(np.int32)
 
 
