@@ -242,8 +242,9 @@ def manip_metric_exhaustive(
         return tuple(sorted(Counter(reported.get(a, v) for a, v in instance.agents).items()))
 
     solve_cache: dict[tuple, dict[FeatureVector, float] | None] = {}
-    # A misreport that leaves the truthful multiset solves to the base
-    # result, unless self-excluders would be stripped from that pool.
+    # A misreport that keeps the truthful multiset solves to the base
+    # result, unless that pool has self-excluders to strip (fairness has
+    # returned above if it has).
     if metric == METRIC_FAIRNESS or not structurally_excluded(instance):
         solve_cache[pool_key({})] = base_groups
     best_value = -math.inf if metric != METRIC_FAIRNESS else math.inf

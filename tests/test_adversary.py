@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import reference_panels
@@ -164,6 +166,26 @@ def test_exhaustive_rejects_negative_coalition_before_solving(e1, monkeypatch):
     with pytest.raises(ValidationError) as err:
         manip_metric_exhaustive(e1, cfg("maximin"), c=-1, metric="ext")
     assert err.value.code == "INVALID_INPUT"
+
+
+@pytest.mark.parametrize("metric", ["ext", "fairness"])
+def test_exhaustive_solves_each_pool_multiset_once(metric, monkeypatch):
+    # The truthful multiset is the base solve; a misreport that keeps it
+    # (a member reporting its own vector) must not solve it again.
+    from panelot import adversary
+
+    inst = fixtures.skew_pool(48, 6, (2, 2, 2))
+    solved = []
+    solve = adversary.solve
+
+    def counting_solve(instance, config):
+        solved.append(tuple(sorted(Counter(v for _, v in instance.agents).items())))
+        return solve(instance, config)
+
+    monkeypatch.setattr(adversary, "solve", counting_solve)
+    manip_metric_exhaustive(inst, cfg("maximin"), c=1, metric=metric)
+    assert solved[0] == tuple(sorted(Counter(v for _, v in inst.agents).items()))
+    assert len(solved) == len(set(solved)) > 1
 
 
 def test_exhaustive_strict_respects_cap(e1):
