@@ -49,7 +49,6 @@ from .solver import (
     deviation_delta,
     solve,
     solve_legacy,
-    solve_leximin,
 )
 
 __version__ = "0.1.0"

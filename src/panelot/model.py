@@ -45,10 +45,6 @@ class FeatureScheme:
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"feature {feature!r} has duplicate value labels")
 
-    def vector(self, assignment: Mapping[str, str]) -> FeatureVector:
-        """Canonicalize a feature->value mapping into scheme order."""
-        return tuple(assignment[f] for f in self.features)
-
     def check_vector(self, vector: FeatureVector) -> None:
         if len(vector) != len(self.features):
             raise ValidationError(f"vector {vector} has wrong length")

@@ -44,16 +44,20 @@ class EqualityObjective:
     tie_break: bool = False
 
     def __post_init__(self):
-        if self.kind in (Kind.GOLDILOCKS, Kind.LINEAR):
-            if self.gamma_mode == GAMMA_FIXED:
-                if self.gamma is None or self.gamma < 0:
-                    raise ValidationError(f"{self.kind.value} needs gamma >= 0")
+        if self.gamma_mode not in (GAMMA_FIXED, GAMMA_AUTO_BALANCED, GAMMA_AUTO_SELECTION_BIAS):
+            raise ValidationError(f"unknown gamma mode {self.gamma_mode!r}")
+        if self.gamma_mode != GAMMA_FIXED:
+            if self.kind != Kind.GOLDILOCKS:
+                raise ValidationError(f"auto gamma exists only for goldilocks, not {self.kind.value}")
+            if self.gamma is not None:
+                raise ValidationError(f"gamma mode {self.gamma_mode} sets gamma itself; got gamma={self.gamma}")
+        elif self.kind in (Kind.GOLDILOCKS, Kind.LINEAR):
+            if self.gamma is None or self.gamma < 0:
+                raise ValidationError(f"{self.kind.value} needs gamma >= 0")
         elif self.gamma is not None:
             raise ValidationError(f"gamma is only meaningful for goldilocks/linear, not {self.kind.value}")
         if self.tie_break and self.kind not in (Kind.MAXIMIN, Kind.MINIMAX):
             raise ValidationError("tie-break variants exist only for maximin/minimax")
-        if self.kind == Kind.LINEAR and self.gamma_mode != GAMMA_FIXED:
-            raise ValidationError("linear does not support auto gamma")
 
     def spec_string(self) -> str:
         if self.kind in (Kind.MAXIMIN, Kind.MINIMAX):

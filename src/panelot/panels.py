@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -79,17 +80,10 @@ class Panel:
         return agent_id in self.members
 
     def is_valid(self, instance: Instance) -> bool:
-        if len(self.members) != instance.k:
-            return False
         if any(agent_id not in instance.vector_of for agent_id in self.members):
             return False
-        for idx, feature in enumerate(instance.scheme.features):
-            for value in instance.scheme.values[feature]:
-                count = sum(1 for a in self.members if instance.vector_of[a][idx] == value)
-                lo, hi = instance.quota(feature, value)
-                if not lo <= count <= hi:
-                    return False
-        return True
+        seats = Counter(instance.vector_of[a] for a in self.members)
+        return PanelComposition(tuple(seats.items())).is_valid(instance)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 compositions (seat counts per vector group); panels are built only when a
 lottery is drawn from one.
 
-Two backends share the same master formulations over *composition columns*:
-
-* ``brute`` enumerates every valid composition and optimizes over all of them;
-* ``colgen`` generates columns on demand with the exact weighted-panel
-  oracle, using the textbook stopping rule: stop once the best panel outside
-  the support beats the best in-support panel by at most ``eps_colgen``
-  (in objective units).
+Every objective goes through one column-generation driver over
+*composition columns*: master solves alternate with the exact weighted
+composition oracle until the best composition outside the support beats the
+best one in the support by at most ``eps_colgen`` (in objective units), or is
+already in the pool. The backends differ only in the seed pool: ``colgen``
+starts from one oracle column and a cover of every group, ``brute`` from
+every valid composition, so its first pricing call returns a pool member and
+the loop stops with gap 0.
 
 Master solves are self-contained: linear objectives run on the bundled
 simplex solver, the goldilocks family reduces to a one-dimensional convex
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .model import FeatureVector, Instance
 from .objectives import (
-    GAMMA_AUTO_BALANCED,
     GAMMA_AUTO_SELECTION_BIAS,
     GAMMA_FIXED,
     EqualityObjective,
@@ -208,61 +208,42 @@ def _lp_master(
     """
     A = pool.A
     n_groups, n_cols = A.shape
-    floors = floors or {}
-    ceilings = ceilings or {}
-
-    rows: list[tuple[int | None, np.ndarray, dict[str, float], float, float]] = []
-    # (group, q-coefficients, extra-var coeffs, slack sign, rhs)
+    every = list(range(n_groups))
+    # One block of rows p_w - x <= 0 (slack sign +1) or >= 0 (-1) per extra
+    # variable x, then the floor rows (-1) and the ceiling rows (+1).
     if kind == "max_min":
-        extras = ["t"]
-        cost = {"t": -1.0}
-        groups = free_groups if free_groups is not None else set(range(n_groups))
-        for w in sorted(groups):
-            rows.append((w, A[w], {"t": -1.0}, -1.0, 0.0))
+        extras, cost = [(every if free_groups is None else sorted(free_groups), -1.0)], [-1.0]
     elif kind == "min_max":
-        extras = ["s"]
-        cost = {"s": 1.0}
-        for w in range(n_groups):
-            rows.append((w, A[w], {"s": -1.0}, +1.0, 0.0))
+        extras, cost = [(every, +1.0)], [1.0]
     elif kind == "linear":
-        extras = ["s", "r"]
-        cost = {"s": 1.0, "r": -gamma}
-        for w in range(n_groups):
-            rows.append((w, A[w], {"s": -1.0}, +1.0, 0.0))
-        for w in range(n_groups):
-            rows.append((w, A[w], {"r": -1.0}, -1.0, 0.0))
+        extras, cost = [(every, +1.0), (every, -1.0)], [1.0, -gamma]
     else:
         raise SolverError(f"unknown master kind {kind}")
+    floor_items, ceiling_items = sorted((floors or {}).items()), sorted((ceilings or {}).items())
+    blocks = extras + [([w for w, _ in floor_items], -1.0), ([w for w, _ in ceiling_items], +1.0)]
+    groups = [w for g, _ in blocks for w in g]
 
-    first_floor_row = len(rows)
-    for w, floor_value in sorted(floors.items()):
-        rows.append((w, A[w], {}, -1.0, floor_value))
-    floor_rows = slice(first_floor_row, len(rows))
-    for w, ceiling_value in sorted(ceilings.items()):
-        rows.append((w, A[w], {}, +1.0, ceiling_value))
-    rows.append((None, np.ones(n_cols), {}, 0.0, 1.0))
-
-    # Columns: extras, slacks, then q, so that a column added to the pool
-    # leaves every index of the last basis in place.
-    n_slack = sum(1 for row in rows if row[3] != 0.0)
-    extra_pos = {name: i for i, name in enumerate(extras)}
-    q_at = len(extras) + n_slack
-    M = np.zeros((len(rows), q_at + n_cols))
-    b = np.zeros(len(rows))
-    slack_at = len(extras)
-    for r, (w, q_coeff, extra_coeff, slack_sign, rhs) in enumerate(rows):
-        M[r, q_at:] = q_coeff
-        for name, coeff in extra_coeff.items():
-            M[r, extra_pos[name]] = coeff
-        if slack_sign != 0.0:
-            M[r, slack_at] = slack_sign
-            slack_at += 1
-        b[r] = rhs
+    # Rows: the blocks, then convexity. Columns: extras, one slack per row
+    # but the last, then q, so that a column added to the pool leaves every
+    # index of the last basis in place.
+    n_extra, rows = len(cost), np.arange(len(groups))
+    q_at = n_extra + len(groups)
+    M = np.zeros((len(groups) + 1, q_at + n_cols))
+    M[:-1, q_at:] = A[groups]
+    M[-1, q_at:] = 1.0
+    M[rows, n_extra + rows] = [sign for g, sign in blocks for _ in g]
+    first = 0
+    for x, (g, _) in enumerate(extras):
+        M[first:first + len(g), x] = -1.0
+        first += len(g)
+    floor_rows = slice(first, first + len(floor_items))
+    b = np.zeros(len(groups) + 1)
+    b[first:-1] = [v for _, v in floor_items + ceiling_items]
+    b[-1] = 1.0
     c = np.zeros(q_at + n_cols)
-    for name, coeff in cost.items():
-        c[extra_pos[name]] = coeff
+    c[:n_extra] = cost
 
-    shape = (kind, tuple(w for w, *_ in rows), len(floors), len(ceilings))
+    shape = (kind, tuple(groups), len(floor_items), len(ceiling_items))
     last_shape, last_basis = pool.last_master
     res = solve_lp(c, M, b, last_basis if shape == last_shape else None)
     if res.status == "infeasible":
@@ -273,18 +254,10 @@ def _lp_master(
 
     q = res.x[q_at:].copy()
     q[q < 0.0] = 0.0
-    group_duals = np.zeros(n_groups)
-    for r, (w, *_rest) in enumerate(rows):
-        if w is not None:
-            group_duals[w] += res.duals[r]
-    if kind == "max_min":
-        value = res.x[extra_pos["t"]]
-    else:
-        value = res.objective
     return _MasterSolution(
         q=q,
-        value=float(value),
-        group_duals=group_duals,
+        value=float(res.x[0] if kind == "max_min" else res.objective),
+        group_duals=np.bincount(groups, weights=res.duals[:-1], minlength=n_groups),
         p=A @ q,
         floor_slope=float(res.duals[floor_rows].sum()),
     )
@@ -297,6 +270,9 @@ def _lp_master(
 
 @dataclass
 class _ColgenOutcome:
+    """What every objective's driver returns: the final master solution, its
+    gap (the result's certificate), master rounds, and whether it converged."""
+
     solution: _MasterSolution
     gap: float
     rounds: int
@@ -330,8 +306,6 @@ def _run_colgen(
     while True:
         solution = master(pool)
         rounds += 1
-        if config.backend == "brute":
-            return _ColgenOutcome(solution, 0.0, rounds, True)
         mu = solution.group_duals
         comp, score = _price(instance, pool, mu / pool.sizes)
         if comp in pool:
@@ -403,54 +377,51 @@ def _floor_search(evaluate, lo: float, hi: float, outer, argmin) -> tuple[float,
     return best_t, best_v
 
 
-def _goldilocks_search(
-    instance: Instance,
-    pool: _ColumnPool,
-    gamma: float,
-    config: SolveConfig,
-) -> tuple[_MasterSolution, float, int, bool, float]:
-    """Minimize max/(k/n) + gamma*(k/n)/min via a floor search.
+def _floor_value_function(instance: Instance, pool: _ColumnPool, config: SolveConfig):
+    """The floor set-up shared by goldilocks and ``deviation_delta``.
 
-    For a fixed floor t on the minimum probability, the best reachable
-    maximum M(t) is a min-max LP; V(t) = M(t)/(k/n) + gamma*(k/n)/t is convex
-    in t, and ``_floor_search`` minimizes it by cutting planes on M, usually
-    in a handful of floor evaluations. Column generation runs to convergence
-    inside every evaluation, so the floor-row duals are valid slopes of M and
-    the shared pool ends up supporting the optimal floor exactly.
+    Returns the maximin outcome; ``evaluate(t)``, the min-max value M(t)
+    with every group floored at t and its slope (``floor_slope``); and
+    ``outcomes``, each evaluated floor's column-generation outcome, which
+    ``evaluate`` caches. Column generation runs to convergence inside every
+    evaluation, so the floor-row duals are valid slopes of M. Maximin is
+    above 0, since ``_initial_pool`` seeds a cover of every group.
     """
     ideal = instance.k / instance.n
-    iterations = 0
-    converged = True
-
     maximin = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
-    iterations += maximin.rounds
-    converged &= maximin.converged
-    t_hi = max(maximin.solution.value, 0.0)
-    if t_hi <= 0.0:
-        # Some group is stuck at probability zero; every feasible point has
-        # infinite objective. Hand back the most sensible representative:
-        # min-max over the pool.
-        fallback = _run_colgen(instance, pool, lambda p: _lp_master(p, "min_max"), config)
-        iterations += fallback.rounds
-        return fallback.solution, math.inf, iterations, converged and fallback.converged, fallback.gap
-
     outcomes: dict[float, _ColgenOutcome] = {}
 
     def evaluate(t: float) -> tuple[float, float]:
-        nonlocal iterations, converged
         if t not in outcomes:
-            outcome = _run_colgen(
+            outcomes[t] = _run_colgen(
                 instance,
                 pool,
                 lambda p: _lp_master(p, "min_max", floors={w: t for w in range(len(p.vectors))}),
                 config,
                 eta_scale=1.0 / ideal,
             )
-            iterations += outcome.rounds
-            converged &= outcome.converged
-            outcomes[t] = outcome
         solution = outcomes[t].solution
         return solution.value, solution.floor_slope
+
+    return maximin, evaluate, outcomes
+
+
+def _goldilocks_search(
+    instance: Instance,
+    pool: _ColumnPool,
+    gamma: float,
+    config: SolveConfig,
+) -> _ColgenOutcome:
+    """Minimize max/(k/n) + gamma*(k/n)/min via a floor search.
+
+    For a fixed floor t on the minimum probability, the best reachable
+    maximum M(t) is a min-max LP; V(t) = M(t)/(k/n) + gamma*(k/n)/t is convex
+    in t, and ``_floor_search`` minimizes it by cutting planes on M, usually
+    in a handful of floor evaluations.
+    """
+    ideal = instance.k / instance.n
+    maximin, evaluate, outcomes = _floor_value_function(instance, pool, config)
+    t_hi = maximin.solution.value
 
     def outer(m, t):
         return m / ideal + gamma * ideal / t
@@ -462,9 +433,10 @@ def _goldilocks_search(
     # V(t) >= gamma*ideal/t, so floors below gamma*ideal/V(t_hi) cannot win.
     v_hi = outer(evaluate(t_hi)[0], t_hi)
     t_lo = max(0.5 * min(t_hi, gamma * ideal / v_hi), t_hi * 1e-12)
-    best_t, best_value = _floor_search(evaluate, t_lo, t_hi, outer, argmin)
-    best = outcomes[best_t]
-    return best.solution, best_value, iterations, converged, best.gap
+    best = outcomes[_floor_search(evaluate, t_lo, t_hi, outer, argmin)[0]]
+    runs = [maximin, *outcomes.values()]
+    rounds, converged = sum(r.rounds for r in runs), all(r.converged for r in runs)
+    return _ColgenOutcome(best.solution, best.gap, rounds, converged)
 
 
 def _nash_geomean(pool: _ColumnPool, q: np.ndarray) -> tuple[float, np.ndarray]:
@@ -559,7 +531,7 @@ def _nash_master(
     instance: Instance,
     pool: _ColumnPool,
     config: SolveConfig,
-) -> tuple[_MasterSolution, int, bool, float]:
+) -> _ColgenOutcome:
     """Maximize sum(n_w log p_w), p = A q, over the column simplex.
 
     The restricted master is solved fully correctively by an active-set
@@ -638,9 +610,6 @@ def _nash_master(
 
         # The inner loop can also stop on its iteration budget or a stall.
         inner_met = bool(gap_value_units <= config.nash_gap)
-        if config.backend == "brute":
-            converged = inner_met
-            break
 
         # Pricing over the full composition space.
         comp, score = _price(instance, pool, 1.0 / np.maximum(pool.A @ q, 1e-300))
@@ -656,13 +625,10 @@ def _nash_master(
         q = np.append(q * (1.0 - 1e-6), 1e-6)
         pool.add(comp)
 
-    A = pool.A
-    return (
-        _MasterSolution(q=q, value=-_nash_geomean(pool, q)[0], group_duals=np.zeros(len(pool.vectors)), p=A @ q),
-        iterations,
-        converged,
-        gap_value_units,
+    solution = _MasterSolution(
+        q=q, value=-_nash_geomean(pool, q)[0], group_duals=np.zeros(len(pool.vectors)), p=pool.A @ q
     )
+    return _ColgenOutcome(solution, gap_value_units, iterations, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -730,26 +696,65 @@ def _assemble_result(
 def _resolve_gamma(instance: Instance, config: SolveConfig) -> tuple[EqualityObjective, int]:
     """Pin down auto gammas; balanced mode needs the two extreme pre-solves."""
     objective = config.objective
-    if objective.kind != Kind.GOLDILOCKS or objective.gamma_mode == GAMMA_FIXED:
+    if objective.gamma_mode == GAMMA_FIXED:
         return objective, 0
     if objective.gamma_mode == GAMMA_AUTO_SELECTION_BIAS:
         gamma = gamma_selection_bias(instance)
         return replace(objective, gamma=gamma, gamma_mode=GAMMA_FIXED), 0
-    if objective.gamma_mode == GAMMA_AUTO_BALANCED:
-        maximin_cfg = replace(config, objective=EqualityObjective(Kind.MAXIMIN))
-        minimax_cfg = replace(config, objective=EqualityObjective(Kind.MINIMAX))
-        res_min = solve(instance, maximin_cfg)
-        res_max = solve(instance, minimax_cfg)
-        gamma = gamma_balanced(
-            res_min.pi.min(), res_max.pi.max(), instance.n, instance.k
-        )
-        extra = res_min.iterations + res_max.iterations
-        return replace(objective, gamma=gamma, gamma_mode=GAMMA_FIXED), extra
-    raise ValidationError(f"unknown gamma mode {objective.gamma_mode!r}")
+    maximin_cfg = replace(config, objective=EqualityObjective(Kind.MAXIMIN))
+    minimax_cfg = replace(config, objective=EqualityObjective(Kind.MINIMAX))
+    res_min = solve(instance, maximin_cfg)
+    res_max = solve(instance, minimax_cfg)
+    gamma = gamma_balanced(res_min.pi.min(), res_max.pi.max(), instance.n, instance.k)
+    extra = res_min.iterations + res_max.iterations
+    return replace(objective, gamma=gamma, gamma_mode=GAMMA_FIXED), extra
 
 
 def _uniform_feasible_shortcut(solution: _MasterSolution, instance: Instance) -> bool:
     return solution.value >= instance.k / instance.n - 1e-11
+
+
+def _leximin(instance: Instance, pool: _ColumnPool, config: SolveConfig) -> _ColgenOutcome:
+    """Maximize the lowest probability, then the next lowest, group by group.
+
+    Groups are frozen once their floor constraint is binding in every optimum
+    (positive dual); if duals identify nothing new, the groups sitting at the
+    current level are frozen instead so every round makes progress.
+    """
+    n_groups = len(pool.vectors)
+    frozen: dict[int, float] = {}
+    rounds = 0
+    converged = True
+    gap = 0.0
+
+    while len(frozen) < n_groups:
+        free = set(range(n_groups)) - set(frozen)
+        floors = {w: level - config.eps_master for w, level in frozen.items()}
+
+        def master(p: _ColumnPool, free=free, floors=floors) -> _MasterSolution:
+            return _lp_master(p, "max_min", floors=floors, free_groups=free)
+
+        outcome = _run_colgen(instance, pool, master, config)
+        solution = outcome.solution
+        rounds += outcome.rounds
+        converged &= outcome.converged
+        gap = max(gap, outcome.gap)
+        level = solution.value
+
+        if not frozen and _uniform_feasible_shortcut(solution, instance):
+            # Perfectly equal probabilities are feasible, hence the unique
+            # leximin outcome; the first-round solution realizes them exactly.
+            break
+
+        newly = [w for w in sorted(free) if solution.group_duals[w] > _DUAL_EPS]
+        if not newly:
+            newly = [w for w in sorted(free) if solution.p[w] <= level + 10 * config.eps_master]
+        if not newly:
+            newly = [min(free, key=lambda w: solution.p[w])]
+        for w in newly:
+            frozen[w] = max(level, 0.0)
+
+    return _ColgenOutcome(solution, gap, rounds, converged)
 
 
 def solve(instance: Instance, config: SolveConfig) -> SolveResult:
@@ -760,11 +765,6 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
     budget runs out.
     """
     objective, extra_iters = _resolve_gamma(instance, config)
-    if objective.kind == Kind.LEXIMIN:
-        result = solve_leximin(instance, replace(config, objective=objective))
-        result.iterations += extra_iters
-        return result
-
     pool = _initial_pool(instance, config)
 
     if len(pool.vectors) == 1:
@@ -782,94 +782,39 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
             else ("min_max", "max_min", "ceilings", 1e-12)
         )
         outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, first), config)
-        iterations, converged, gap = outcome.rounds, outcome.converged, outcome.gap
-        solution = outcome.solution
         if objective.tie_break:
-            held = {bound: {w: solution.value + slack for w in range(len(pool.vectors))}}
+            held = {bound: {w: outcome.solution.value + slack for w in range(len(pool.vectors))}}
             tb = _run_colgen(instance, pool, lambda p: _lp_master(p, second, **held), config)
-            solution = tb.solution
-            iterations += tb.rounds
-            converged &= tb.converged
-            gap = max(gap, tb.gap)
+            outcome = _ColgenOutcome(tb.solution, max(outcome.gap, tb.gap),
+                                     outcome.rounds + tb.rounds, outcome.converged and tb.converged)
+    elif objective.kind == Kind.LEXIMIN:
+        outcome = _leximin(instance, pool, config)
     elif objective.kind == Kind.LINEAR:
         outcome = _run_colgen(
             instance, pool, lambda p: _lp_master(p, "linear", gamma=objective.gamma), config
-        )
-        solution, iterations, converged, gap = (
-            outcome.solution,
-            outcome.rounds,
-            outcome.converged,
-            outcome.gap,
         )
     elif objective.kind == Kind.NASH:
         # If perfectly equal probabilities are feasible they are optimal for
         # every objective here, and the max-min LP finds them exactly,
         # which iterative nash refinement cannot.
-        pre = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
-        if _uniform_feasible_shortcut(pre.solution, instance):
+        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
+        if _uniform_feasible_shortcut(outcome.solution, instance):
             # The uniform point is exactly nash-optimal (AM-GM), whatever
             # the max-min colgen gap was.
-            solution, iterations, converged, gap = pre.solution, pre.rounds, pre.converged, 0.0
+            outcome.gap = 0.0
         else:
-            solution, iterations, converged, gap = _nash_master(instance, pool, config)
-            iterations += pre.rounds
+            pre_rounds = outcome.rounds
+            outcome = _nash_master(instance, pool, config)
+            outcome.rounds += pre_rounds
     elif objective.kind == Kind.GOLDILOCKS:
-        solution, _value, iterations, converged, gap = _goldilocks_search(
-            instance, pool, objective.gamma, config
-        )
+        outcome = _goldilocks_search(instance, pool, objective.gamma, config)
     else:
         raise ValidationError(f"solve cannot handle objective {objective.kind}")
 
     return _assemble_result(
-        instance, pool, solution.q, objective, iterations + extra_iters, converged, gap
+        instance, pool, outcome.solution.q, objective, outcome.rounds + extra_iters,
+        outcome.converged, outcome.gap,
     )
-
-
-def solve_leximin(instance: Instance, config: SolveConfig) -> SolveResult:
-    """Maximize the lowest probability, then the next lowest, group by group.
-
-    Groups are frozen once their floor constraint is binding in every optimum
-    (positive dual); if duals identify nothing new, the groups sitting at the
-    current level are frozen instead so every round makes progress.
-    """
-    pool = _initial_pool(instance, config)
-    n_groups = len(pool.vectors)
-    frozen: dict[int, float] = {}
-    iterations = 0
-    converged = True
-    gap = 0.0
-    solution: _MasterSolution | None = None
-
-    while len(frozen) < n_groups:
-        free = set(range(n_groups)) - set(frozen)
-        floors = {w: level - config.eps_master for w, level in frozen.items()}
-
-        def master(p: _ColumnPool, free=free, floors=floors) -> _MasterSolution:
-            return _lp_master(p, "max_min", floors=floors, free_groups=free)
-
-        outcome = _run_colgen(instance, pool, master, config)
-        solution = outcome.solution
-        iterations += outcome.rounds
-        converged &= outcome.converged
-        gap = max(gap, outcome.gap)
-        level = solution.value
-
-        if not frozen and level >= instance.k / instance.n - 1e-11:
-            # Perfectly equal probabilities are feasible, hence the unique
-            # leximin outcome; the first-round solution realizes them exactly.
-            break
-
-        newly = [w for w in sorted(free) if solution.group_duals[w] > _DUAL_EPS]
-        if not newly:
-            newly = [w for w in sorted(free) if solution.p[w] <= level + 10 * config.eps_master]
-        if not newly:
-            newly = [min(free, key=lambda w: solution.p[w])]
-        for w in newly:
-            frozen[w] = max(level, 0.0)
-
-    assert solution is not None
-    objective = EqualityObjective(Kind.LEXIMIN)
-    return _assemble_result(instance, pool, solution.q, objective, iterations, converged, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -891,14 +836,8 @@ def deviation_delta(instance: Instance, config: SolveConfig | None = None) -> fl
     cfg = replace(cfg, backend="brute")
     pool = _initial_pool(instance, cfg)
     ideal = instance.k / instance.n
-
-    t_max = _lp_master(pool, "max_min").value
-    if t_max <= 0.0:
-        return math.inf
-
-    def evaluate(t: float) -> tuple[float, float]:
-        solution = _lp_master(pool, "min_max", floors={w: t for w in range(len(pool.vectors))})
-        return solution.value, solution.floor_slope
+    maximin, evaluate, _ = _floor_value_function(instance, pool, cfg)
+    t_max = maximin.solution.value
 
     def outer(m, t):
         return np.maximum(ideal / t, m / ideal)

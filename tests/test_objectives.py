@@ -53,6 +53,27 @@ def test_tie_break_only_for_extremes():
         EqualityObjective(Kind.NASH, tie_break=True)
 
 
+@pytest.mark.parametrize(
+    "kind, gamma, mode",
+    [
+        (Kind.GOLDILOCKS, None, "bogus"),
+        (Kind.GOLDILOCKS, 1.0, "bogus"),
+        (Kind.LEXIMIN, None, "auto1"),
+        (Kind.MAXIMIN, None, "auto2"),
+        (Kind.NASH, None, "auto1"),
+        (Kind.LINEAR, None, "auto2"),
+        (Kind.GOLDILOCKS, 2.0, "auto1"),
+        (Kind.GOLDILOCKS, 0.0, "auto2"),
+    ],
+)
+def test_objective_rejects_unknown_or_misplaced_gamma_mode(kind, gamma, mode):
+    # An unknown mode, an auto mode on a kind other than goldilocks, and an
+    # explicit gamma next to an auto mode are all input errors at construction.
+    with pytest.raises(ValidationError) as info:
+        EqualityObjective(kind, gamma=gamma, gamma_mode=mode)
+    assert info.value.code == "INVALID_INPUT"
+
+
 def test_goldilocks_at_uniform_is_one_plus_gamma():
     for gamma in (0.0, 0.5, 1.0, 3.0):
         obj = EqualityObjective(Kind.GOLDILOCKS, gamma=gamma)

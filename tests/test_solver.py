@@ -29,7 +29,6 @@ from panelot.solver import (
     deviation_delta,
     solve,
     solve_legacy,
-    solve_leximin,
 )
 
 ROOT3 = math.sqrt(3.0)
@@ -92,7 +91,7 @@ def test_e2_goldilocks(e2, backend):
 
 
 def test_e2_leximin(e2):
-    result = solve_leximin(e2, cfg("leximin"))
+    result = solve(e2, cfg("leximin"))
     probs = group_probs(e2, result)
     assert probs[("0", "1")] == pytest.approx(1.0, abs=1e-6)
     assert probs[("1", "0")] == pytest.approx(1.0 / 3.0, abs=1e-6)
@@ -283,7 +282,7 @@ def test_leximin_lex_dominates_random_mixtures():
 
     for seed in range(8):
         inst = fixtures.random_brute_instance(seed + 500)
-        best = sorted(solve_leximin(inst, cfg("leximin", "brute")).pi.pi.values())
+        best = sorted(solve(inst, cfg("leximin", "brute")).pi.pi.values())
         panels = reference_panels(inst)
         rng = _random.Random(seed)
         for _ in range(15):
@@ -381,6 +380,81 @@ def test_goldilocks_sandwich_on_e2(e2):
     ideal = e2.k / e2.n
     assert result.pi.min() >= ideal / (2.0 * delta) - 1e-6
     assert result.pi.max() <= ideal * 2.0 * delta + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# LP masters against HiGHS
+# ---------------------------------------------------------------------------
+
+
+def _highs_master(A, kind, floors=None, ceilings=None, free_groups=None, gamma=0.0):
+    """The master as an independent LP for scipy's HiGHS: variables (extras,
+    q) with free extras and q >= 0; returns the optimal value."""
+    from scipy.optimize import linprog
+
+    n_groups, n_cols = A.shape
+    every = range(n_groups)
+    upper = []  # (extra coefficients, q coefficients, rhs) of rows <= rhs
+    if kind == "max_min":
+        cost = [-1.0]
+        upper += [([1.0], -A[w], 0.0) for w in sorted(every if free_groups is None else free_groups)]
+    elif kind == "min_max":
+        cost = [1.0]
+        upper += [([-1.0], A[w], 0.0) for w in every]
+    else:
+        cost = [1.0, -gamma]
+        upper += [([-1.0, 0.0], A[w], 0.0) for w in every]
+        upper += [([0.0, 1.0], -A[w], 0.0) for w in every]
+    zeros = [0.0] * len(cost)
+    upper += [(zeros, -A[w], -v) for w, v in (floors or {}).items()]
+    upper += [(zeros, A[w], v) for w, v in (ceilings or {}).items()]
+    res = linprog(
+        np.concatenate([cost, np.zeros(n_cols)]),
+        A_ub=np.array([np.concatenate([x, q]) for x, q, _ in upper]),
+        b_ub=np.array([rhs for *_, rhs in upper]),
+        A_eq=np.concatenate([zeros, np.ones(n_cols)])[None, :],
+        b_eq=[1.0],
+        bounds=[(None, None)] * len(cost) + [(0.0, None)] * n_cols,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return -res.fun if kind == "max_min" else res.fun
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lp_master_matches_highs(seed):
+    pytest.importorskip("scipy")
+    pool = _initial_pool(fixtures.random_brute_instance(seed), cfg("maximin", "brute"))
+    A = pool.A
+    n_groups = A.shape[0]
+    maximin = _lp_master(pool, "max_min")
+    minimax = _lp_master(pool, "min_max")
+    # Leximin's second round: the groups binding at the maximin level are
+    # floored just below it, and the others stay free (one at least).
+    frozen = [w for w in range(n_groups) if maximin.group_duals[w] > 1e-7][: n_groups - 1]
+    shapes = [
+        dict(kind="max_min", floors={w: maximin.value - 1e-8 for w in frozen},
+             free_groups=set(range(n_groups)) - set(frozen)),
+        dict(kind="min_max", floors={w: 0.5 * maximin.value for w in range(n_groups)}),
+        dict(kind="min_max", ceilings={w: minimax.value + 1e-12 for w in range(0, n_groups, 2)}),
+        dict(kind="linear", gamma=0.5),
+    ]
+    for shape in shapes:
+        solution = _lp_master(pool, **shape)
+        assert solution.value == pytest.approx(_highs_master(A, **shape), abs=1e-9), shape
+        q, p = solution.q, A @ solution.q
+        assert q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-9
+        for w, floor in shape.get("floors", {}).items():
+            assert p[w] >= floor - 1e-9
+        for w, ceiling in shape.get("ceilings", {}).items():
+            assert p[w] <= ceiling + 1e-9
+        if shape["kind"] == "max_min":
+            assert p[sorted(shape["free_groups"])].min() >= solution.value - 1e-9
+        elif shape["kind"] == "min_max":
+            assert p.max() <= solution.value + 1e-9
+        else:
+            assert p.max() - shape["gamma"] * p.min() <= solution.value + 1e-9
 
 
 # ---------------------------------------------------------------------------
