@@ -22,7 +22,13 @@ from .errors import (
     ValidationError,
 )
 from .model import FeatureVector, Instance, pool_share
-from .panels import strip_self_excluders, structurally_excluded
+from .panels import (
+    EnclosingPool,
+    derive_compositions,
+    enclosing_compositions,
+    strip_self_excluders,
+    structurally_excluded,
+)
 from .solver import SolveConfig, SolveResult, solve
 
 METRIC_INT = "int"  # largest probability gain of a coalition member
@@ -71,12 +77,15 @@ def coalition_size_cap(instance: Instance) -> int:
     return max(0, instance.min_group_size() - instance.k)
 
 
-def apply_misreport(instance: Instance, mis: Misreport, strict: bool = False) -> Instance:
+def apply_misreport(instance: Instance, mis: Misreport, strict: bool = False,
+                    enclosing: EnclosingPool | None = None) -> Instance:
     """The manipulated instance: reported vectors, self-excluders removed.
 
     ``strict`` additionally enforces the safe coalition-size bound
     max(0, smallest group - k); without it, the only hard requirement is
-    that no truthful agent ends up structurally excluded.
+    that no truthful agent ends up structurally excluded. ``enclosing``, a
+    pool that encloses the manipulated one, gives it its valid compositions
+    without an enumeration (see ``strip_self_excluders``).
     """
     unknown = set(mis.coalition) - set(instance.agent_ids)
     if unknown:
@@ -91,7 +100,7 @@ def apply_misreport(instance: Instance, mis: Misreport, strict: bool = False) ->
         (agent_id, mis.reported.get(agent_id, vector)) for agent_id, vector in instance.agents
     )
     manipulated = instance.replace_agents(agents, label=f"{instance.label}~manip")
-    return strip_self_excluders(manipulated, set(mis.coalition))
+    return strip_self_excluders(manipulated, set(mis.coalition), enclosing)
 
 
 def _midpoint_share_ratio(instance: Instance, feature: str, value: str) -> float | None:
@@ -108,9 +117,10 @@ def mu_vector(instance: Instance) -> FeatureVector:
     """The most-underrepresented vector: per feature, the value whose quota
     midpoint most exceeds its pool share.
 
-    Only values present in the pool compete; a quota-constrained value with
-    zero pool share is an error. Ties resolve to the earliest value in scheme
-    order.
+    Only values present in the pool compete; a value with zero pool share
+    and a lower quota above 0 is an error (one with lower quota 0 is
+    skipped, as no panel can seat it). Ties resolve to the earliest value in
+    scheme order.
     """
     chosen: list[str] = []
     for feature in instance.scheme.features:
@@ -119,7 +129,7 @@ def mu_vector(instance: Instance) -> FeatureVector:
         for value in instance.scheme.values[feature]:
             ratio = _midpoint_share_ratio(instance, feature, value)
             if ratio is None:
-                if (feature, value) in instance.quotas:
+                if instance.quotas.get((feature, value), (0, 0))[0] > 0:
                     raise ValidationError(
                         f"pair ({feature}, {value}) is quota-constrained but absent from the pool"
                     )
@@ -142,9 +152,16 @@ def worst_mu_manipulator(instance: Instance, config: SolveConfig) -> ManipReport
 
     One re-solve per truthful vector group (members are interchangeable);
     the reported value is clamped at zero, matching a rational manipulator
-    who can always stay truthful.
+    who can always stay truthful. Every attacked pool, and the truthful one,
+    lies within the truthful pool plus one seat in the target's group, so
+    that pool's valid compositions are enumerated once and filtered for
+    each of them.
     """
     target = mu_vector(instance)
+    sizes = {vector: instance.group_size(vector) for vector in instance.present_vectors()}
+    sizes[target] = sizes.get(target, 0) + 1
+    enclosing = enclosing_compositions(instance, sizes)
+    derive_compositions(instance, enclosing)
     base = solve(instance, config)
     base_groups = _group_probabilities(instance, base)
 
@@ -155,7 +172,7 @@ def worst_mu_manipulator(instance: Instance, config: SolveConfig) -> ManipReport
             continue
         agent_id = instance.groups[vector][0]
         mis = Misreport(frozenset({agent_id}), {agent_id: target})
-        manipulated = apply_misreport(instance, mis)
+        manipulated = apply_misreport(instance, mis, enclosing=enclosing)
         if agent_id not in manipulated.vector_of:
             continue  # reporting the target vector excluded them outright
         attacked = solve(manipulated, config)
@@ -207,12 +224,22 @@ def manip_metric_exhaustive(
     Search is canonicalized by truthful vector group. Misreports that would
     structurally exclude a truthful agent fall outside the model: they floor
     the fairness metric at zero and are skipped for the gain metrics.
+
+    Every pool the sweep builds, the truthful one included, lies within the
+    pool with c more agents in every group of the scheme. That pool's valid
+    compositions are enumerated once, and each pool's are filtered from
+    them (``enclosing_compositions``); past the cap, each pool enumerates
+    itself.
     """
     if metric not in (METRIC_INT, METRIC_EXT, METRIC_COMP, METRIC_FAIRNESS):
         raise ValidationError(f"unknown metric {metric!r}")
     if c < 0:
         raise ValidationError(f"coalition size must be >= 0, got {c}")
     algorithm = config.objective.spec_string()
+    enclosing = enclosing_compositions(
+        instance, {vector: instance.group_size(vector) + c for vector in instance.scheme.all_vectors()}
+    )
+    derive_compositions(instance, enclosing)
 
     if metric == METRIC_FAIRNESS and structurally_excluded(instance):
         return ManipReport(metric, 0.0, Misreport(frozenset(), {}), algorithm, SEARCH_EXHAUSTIVE)
@@ -264,7 +291,7 @@ def manip_metric_exhaustive(
 
             key = pool_key(reported)
             try:
-                manipulated = apply_misreport(instance, mis)
+                manipulated = apply_misreport(instance, mis, enclosing=enclosing)
             except NonCoalitionExclusionError:
                 if metric == METRIC_FAIRNESS and 0.0 < best_value:
                     best_value, best_witness = 0.0, mis

@@ -184,12 +184,15 @@ def quota_pool_ratios(instance: Instance) -> dict[tuple[str, str], float]:
     midpoint as a fraction of the panel, divided by the pool share.
 
     A ratio of 1 means the value is demanded exactly in proportion to its
-    presence in the pool; values absent from the pool are rejected.
+    presence in the pool. A value absent from the pool is skipped when its
+    lower quota is 0, since no panel can seat it, and rejected otherwise.
     """
     ratios: dict[tuple[str, str], float] = {}
     for (feature, value), (lo, hi) in instance.quotas.items():
         share = pool_share(instance, feature, value)
         if share == 0:
+            if lo == 0:
+                continue
             raise ValidationError(f"pair ({feature}, {value}) is quota-constrained but absent from the pool")
         ratios[(feature, value)] = ((lo + hi) / (2.0 * instance.k)) / float(share)
     return ratios

@@ -46,7 +46,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .model import FeatureVector, Instance
+from .model import FeatureScheme, FeatureVector, Instance
 
 # numpy is imported inside the functions that use it. Importing it when this
 # module loads, ahead of the solver, raised the peak RSS of a manip-sweep
@@ -271,14 +271,22 @@ class _CompositionSearch:
     quotas no completion can meet. The level-wise enumerator,
     ``count_matrix``, drives it and builds the rows, in lexicographic order,
     from the states that reach k seats.
+
+    ``sizes`` replaces the pool's groups with the named vectors and sizes
+    (searched in sorted order) under the same k and quotas; an enclosing
+    pool (``enclosing_compositions``) is searched this way.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, sizes: Mapping[FeatureVector, int] | None = None):
         import numpy as np
 
-        self.vectors = instance.present_vectors()
+        if sizes is None:
+            self.vectors = instance.present_vectors()
+            self.sizes = [instance.group_size(v) for v in self.vectors]
+        else:
+            self.vectors = sorted(sizes)
+            self.sizes = [sizes[v] for v in self.vectors]
         self.k = k = instance.k
-        self.sizes = [instance.group_size(v) for v in self.vectors]
         features = instance.scheme.features
         pairs = instance.scheme.feature_value_pairs()
         pair_at = {pair: j for j, pair in enumerate(pairs)}
@@ -518,7 +526,10 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 # Composition spaces within COMPOSITION_CAP are enumerated once per instance
 # and memoized: brute reads the list from it, and every oracle and covering
 # query is a vectorized pass over it; larger spaces go to an LP branch and
-# bound per query, which starts from the last query's root basis. The memo
+# bound per query, which starts from the last query's root basis. A matrix
+# can also be filled in without an enumeration: filtered from an enclosing
+# pool's (``derive_compositions``), or, for a pool with its self-excluders
+# stripped, from the unstripped pool's (``strip_self_excluders``). The memo
 # lives here, keyed by id(instance), not in the frozen instance; an entry
 # goes when its instance is collected.
 @dataclass
@@ -555,6 +566,71 @@ def _composition_matrix(instance: Instance):
         matrix = _CompositionSearch(instance).count_matrix()
         memo.matrix = False if matrix is None else matrix
     return memo.matrix
+
+
+@dataclass(frozen=True)
+class EnclosingPool:
+    """The valid compositions of a pool that encloses others: ``matrix`` has
+    one column per vector of ``sizes``, in sorted order, and its rows in
+    lexicographic order."""
+
+    scheme: FeatureScheme
+    k: int
+    quotas: Mapping[tuple[str, str], tuple[int, int]]
+    sizes: Mapping[FeatureVector, int]
+    matrix: object
+
+
+def enclosing_compositions(instance: Instance, sizes: Mapping[FeatureVector, int]) -> EnclosingPool | None:
+    """The valid compositions of the pool with ``instance``'s k and quotas
+    and the group ``sizes``, enumerated once to serve every pool it encloses
+    (``derive_compositions``); None past the cap.
+
+    A pool it encloses has the same scheme, k and quotas, and no group
+    larger than in ``sizes``. The quotas do not depend on group sizes, so
+    its valid compositions are exactly the enclosing pool's that seat no
+    more of each group than it has, and none of a group it lacks.
+
+    The cap verdict is the one the enclosed pool would reach alone. Padded
+    with zeros for the groups it lacks, an enclosed pool's partial row is
+    one of the enclosing pool's, and it survives the prune there too: the
+    quotas are the same and at least as many agents are left on every
+    (feature, value) pair. Each of its groups also offers at least as many
+    candidate counts in the enclosing pool. So each level of the enclosed
+    pool's enumeration expands to no more rows than the enclosing pool's
+    level for the same group, and the enclosing pool stays within the cap
+    only if every pool it encloses does. Past the cap, each pool enumerates
+    itself.
+    """
+    matrix = _CompositionSearch(instance, sizes).count_matrix()
+    if matrix is None:
+        return None
+    return EnclosingPool(instance.scheme, instance.k, dict(instance.quotas), dict(sorted(sizes.items())), matrix)
+
+
+def derive_compositions(instance: Instance, enclosing: EnclosingPool | None) -> None:
+    """Fill ``instance``'s empty memo from ``enclosing`` when it encloses the
+    pool: the enclosing rows that seat at most each group's size (and 0 of
+    every vector the pool lacks), in the pool's columns. Dropping columns
+    that are 0 in every kept row keeps the rows in lexicographic order. The
+    matrix is a fresh array, so no enclosing matrix outlives its pool."""
+    import numpy as np
+
+    if enclosing is None:
+        return
+    memo = _memo(instance)
+    if memo.matrix is not None or (instance.scheme, instance.k, instance.quotas) != (
+            enclosing.scheme, enclosing.k, enclosing.quotas):
+        return
+    column = {vector: j for j, vector in enumerate(enclosing.sizes)}
+    limit = np.zeros(len(column), dtype=np.int32)
+    for vector, members in instance.groups.items():
+        if len(members) > enclosing.sizes.get(vector, 0):
+            return
+        limit[column[vector]] = len(members)
+    keep = [column[vector] for vector in instance.present_vectors()]
+    rows = (enclosing.matrix <= limit).all(axis=1)
+    memo.matrix = enclosing.matrix[np.ix_(rows, keep)]
 
 
 def has_valid_panel(instance: Instance) -> bool:
@@ -636,14 +712,21 @@ def structurally_excluded(instance: Instance) -> set[str]:
     return excluded
 
 
-def strip_self_excluders(instance: Instance, coalition: set[str] | frozenset[str]) -> Instance:
+def strip_self_excluders(instance: Instance, coalition: set[str] | frozenset[str],
+                         enclosing: EnclosingPool | None = None) -> Instance:
     """Drop manipulators whose reported vector lies on no valid panel.
 
     Raises if a non-coalition agent is excluded: size-bounded coalitions are
     supposed to make that impossible, and the metrics are undefined when it
     happens. Removing agents who are on no panel leaves the set of valid
     panels unchanged, so a single pass cannot create new exclusions.
+
+    ``enclosing`` (from ``enclosing_compositions``) gives ``instance`` its
+    valid compositions without an enumeration when it encloses the pool.
+    When ``instance``'s memo holds a matrix, the kept pool gets it less the
+    excluded groups' columns, which are all zero.
     """
+    derive_compositions(instance, enclosing)
     excluded = structurally_excluded(instance)
     if not excluded:
         return instance
@@ -652,5 +735,9 @@ def strip_self_excluders(instance: Instance, coalition: set[str] | frozenset[str
         raise NonCoalitionExclusionError(
             f"misreport structurally excluded truthful agents: {sorted(truthful_excluded)}"
         )
-    kept = [(a, v) for a, v in instance.agents if a not in excluded]
-    return instance.replace_agents(kept)
+    kept = instance.replace_agents((a, v) for a, v in instance.agents if a not in excluded)
+    matrix = _memo(instance).matrix
+    if matrix is not None and matrix is not False:
+        columns = [j for j, vector in enumerate(instance.present_vectors()) if vector in kept.groups]
+        _memo(kept).matrix = matrix.take(columns, axis=1)
+    return kept

@@ -1,11 +1,16 @@
+import gc
+import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import reference_panels
-from panelot import fixtures
+from panelot import fixtures, panels
 from panelot.adversary import (
     Misreport,
+    _coalition_choices,
+    _report_choices,
     apply_misreport,
     coalition_size_cap,
     drop_features,
@@ -108,9 +113,16 @@ def test_mu_vector_tie_breaks_by_value_order(e1):
 def test_mu_vector_rejects_constrained_zero_share():
     scheme = FeatureScheme(features=("f",), values={"f": ("0", "1")})
     agents = (("a1", ("0",)), ("a2", ("0",)))
-    inst = Instance(scheme=scheme, agents=agents, k=1, quotas={("f", "1"): (0, 1)})
+    inst = Instance(scheme=scheme, agents=agents, k=1, quotas={("f", "1"): (1, 1)})
     with pytest.raises(ValidationError):
         mu_vector(inst)
+
+
+def test_mu_vector_skips_an_absent_value_no_panel_can_seat():
+    scheme = FeatureScheme(features=("f",), values={"f": ("0", "1")})
+    agents = (("a1", ("0",)), ("a2", ("0",)))
+    inst = Instance(scheme=scheme, agents=agents, k=1, quotas={("f", "1"): (0, 1)})
+    assert mu_vector(inst) == ("0",)
 
 
 def test_worst_mu_manipulator_zero_on_e1(e1):
@@ -222,6 +234,131 @@ def test_exhaustive_witness_reproduces_value(e1):
         if a not in report.witness.coalition
     ]
     assert max(losses) == pytest.approx(report.value, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# One enclosing enumeration per sweep
+# ---------------------------------------------------------------------------
+
+
+def _enclosing_sizes(instance, c):
+    return {vector: instance.group_size(vector) + c for vector in instance.scheme.all_vectors()}
+
+
+def _sweep_pools(instance, c):
+    """One (coalition, agents) pair per distinct pool that a size-c
+    exhaustive sweep builds, before self-excluders are stripped."""
+    found = {}
+    for counts in _coalition_choices(instance, c):
+        for reports in _report_choices(instance.scheme.all_vectors(), counts):
+            reported = {a: r for v in counts for a, r in zip(instance.groups[v], reports[v])}
+            agents = [(a, reported.get(a, v)) for a, v in instance.agents]
+            found.setdefault(tuple(sorted(Counter(v for _, v in agents).items())), (frozenset(reported), agents))
+    return list(found.values())
+
+
+def _assert_matrix_is_its_own_enumeration(instance):
+    derived, own = panels._memo(instance).matrix, panels._CompositionSearch(instance).count_matrix()
+    assert derived.dtype == own.dtype
+    assert derived.shape == own.shape
+    assert derived.flags.c_contiguous == own.flags.c_contiguous
+    assert np.array_equal(derived, own)
+
+
+def _sweep_instances():
+    yield from ((fixtures.random_brute_instance(seed), c) for seed in range(200) for c in (1, 2))
+    yield fixtures.skew_pool(48, 6, (2, 2, 2)), 1
+    thm43, _ = make_lb_instance("thm43", n=72, k=6, n_min=12, c=6)
+    yield from ((thm43, c) for c in (1, 2))
+
+
+def test_derived_matrices_equal_each_pools_own_enumeration():
+    for instance, c in _sweep_instances():
+        enclosing = panels.enclosing_compositions(instance, _enclosing_sizes(instance, c))
+        truthful = instance.replace_agents(instance.agents)
+        panels.derive_compositions(truthful, enclosing)
+        _assert_matrix_is_its_own_enumeration(truthful)
+        for coalition, agents in _sweep_pools(instance, c):
+            attacked = instance.replace_agents(agents)
+            panels.derive_compositions(attacked, enclosing)
+            _assert_matrix_is_its_own_enumeration(attacked)
+            if not panels.structurally_excluded(attacked):
+                continue
+            try:  # the stripped pool takes its parent's matrix less the zero columns
+                kept = panels.strip_self_excluders(attacked, coalition)
+            except NonCoalitionExclusionError:
+                continue
+            _assert_matrix_is_its_own_enumeration(kept)
+
+
+def test_derivation_needs_an_enclosing_pool():
+    inst = fixtures.skew_pool(48, 6, (2, 2, 2))
+    enclosing = panels.enclosing_compositions(inst, {v: inst.group_size(v) for v in inst.present_vectors()})
+    grown = inst.replace_agents([*inst.agents, ("extra", inst.agents[0][1])])
+    other_k = Instance(scheme=inst.scheme, agents=inst.agents, k=inst.k - 1, quotas={})
+    for instance in (grown, other_k):
+        panels.derive_compositions(instance, enclosing)
+        assert panels._memo(instance).matrix is None
+
+
+@pytest.mark.parametrize("name, c", [("skew8", 1), ("thm43", 1), ("thm43", 2), ("rand3", 2)])
+def test_enclosing_pool_within_the_cap_puts_every_attacked_pool_within_it(name, c, monkeypatch):
+    instance = {
+        "skew8": lambda: fixtures.skew_pool(48, 6, (2, 2, 2)),
+        "thm43": lambda: make_lb_instance("thm43", n=72, k=6, n_min=12, c=6)[0],
+        "rand3": lambda: fixtures.random_brute_instance(3),
+    }[name]()
+    pools = [instance.replace_agents(agents) for _, agents in _sweep_pools(instance, c)]
+    verdicts = set()
+    for cap in (1, 3, 6, 7, 10, 20, 40, 41, 60, 61, 100, 880, 881, 882, 1000):
+        monkeypatch.setattr(panels, "COMPOSITION_CAP", cap)
+        enclosing = panels.enclosing_compositions(instance, _enclosing_sizes(instance, c))
+        verdicts.add(enclosing is None)
+        if enclosing is not None:
+            assert all(panels._CompositionSearch(pool).count_matrix() is not None for pool in pools), cap
+    assert verdicts == {True, False}  # both sides of the enclosing pool's verdict were checked
+
+
+def _count_enumerations(monkeypatch):
+    calls = []
+    count_matrix = panels._CompositionSearch.count_matrix
+
+    def counted(search):
+        matrix = count_matrix(search)
+        calls.append(None if matrix is None else weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(panels._CompositionSearch, "count_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, cap, spec", [("skew8", 881, "goldilocks:1"), ("thm43", 40, "leximin")])
+def test_sweep_past_the_enclosing_cap_falls_back_to_the_same_report(name, cap, spec, monkeypatch):
+    # At these caps the c=1 enclosing pool is past the cap while the truthful
+    # pool and every attacked pool are within it.
+    instance = fixtures.skew_pool(48, 6, (2, 2, 2)) if name == "skew8" else \
+        make_lb_instance("thm43", n=72, k=6, n_min=12, c=6)[0]
+    within = manip_metric_exhaustive(instance.replace_agents(instance.agents), cfg(spec), c=1, metric="ext")
+    calls = _count_enumerations(monkeypatch)
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", cap)
+    fallback = manip_metric_exhaustive(instance, cfg(spec), c=1, metric="ext")
+    assert calls[0] is None and len(calls) > 2 and None not in calls[1:]
+    assert fallback == within
+
+
+@pytest.mark.parametrize("name, spec", [("skew8", "maximin"), ("thm43", "leximin")])
+def test_within_cap_sweep_enumerates_once_and_keeps_no_enclosing_matrix(name, spec, monkeypatch):
+    instance = fixtures.skew_pool(48, 6, (2, 2, 2)) if name == "skew8" else \
+        make_lb_instance("thm43", n=72, k=6, n_min=12, c=6)[0]
+    calls = _count_enumerations(monkeypatch)
+    manip_metric_exhaustive(instance, cfg(spec), c=1, metric="ext")
+    assert len(calls) == 1
+    gc.collect()
+    assert calls[0]() is None  # the enclosing matrix went with the sweep
+    truthful = instance.replace_agents(instance.agents)
+    calls.clear()
+    worst_mu_manipulator(truthful, cfg(spec))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

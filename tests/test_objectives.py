@@ -16,6 +16,7 @@ from panelot.objectives import (
     gamma_star,
     gini,
     parse_objective,
+    quota_pool_ratios,
 )
 
 GL1 = EqualityObjective(Kind.GOLDILOCKS, gamma=1.0)
@@ -167,9 +168,19 @@ def test_gamma_selection_bias_rejects_zero_share():
 
     scheme = FeatureScheme(features=("f",), values={"f": ("0", "1")})
     agents = (("a1", ("0",)), ("a2", ("0",)))
-    inst = Instance(scheme=scheme, agents=agents, k=1, quotas={("f", "1"): (0, 1)})
+    inst = Instance(scheme=scheme, agents=agents, k=1, quotas={("f", "1"): (1, 1)})
     with pytest.raises(ValidationError):
         gamma_selection_bias(inst)
+
+
+def test_gamma_selection_bias_skips_an_absent_pair_no_panel_can_seat():
+    from panelot.model import FeatureScheme, Instance
+
+    scheme = FeatureScheme(features=("f",), values={"f": ("0", "1")})
+    agents = (("a1", ("0",)), ("a2", ("0",)))
+    inst = Instance(scheme=scheme, agents=agents, k=1, quotas={("f", "1"): (0, 1), ("f", "0"): (1, 1)})
+    assert quota_pool_ratios(inst) == {("f", "0"): 1.0}
+    assert gamma_selection_bias(inst) == 1.0
 
 
 def test_gini_examples():

@@ -560,6 +560,18 @@ def test_auto_gammas_resolve(e2):
     assert biased.objective.gamma is not None and biased.converged
 
 
+@pytest.mark.parametrize("seed", [14, 42, 46, 60, 71, 90, 139, 165, 181, 201, 233, 241, 275])
+def test_auto2_skips_an_absent_pair_with_lower_quota_zero(seed):
+    # Each pool lacks a value whose lower quota is 0 (seed 14: (0, 0) on
+    # (f2, 0); seed 46: (0, 1) on (f1, 1)). No panel can seat that value, so
+    # it says nothing about selection bias, and gamma comes from the others.
+    inst = fixtures.random_brute_instance(seed)
+    brute, colgen = (solve(inst, cfg("goldilocks:auto2", backend)) for backend in ("brute", "colgen"))
+    assert brute.converged and colgen.converged
+    assert brute.objective.gamma == colgen.objective.gamma
+    assert colgen.objective_value == pytest.approx(brute.objective_value, abs=1e-6)
+
+
 def test_goldilocks_past_the_cap_restarts_its_lps_from_bases(monkeypatch):
     # On the 36-group pool every branch-and-bound child starts from its
     # parent's basis, and every master from the last one of its shape, so
