@@ -17,8 +17,20 @@ may append columns and change c and b:
 * else, if no reduced cost is negative, it is dual feasible (only b moved,
   as for a branch-and-bound child or a new floor), and the dual simplex
   regains primal feasibility before phase 2, or proves the LP infeasible;
-* else the LP is solved from scratch, by phase 1 over one artificial per
-  row.
+* else the LP is solved from scratch.
+
+A solve from scratch starts from a slack crash basis (Bixby, "Implementing
+the simplex method: the initial basis", ORSA J. Computing 4(3), 1992).
+After the rows are flipped to b >= 0, a column whose only nonzero is a in
+row i starts basic in row i when b_i = 0 or a > 0, and row i is scaled by
+1/a; of several such columns in one row, the first in column order wins.
+Only the remaining rows get a basic artificial, and phase 1 drives out just
+those.
+
+Each run of pivots prices the columns once, then updates the reduced costs
+from the pivot row after every pivot. It prices them afresh before it
+declares a basis optimal and on every Bland step, so drift in the updated
+values cannot end the search early.
 """
 
 from __future__ import annotations
@@ -85,6 +97,17 @@ def solve_lp(c, A, b, start: Basis | None = None) -> LPResult:
     T[:, -1] = b
     basis = np.arange(n, n + m)
 
+    # Crash: a singleton column that can carry its row's b >= 0 replaces the
+    # row's artificial; scaling the row by 1/a keeps T = B^-1 [A | I | b].
+    nonzero = A != 0.0
+    singles = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    rows = nonzero[:, singles].argmax(axis=0)
+    entries = A[rows, singles]
+    fits = (entries > 0.0) | (b[rows] == 0.0)
+    rows, first = np.unique(rows[fits], return_index=True)
+    T[rows] /= entries[fits][first, None]
+    basis[rows] = singles[fits][first]
+
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
     bounded, pivots = _iterate(T, basis, phase1_cost, entering_limit=n + m)
     if not bounded:
@@ -94,8 +117,8 @@ def solve_lp(c, A, b, start: Basis | None = None) -> LPResult:
 
     # Pivot leftover artificials out of the basis where possible; rows where
     # that fails are redundant equalities and their dual is zero.
-    for row in range(m):
-        if basis[row] >= n and T[row, -1] <= _TOL:
+    for row in np.flatnonzero(basis >= n):
+        if T[row, -1] <= _TOL:
             candidates = np.flatnonzero(np.abs(T[row, :n]) > 1e-7)
             if candidates.size:
                 _pivot(T, basis, row, candidates[0])
@@ -175,36 +198,45 @@ def _iterate(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, entering_limit:
     Pricing uses Dantzig's rule (most negative reduced cost) for speed and
     falls back to Bland's rule after a stretch of degenerate pivots, which
     restores the termination guarantee without paying Bland's cost on every
-    step.
+    step. The reduced costs are priced once and then updated from the pivot
+    row after each pivot; they are priced afresh from ``cost`` and the
+    tableau before a basis is declared optimal and on every Bland step.
     """
-    stalled = 0
+
+    def priced() -> np.ndarray:
+        return cost[:entering_limit] - cost[basis] @ T[:, :entering_limit]
+
+    reduced, stalled = priced(), 0
     for pivots in range(_MAX_PIVOTS):
-        reduced = cost[:entering_limit] - cost[basis] @ T[:, :entering_limit]
-        entering = -1
-        if stalled < _BLAND_AFTER:
-            j = int(np.argmin(reduced))
-            if reduced[j] < -_TOL:
-                entering = j
-        else:
-            for j in range(entering_limit):
-                if reduced[j] < -_TOL:
-                    entering = j
-                    break
+        bland = stalled >= _BLAND_AFTER
+        entering = _entering(reduced, bland)
+        if pivots and (bland or entering < 0):
+            # The updated values may have drifted since the last pricing.
+            reduced = priced()
+            entering = _entering(reduced, bland)
         if entering < 0:
             return True, pivots
         # Ratio test; among rows within _TOL of the minimum ratio, the
         # smallest basic variable index leaves.
         column = T[:, entering]
-        rows = np.flatnonzero(column > _TOL)
+        rows = (column > _TOL).nonzero()[0]
         if rows.size == 0:
             return False, pivots  # unbounded in phase 2; cannot happen in phase 1
         ratios = T[rows, -1] / column[rows]
         best_ratio = ratios.min()
         tied = rows[ratios < best_ratio + _TOL]
-        leaving = tied[np.argmin(basis[tied])]
+        leaving = tied[basis[tied].argmin()]
         stalled = stalled + 1 if best_ratio <= _TOL else 0
         _pivot(T, basis, leaving, entering)
+        reduced -= reduced[entering] * T[leaving, :entering_limit]
     raise SolverError("simplex exceeded the pivot budget")
+
+
+def _entering(reduced: np.ndarray, bland: bool) -> int:
+    """The entering column: the most negative reduced cost (Dantzig), or the
+    first negative one (Bland); -1 when none is below -_TOL."""
+    j = int((reduced < -_TOL).argmax() if bland else reduced.argmin())
+    return j if reduced[j] < -_TOL else -1
 
 
 def _dual_iterate(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> tuple[bool, int]:
@@ -241,9 +273,11 @@ def _dual_iterate(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> tuple[bool
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot on (row, col) in place: scale the pivot row to 1 there, then
+    clear the column from every other row in one rank-1 update, with the
+    pivot row's own factor set to 0."""
     T[row] /= T[row, col]
-    # A rank-1 update of the other rows with a nonzero in the pivot column.
-    nz = T[:, col] != 0.0
-    nz[row] = False
-    T[nz] -= np.outer(T[nz, col], T[row])
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= factors[:, None] * T[row]
     basis[row] = col

@@ -259,3 +259,91 @@ def test_start_basis_must_fit_the_lp():
         solve_lp(c[:2], A[:, :2], b, start=basis)
     with pytest.raises(SolverError, match="start basis"):
         solve_lp(c, A[:2], b[:2], start=basis)
+
+
+# Crash start: a cold solve starts each row from a singleton column that can
+# carry the row's flipped b >= 0, and gives only the other rows an artificial.
+
+
+def test_cold_start_takes_the_first_singleton_that_fits_each_row():
+    # Row 0 has singletons 2 (column 0) and 1 (column 2): the first wins.
+    # Row 1's -1 fits since b = 0, and row 2's -3 fits once b = -6 is
+    # flipped. Row 3's -1 (column 5) cannot carry b = 1, so its +1
+    # (column 6) does. That basis is optimal, so no pivot is needed.
+    A = np.array([
+        [2.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, -3.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 1.0],
+    ])
+    b = np.array([4.0, 0.0, -6.0, 1.0])
+    c = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    res = solve_lp(c, A, b)
+    assert res.status == "optimal" and res.pivots == 0
+    assert res.basis.columns.tolist() == [0, 1, 4, 6]
+    np.testing.assert_allclose(res.basis.inverse @ A[:, res.basis.columns], np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(res.x, [2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 1.0], atol=1e-12)
+
+
+def _crash_lp(rng, m):
+    """A random feasible, bounded LP whose columns mix dense ones with
+    singletons: each row gets none, one or two singleton columns of either
+    sign, about a third of the rows have b = 0, and the others b of either
+    sign. c = A'y + s with s >= 0 makes y dual feasible, so the LP is bounded."""
+    columns = [rng.uniform(-2, 2, size=m) for _ in range(int(rng.integers(1, m + 2)))]
+    for row in range(m):
+        for _ in range(int(rng.integers(0, 3))):
+            column = np.zeros(m)
+            column[row] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            columns.append(column)
+    A = np.column_stack(columns)
+    x = rng.uniform(0, 1, size=A.shape[1]) * (rng.uniform(size=A.shape[1]) < 0.7)
+    x[0] = 0.0  # the first dense column keeps every row of A nonzero
+    A[np.ix_(rng.uniform(size=m) < 1 / 3, x > 0)] = 0.0  # those rows get b = 0 exactly
+    order = rng.permutation(A.shape[1])
+    A, x = A[:, order], x[order]
+    c = A.T @ rng.uniform(-1, 1, size=m) + rng.uniform(0, 1, size=A.shape[1])
+    return c, A, A @ x
+
+
+def _crash_cases(A, b):
+    """Whether an LP holds each crash case, by name."""
+    nonzero = A != 0.0
+    singles = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    rows = nonzero[:, singles].argmax(axis=0)
+    entries, rhs = A[rows, singles], b[rows]
+    per_row = np.bincount(rows, minlength=A.shape[0])
+    named = {
+        "negative singleton": (entries < 0).any(),
+        "positive singleton": (entries > 0).any(),
+        "singleton that cannot carry its row": (entries * rhs < 0).any(),
+        "negative singleton on b = 0": ((entries < 0) & (rhs == 0)).any(),
+        "b below 0": (b < 0).any(),
+        "b at 0": (b == 0).any(),
+        "b above 0": (b > 0).any(),
+        "two singletons in one row": per_row.max() >= 2,
+        "row with no singleton": per_row.min() == 0,
+    }
+    return {name: bool(held) for name, held in named.items()}
+
+
+def test_crash_start_matches_highs_and_restarts_from_its_basis():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(59)
+    seen, restarted = {}, 0
+    for trial in range(80):
+        c, A, b = _crash_lp(rng, int(rng.integers(2, 7)))
+        seen = {name: seen.get(name, False) or held for name, held in _crash_cases(A, b).items()}
+        res = solve_lp(c, A, b)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert res.status == "optimal" and ref.status == 0, trial
+        assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+        certify_optimal(c, A, b, res.x, res.duals)
+        if res.basis is None:  # rows that b = 0 left dependent keep an artificial basic
+            continue
+        again = solve_lp(c, A, b, start=res.basis)
+        assert again.pivots == 0, trial
+        np.testing.assert_allclose(again.x, res.x, atol=1e-9)
+        restarted += 1
+    assert all(seen.values()), seen
+    assert restarted >= 50

@@ -595,6 +595,36 @@ def test_goldilocks_past_the_cap_restarts_its_lps_from_bases(monkeypatch):
     assert sum(pivots) <= 8000
 
 
+@pytest.mark.parametrize(
+    "pool, objective, bound",
+    [
+        # 108 and about 2,400 pivots when a cold LP ran phase 1 over one
+        # artificial per row; about 73 and 1,400 from the slack crash basis.
+        pytest.param(lambda: fixtures.skew_pool(200, 10, (2, 2, 3)), "leximin", 90, id="skew12-leximin"),
+        pytest.param(lambda: fixtures.skew_pool(500, 20, (2, 3, 3, 2)), "goldilocks:1", 1800,
+                     id="skew36-goldilocks1"),
+    ],
+)
+def test_cold_lps_start_from_a_slack_crash_basis(monkeypatch, pool, objective, bound):
+    # Every master row but convexity, and every bound row of a branch and
+    # bound, has a slack that starts basic, so phase 1 has few rows to clear.
+    from panelot import _simplex, solver
+
+    solve_lp = _simplex.solve_lp
+    pivots = []
+
+    def counted(c, A, b, start=None):
+        res = solve_lp(c, A, b, start)
+        pivots.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(_simplex, "solve_lp", counted)
+    monkeypatch.setattr(solver, "solve_lp", counted)
+    result = solve(pool(), SolveConfig(objective=parse_objective(objective)))
+    assert result.converged
+    assert sum(pivots) <= bound
+
+
 # ---------------------------------------------------------------------------
 # Nash optimality certificate
 # ---------------------------------------------------------------------------
