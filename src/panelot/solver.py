@@ -15,7 +15,9 @@ Master solves are self-contained: linear objectives run on the bundled
 simplex solver, the goldilocks family reduces to a one-dimensional convex
 search over an enforced minimum floor with an inner min-max LP (cutting
 planes from the floor rows' duals), and nash solves its restricted master
-fully correctively by projected Newton steps on the columns carrying mass.
+fully correctively by projected Newton steps on the columns carrying mass,
+returning the geometric mean's gradient in the group probabilities as its
+duals, so the driver prices it like any LP master.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class SolveConfig:
     eps_master: float = 1e-8
     eps_colgen: float = 1e-3
     max_columns: int = 2000
-    nash_gap: float = 1e-7  # nash optimality-gap target, geometric-mean units
+    nash_gap: float = 1e-7  # nash master's own gap target over the pool, geometric-mean units
     nash_max_iters: int = 20_000
 
     def __post_init__(self):
@@ -171,6 +173,9 @@ class _MasterSolution:
     group_duals: np.ndarray  # pricing weights per group
     p: np.ndarray  # group probabilities A @ q
     floor_slope: float = 0.0  # d value / d floor: the floor rows' duals summed
+    gap: float = 0.0  # the master's own optimality gap over the pool (0 for an LP)
+    converged: bool = True  # whether the master met its own tolerance
+    iterations: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +276,13 @@ def _lp_master(
 @dataclass
 class _ColgenOutcome:
     """What every objective's driver returns: the final master solution, its
-    gap (the result's certificate), master rounds, and whether it converged."""
+    certificate (pricing gap plus the master's own gap), the master
+    iterations summed over rounds, and whether it converged."""
 
     solution: _MasterSolution
     gap: float
     rounds: int
     converged: bool
-
-
-def _price(
-    instance: Instance,
-    pool: _ColumnPool,
-    group_weights: np.ndarray,
-) -> tuple[PanelComposition, float]:
-    """The best composition when every seat of group w weighs
-    ``group_weights[w]``, and its total weight."""
-    comp = composition_oracle(instance, group_weights)
-    if comp is None:
-        raise NoValidPanelError("no valid panel exists")
-    return comp, sum(group_weights[pool.index[v]] * seats for v, seats in comp.items)
 
 
 def _run_colgen(
@@ -301,24 +294,36 @@ def _run_colgen(
 ) -> _ColgenOutcome:
     """Alternate master solves and pricing until the stopping rule holds:
     the best composition anywhere beats the best one in the support by at
-    most ``eps_colgen`` (in objective units), or is already in the pool."""
+    most ``eps_colgen`` (in objective units), or is already in the pool.
+
+    Every seat of group w weighs ``group_duals[w] / n_w``. The certificate
+    adds the master's own gap (measured from the master's value to the best
+    pool column) to the pricing gap (from the best support column to the
+    best composition), so it bounds the gap over every composition even when
+    the master stopped short. The outcome converges only if the last master
+    met its own tolerance.
+    """
     rounds = 0
     while True:
         solution = master(pool)
-        rounds += 1
+        rounds += solution.iterations
         mu = solution.group_duals
-        comp, score = _price(instance, pool, mu / pool.sizes)
-        if comp in pool:
-            return _ColgenOutcome(solution, 0.0, rounds, True)
-        col_scores = mu @ pool.A
-        support = solution.q > 1e-9
-        support_best = float(col_scores[support].max()) if support.any() else float(col_scores.max())
-        gap = (score - support_best) * eta_scale
-        if gap <= config.eps_colgen:
-            return _ColgenOutcome(solution, max(gap, 0.0), rounds, True)
-        if len(pool) >= config.max_columns:
-            return _ColgenOutcome(solution, gap, rounds, False)
-        pool.add(comp)
+        weights = mu / pool.sizes
+        comp = composition_oracle(instance, weights)
+        if comp is None:
+            raise NoValidPanelError("no valid panel exists")
+        gap = 0.0
+        if comp not in pool:
+            score = sum(weights[pool.index[v]] * seats for v, seats in comp.items)
+            col_scores = mu @ pool.A
+            support = solution.q > 1e-9
+            support_best = float(col_scores[support].max()) if support.any() else float(col_scores.max())
+            gap = (score - support_best) * eta_scale
+            if gap > config.eps_colgen and len(pool) < config.max_columns:
+                pool.add(comp)
+                continue
+        converged = gap <= config.eps_colgen and solution.converged
+        return _ColgenOutcome(solution, max(gap, 0.0) + solution.gap, rounds, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +444,6 @@ def _goldilocks_search(
     return _ColgenOutcome(best.solution, best.gap, rounds, converged)
 
 
-def _nash_geomean(pool: _ColumnPool, q: np.ndarray) -> tuple[float, np.ndarray]:
-    p = pool.A @ q
-    if (p <= 0.0).any():
-        return 0.0, p
-    log_mean = float(pool.sizes @ np.log(p)) / pool.sizes.sum()
-    return math.exp(log_mean), p
-
-
 def _psd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve M x = b for a symmetric positive semidefinite M by Gauss-Jordan
     elimination with the largest remaining diagonal entry as pivot.
@@ -527,12 +524,10 @@ def _nash_newton_direction(A_S: np.ndarray, p: np.ndarray, root_sizes: np.ndarra
     return d
 
 
-def _nash_master(
-    instance: Instance,
-    pool: _ColumnPool,
-    config: SolveConfig,
-) -> _ColgenOutcome:
-    """Maximize sum(n_w log p_w), p = A q, over the column simplex.
+def _nash_master(pool: _ColumnPool, config: SolveConfig, q: np.ndarray):
+    """The restricted nash master for ``_run_colgen``, started from the
+    column weights ``q``: maximize sum(n_w log p_w), p = A q, over the
+    column simplex.
 
     The restricted master is solved fully correctively by an active-set
     projected Newton method. Each iteration takes the columns carrying mass
@@ -544,44 +539,34 @@ def _nash_master(
     optimum, so the Newton systems stay small and the master converges in
     tens of iterations.
 
-    Pricing against the full composition space reuses the panel oracle with
-    weights 1/pi_i (the objective gradient through an agent's probability).
-    The Frank-Wolfe duality gap of the log objective converts to
-    geometric-mean units via gap * geomean / n, which is what the stopping
-    thresholds are read in.
+    ``q`` must give every group positive probability, as the max-min
+    pre-solve's weights do. Between calls the master keeps its weights and
+    gives 1e-6 of the mass to each column added since. Its group duals are
+    the gradient of the geometric mean G = exp(sum(n_w log p_w) / n) in p,
+    G n_w / (n p_w), so pricing scores and gaps are in geometric-mean units;
+    its own gap is the Frank-Wolfe gap over the pool in the same units,
+    G (max_c grad_c - n) / n with grad the log objective's gradient in q.
     """
-    n_total = pool.sizes.sum()
+    n_total = float(pool.sizes.sum())
     root_sizes = np.sqrt(pool.sizes)
-    # Start from a small covering mix rather than all columns: every group
-    # needs positive probability for the log objective, and a small support
-    # keeps the first Newton systems small.
-    covered: set[int] = set()
-    support: list[int] = []
-    for idx, comp in enumerate(pool.columns):
-        groups_hit = {pool.index[v] for v, _ in comp.items}
-        if not groups_hit <= covered:
-            support.append(idx)
-            covered |= groups_hit
-        if len(covered) == len(pool.vectors):
-            break
-    q = np.zeros(len(pool))
-    q[support] = 1.0 / len(support)
-    iterations = 0
-    converged = False
-    gap_value_units = math.inf
+    q = q / q.sum()
 
-    for _outer in range(200):
-        # Inner loop: optimize over the current pool.
-        for _ in range(config.nash_max_iters):
-            iterations += 1
-            A = pool.A
+    def master(pool: _ColumnPool) -> _MasterSolution:
+        nonlocal q
+        added = len(pool) - len(q)
+        if added:
+            q = np.append(q * (1.0 - 1e-6 * added), np.full(added, 1e-6))
+        A = pool.A
+        for iterations in range(1, config.nash_max_iters + 1):
             p = A @ q
             grad = (pool.sizes / p) @ A  # d/dq_c of sum n_w log p_w
             fw_idx = int(np.argmax(grad))
-            fw_gap_log = grad[fw_idx] - n_total  # q . grad is identically n
-            geomean, _ = _nash_geomean(pool, q)
-            gap_value_units = geomean * max(fw_gap_log, 0.0) / n_total
-            if gap_value_units <= 0.5 * config.nash_gap:
+            geomean = math.exp(float(pool.sizes @ np.log(p)) / n_total)
+            # q . grad is identically n, so this is the Frank-Wolfe gap.
+            gap = geomean * max(float(grad[fw_idx]) - n_total, 0.0) / n_total
+            # The last iteration the budget allows only measures, so the gap
+            # returned is always that of the weights returned.
+            if gap <= 0.5 * config.nash_gap or iterations == config.nash_max_iters:
                 break
             active = np.flatnonzero(q > 0.0)
             if q[fw_idx] == 0.0:
@@ -607,28 +592,12 @@ def _nash_master(
             if total <= 0.0:
                 raise SolverError("nash iterate lost all mass")
             q /= total
+        return _MasterSolution(
+            q=q, value=-geomean, group_duals=geomean * pool.sizes / (n_total * p), p=p,
+            gap=gap, converged=gap <= config.nash_gap, iterations=iterations,
+        )
 
-        # The inner loop can also stop on its iteration budget or a stall.
-        inner_met = bool(gap_value_units <= config.nash_gap)
-
-        # Pricing over the full composition space.
-        comp, score = _price(instance, pool, 1.0 / np.maximum(pool.A @ q, 1e-300))
-        geomean, _ = _nash_geomean(pool, q)
-        outside_gap = geomean * max(score - n_total, 0.0) / n_total
-        if comp in pool or outside_gap <= max(config.eps_colgen, config.nash_gap):
-            converged = inner_met
-            gap_value_units = max(outside_gap, gap_value_units)
-            break
-        if len(pool) >= config.max_columns:
-            converged = False
-            break
-        q = np.append(q * (1.0 - 1e-6), 1e-6)
-        pool.add(comp)
-
-    solution = _MasterSolution(
-        q=q, value=-_nash_geomean(pool, q)[0], group_duals=np.zeros(len(pool.vectors)), p=pool.A @ q
-    )
-    return _ColgenOutcome(solution, gap_value_units, iterations, converged)
+    return master
 
 
 # ---------------------------------------------------------------------------
@@ -803,8 +772,9 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
             # the max-min colgen gap was.
             outcome.gap = 0.0
         else:
+            # Every group has p >= maximin > 0 at the max-min weights.
             pre_rounds = outcome.rounds
-            outcome = _nash_master(instance, pool, config)
+            outcome = _run_colgen(instance, pool, _nash_master(pool, config, outcome.solution.q), config)
             outcome.rounds += pre_rounds
     elif objective.kind == Kind.GOLDILOCKS:
         outcome = _goldilocks_search(instance, pool, objective.gamma, config)

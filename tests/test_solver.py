@@ -666,6 +666,27 @@ def test_nash_results_carry_their_optimality_certificate(make):
     assert abs(colgen.objective_value - brute.objective_value) <= colgen.certificate + brute_cfg.nash_gap
 
 
+@pytest.mark.parametrize("make", NASH_CERT_POOLS)
+def test_nash_certificate_bounds_the_gap_when_a_budget_runs_out(make):
+    # One budget at a time: the master's Newton iterations, then the columns
+    # (no room past the initial pool). A budget bit when the result is further
+    # from the optimum than both tolerances allow; such a result must say it
+    # did not converge, and every certificate must bound the gap over all
+    # compositions.
+    inst = make()
+    config = SolveConfig(objective=parse_objective("nash"), eps_colgen=1e-7)
+    budgets = [
+        replace(config, nash_max_iters=1, nash_gap=1e-12),
+        replace(config, max_columns=len(_initial_pool(inst, config))),
+    ]
+    for budget in budgets:
+        result = solve(inst, budget)
+        gap = _nash_fw_gap(inst, result)
+        if gap > budget.eps_colgen + budget.nash_gap:
+            assert not result.converged
+        assert gap <= result.certificate + 1e-12
+
+
 @pytest.mark.parametrize("make", [fixtures.two_group_instance, lambda: fixtures.random_brute_instance(8)])
 def test_uniform_feasible_nash_certificate_is_zero(make):
     # Equal probabilities are feasible here, so the max-min pre-solve returns
