@@ -139,7 +139,7 @@ def _solve_warm(c: np.ndarray, A: np.ndarray, b: np.ndarray, start: Basis) -> LP
         reduced = c - c[basis] @ T[:, :n]
         if reduced.min() < -_TOL:
             return None
-        feasible, pivots = _dual_iterate(T, basis, c)
+        feasible, pivots = _dual_iterate(T, basis, c, reduced)
         if not feasible:
             return LPResult(status="infeasible", pivots=pivots)
     # Entries within _TOL below zero would turn phase 2's ratio test around.
@@ -239,36 +239,40 @@ def _entering(reduced: np.ndarray, bland: bool) -> int:
     return j if reduced[j] < -_TOL else -1
 
 
-def _dual_iterate(T: np.ndarray, basis: np.ndarray, c: np.ndarray) -> tuple[bool, int]:
-    """Run dual simplex pivots in place from a dual feasible tableau until no
-    basic value is below -_TOL; return whether the LP is feasible, and the
-    pivots made.
+def _dual_iterate(T: np.ndarray, basis: np.ndarray, c: np.ndarray, reduced: np.ndarray) -> tuple[bool, int]:
+    """Run dual simplex pivots in place from a dual feasible tableau, whose
+    reduced costs are ``reduced``, until no basic value is below -_TOL;
+    return whether the LP is feasible, and the pivots made.
 
     The most negative basic value leaves. Entering is the column that keeps
     every reduced cost nonnegative; among ties within _TOL, the one with the
     largest |pivot|. A leaving row with no negative entry proves the LP
     infeasible. After a stretch of degenerate pivots both choices follow
     Bland's rule (smallest basic index, then smallest column index), as in
-    ``_iterate``.
+    ``_iterate``. The reduced costs are updated from the pivot row after
+    each pivot and priced afresh from ``c`` on every Bland step.
     """
     n = c.shape[0]
     stalled = 0
     for pivots in range(_MAX_PIVOTS):
-        rows = np.flatnonzero(T[:, -1] < -_TOL)
+        rows = (T[:, -1] < -_TOL).nonzero()[0]
         if rows.size == 0:
             return True, pivots
         bland = stalled >= _BLAND_AFTER
-        row = rows[np.argmin(basis[rows] if bland else T[rows, -1])]
+        if bland:
+            reduced = c - c[basis] @ T[:, :n]
+        row = rows[(basis[rows] if bland else T[rows, -1]).argmin()]
         alpha = T[row, :n]
-        cols = np.flatnonzero(alpha < -_TOL)
+        cols = (alpha < -_TOL).nonzero()[0]
         if cols.size == 0:
             return False, pivots
-        reduced = c[cols] - c[basis] @ T[:, cols]
-        ratios = np.maximum(reduced, 0.0) / -alpha[cols]
+        ratios = np.maximum(reduced[cols], 0.0) / -alpha[cols]
         best_ratio = ratios.min()
         tied = cols[ratios < best_ratio + _TOL]
         stalled = stalled + 1 if best_ratio <= _TOL else 0
-        _pivot(T, basis, row, tied[0] if bland else tied[np.argmin(alpha[tied])])
+        entering = tied[0] if bland else tied[alpha[tied].argmin()]
+        _pivot(T, basis, row, entering)
+        reduced -= reduced[entering] * T[row, :n]
     raise SolverError("dual simplex exceeded the pivot budget")
 
 

@@ -91,7 +91,8 @@ class Instance:
             seen.add(agent_id)
         if not 1 <= self.k <= len(self.agents):
             raise ValidationError(f"panel size k={self.k} must satisfy 1 <= k <= n={len(self.agents)}")
-        for _, vector in self.agents:
+        # Each distinct vector once, in agent order, so the first bad one raises.
+        for vector in dict.fromkeys(vector for _, vector in self.agents):
             self.scheme.check_vector(vector)
         for (feature, value), (lo, hi) in self.quotas.items():
             if feature not in self.scheme.values or value not in self.scheme.values[feature]:

@@ -529,13 +529,15 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 # bound per query, which starts from the last query's root basis. A matrix
 # can also be filled in without an enumeration: filtered from an enclosing
 # pool's (``derive_compositions``), or, for a pool with its self-excluders
-# stripped, from the unstripped pool's (``strip_self_excluders``). The memo
-# lives here, keyed by id(instance), not in the frozen instance; an entry
-# goes when its instance is collected.
+# stripped, from the unstripped pool's (``strip_self_excluders``). The
+# covering query's answer is kept too, as a sweep asks it twice per pool.
+# The memo lives here, keyed by id(instance), not in the frozen instance; an
+# entry goes when its instance is collected.
 @dataclass
 class _Memo:
     matrix: object = None  # the count matrix, or False past the cap
     root_basis: object = None  # the branch and bound's last root basis
+    covers: list | None = None  # covering_compositions' answer
 
 
 _MEMO: dict[int, _Memo] = {}
@@ -681,8 +683,16 @@ def covering_compositions(instance: Instance) -> list[PanelComposition | None]:
     Within the cap this is one pass over the memo: each column's first
     maximum, so ties go to the lexicographically first composition, as the
     oracle's do. Past it, one branch and bound per group, weighing only that
-    group's seats and requiring at least one.
+    group's seats and requiring at least one. The answer is memoized; each
+    call returns a fresh list.
     """
+    memo = _memo(instance)
+    if memo.covers is None:
+        memo.covers = _covers(instance)
+    return list(memo.covers)
+
+
+def _covers(instance: Instance) -> list[PanelComposition | None]:
     import numpy as np
 
     vectors = instance.present_vectors()

@@ -14,10 +14,12 @@ the loop stops with gap 0.
 Master solves are self-contained: linear objectives run on the bundled
 simplex solver, the goldilocks family reduces to a one-dimensional convex
 search over an enforced minimum floor with an inner min-max LP (cutting
-planes from the floor rows' duals), and nash solves its restricted master
-fully correctively by projected Newton steps on the columns carrying mass,
-returning the geometric mean's gradient in the group probabilities as its
-duals, so the driver prices it like any LP master.
+planes from the floor row's dual; the max-min pre-solve and every floor
+share one master shape, so each master starts from the last one's basis),
+and nash solves its restricted master fully correctively by projected
+Newton steps on the columns carrying mass, returning the geometric mean's
+gradient in the group probabilities as its duals, so the driver prices it
+like any LP master.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class _MasterSolution:
     value: float
     group_duals: np.ndarray  # pricing weights per group
     p: np.ndarray  # group probabilities A @ q
-    floor_slope: float = 0.0  # d value / d floor: the floor rows' duals summed
+    floor_slope: float = 0.0  # d value / d floor: the "linear" bound row's dual
     gap: float = 0.0  # the master's own optimality gap over the pool (0 for an LP)
     converged: bool = True  # whether the master met its own tolerance
     iterations: int = 1
@@ -189,27 +191,35 @@ def _lp_master(
     floors: dict[int, float] | None = None,
     ceilings: dict[int, float] | None = None,
     free_groups: set[int] | None = None,
-    gamma: float = 0.0,
+    costs: tuple[float, float] = (1.0, 0.0),
+    r_floor: float = 0.0,
 ) -> _MasterSolution:
     """Solve one LP master over the pool's columns.
 
     kind "max_min":   max t  s.t. p_w >= t on free groups (t is the value);
     kind "min_max":   min s  s.t. p_w <= s on all groups;
-    kind "linear":    min s - gamma * r  s.t. r <= p_w <= s.
+    kind "linear":    min c_s s + c_r r  s.t. r <= p_w <= s on all groups and
+                      r >= ``r_floor``, with (c_s, c_r) = ``costs``.
     ``floors``/``ceilings`` add hard bounds p_w >= / <= value for single
     groups. Group duals are summed across every row a group appears in, which
-    is exactly the pricing weight a new column must be scored against. The
-    floor rows' duals are also summed on their own, as ``floor_slope``. The
-    dual solution stays feasible when every floor moves to t', so for a min
-    master with floors t, ``value + floor_slope * (t' - t)`` is a lower bound
-    on the value at t' (LP duality), provided no column outside the pool
-    prices out.
+    is exactly the pricing weight a new column must be scored against.
+
+    One "linear" shape serves a whole floor search: costs (0, -1) at floor 0
+    is the max-min LP (its value is -r), costs (1, 0) at floor t is the
+    min-max LP with every group floored at t, and (1, -gamma) at floor 0 is
+    the linear objective. With c_s = 0, s is basic, so the ceiling rows'
+    duals are 0 and the max-min LP prices as "max_min" does. The bound row's
+    dual is ``floor_slope``: the dual solution stays feasible when the floor
+    moves to t', so ``value + floor_slope * (t' - t)`` is a lower bound on the
+    value at t' (LP duality), provided no column outside the pool prices out.
 
     A master of the same shape as the pool's last one (same kind and rows)
     starts from that master's final basis. Between column-generation rounds
     only a column is appended, so the basis stays primal feasible; between
     floor evaluations only the right-hand side moves, so it stays dual
-    feasible (see ``_simplex``).
+    feasible; from the max-min LP at r = t* to the first floor t* only c and
+    the bound row's b move, and the bound row's slack drops from t* to 0, so
+    it stays primal feasible (see ``_simplex``).
     """
     A = pool.A
     n_groups, n_cols = A.shape
@@ -221,29 +231,34 @@ def _lp_master(
     elif kind == "min_max":
         extras, cost = [(every, +1.0)], [1.0]
     elif kind == "linear":
-        extras, cost = [(every, +1.0), (every, -1.0)], [1.0, -gamma]
+        extras, cost = [(every, +1.0), (every, -1.0)], list(costs)
     else:
         raise SolverError(f"unknown master kind {kind}")
     floor_items, ceiling_items = sorted((floors or {}).items()), sorted((ceilings or {}).items())
     blocks = extras + [([w for w, _ in floor_items], -1.0), ([w for w, _ in ceiling_items], +1.0)]
     groups = [w for g, _ in blocks for w in g]
+    bound = kind == "linear"
 
-    # Rows: the blocks, then convexity. Columns: extras, one slack per row
-    # but the last, then q, so that a column added to the pool leaves every
-    # index of the last basis in place.
-    n_extra, rows = len(cost), np.arange(len(groups))
-    q_at = n_extra + len(groups)
-    M = np.zeros((len(groups) + 1, q_at + n_cols))
-    M[:-1, q_at:] = A[groups]
+    # Rows: the blocks, r's bound row r - slack = r_floor ("linear" only),
+    # then convexity. Columns: extras, one slack per row but the last, then
+    # q, so that a column added to the pool leaves every index of the last
+    # basis in place.
+    n_extra, n_rows = len(cost), len(groups) + bound + 1
+    slacks = np.arange(n_rows - 1)
+    q_at = n_extra + n_rows - 1
+    M = np.zeros((n_rows, q_at + n_cols))
+    M[: len(groups), q_at:] = A[groups]
     M[-1, q_at:] = 1.0
-    M[rows, n_extra + rows] = [sign for g, sign in blocks for _ in g]
+    M[slacks, n_extra + slacks] = [sign for g, sign in blocks for _ in g] + [-1.0] * bound
     first = 0
     for x, (g, _) in enumerate(extras):
         M[first:first + len(g), x] = -1.0
         first += len(g)
-    floor_rows = slice(first, first + len(floor_items))
-    b = np.zeros(len(groups) + 1)
-    b[first:-1] = [v for _, v in floor_items + ceiling_items]
+    b = np.zeros(n_rows)
+    b[first:len(groups)] = [v for _, v in floor_items + ceiling_items]
+    if bound:
+        M[-2, 1] = 1.0
+        b[-2] = r_floor
     b[-1] = 1.0
     c = np.zeros(q_at + n_cols)
     c[:n_extra] = cost
@@ -262,9 +277,9 @@ def _lp_master(
     return _MasterSolution(
         q=q,
         value=float(res.x[0] if kind == "max_min" else res.objective),
-        group_duals=np.bincount(groups, weights=res.duals[:-1], minlength=n_groups),
+        group_duals=np.bincount(groups, weights=res.duals[: len(groups)], minlength=n_groups),
         p=A @ q,
-        floor_slope=float(res.duals[floor_rows].sum()),
+        floor_slope=float(res.duals[-2]) if bound else 0.0,
     )
 
 
@@ -385,15 +400,18 @@ def _floor_search(evaluate, lo: float, hi: float, outer, argmin) -> tuple[float,
 def _floor_value_function(instance: Instance, pool: _ColumnPool, config: SolveConfig):
     """The floor set-up shared by goldilocks and ``deviation_delta``.
 
-    Returns the maximin outcome; ``evaluate(t)``, the min-max value M(t)
-    with every group floored at t and its slope (``floor_slope``); and
-    ``outcomes``, each evaluated floor's column-generation outcome, which
-    ``evaluate`` caches. Column generation runs to convergence inside every
-    evaluation, so the floor-row duals are valid slopes of M. Maximin is
+    Returns the max-min pre-solve's outcome and its value t_max;
+    ``evaluate(t)``, the min-max value M(t) with every group floored at t and
+    its slope (``floor_slope``); and ``outcomes``, each evaluated floor's
+    column-generation outcome, which ``evaluate`` caches. The pre-solve and
+    every evaluation solve the one "linear" master shape (``_lp_master``),
+    so each master starts from the last one's basis and the whole search
+    makes one cold LP. Column generation runs to convergence inside every
+    evaluation, so the bound row's dual is a valid slope of M. t_max is
     above 0, since ``_initial_pool`` seeds a cover of every group.
     """
     ideal = instance.k / instance.n
-    maximin = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
+    maximin = _run_colgen(instance, pool, lambda p: _lp_master(p, "linear", costs=(0.0, -1.0)), config)
     outcomes: dict[float, _ColgenOutcome] = {}
 
     def evaluate(t: float) -> tuple[float, float]:
@@ -401,14 +419,14 @@ def _floor_value_function(instance: Instance, pool: _ColumnPool, config: SolveCo
             outcomes[t] = _run_colgen(
                 instance,
                 pool,
-                lambda p: _lp_master(p, "min_max", floors={w: t for w in range(len(p.vectors))}),
+                lambda p: _lp_master(p, "linear", costs=(1.0, 0.0), r_floor=t),
                 config,
                 eta_scale=1.0 / ideal,
             )
         solution = outcomes[t].solution
         return solution.value, solution.floor_slope
 
-    return maximin, evaluate, outcomes
+    return maximin, -maximin.solution.value, evaluate, outcomes
 
 
 def _goldilocks_search(
@@ -425,8 +443,7 @@ def _goldilocks_search(
     in a handful of floor evaluations.
     """
     ideal = instance.k / instance.n
-    maximin, evaluate, outcomes = _floor_value_function(instance, pool, config)
-    t_hi = maximin.solution.value
+    maximin, t_hi, evaluate, outcomes = _floor_value_function(instance, pool, config)
 
     def outer(m, t):
         return m / ideal + gamma * ideal / t
@@ -760,7 +777,7 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
         outcome = _leximin(instance, pool, config)
     elif objective.kind == Kind.LINEAR:
         outcome = _run_colgen(
-            instance, pool, lambda p: _lp_master(p, "linear", gamma=objective.gamma), config
+            instance, pool, lambda p: _lp_master(p, "linear", costs=(1.0, -objective.gamma)), config
         )
     elif objective.kind == Kind.NASH:
         # If perfectly equal probabilities are feasible they are optimal for
@@ -806,8 +823,7 @@ def deviation_delta(instance: Instance, config: SolveConfig | None = None) -> fl
     cfg = replace(cfg, backend="brute")
     pool = _initial_pool(instance, cfg)
     ideal = instance.k / instance.n
-    maximin, evaluate, _ = _floor_value_function(instance, pool, cfg)
-    t_max = maximin.solution.value
+    _, t_max, evaluate, _ = _floor_value_function(instance, pool, cfg)
 
     def outer(m, t):
         return np.maximum(ideal / t, m / ideal)

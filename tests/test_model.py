@@ -164,3 +164,29 @@ def test_value_order_comes_from_quota_rows(tmp_path):
     quotas.write_text("feature,value,min,max\nf,1,0,1\nf,0,0,1\n")
     inst = load_instance(agents, quotas, k=1)
     assert inst.scheme.values["f"] == ("1", "0")
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([("0", "1"), ("0", "1"), ("0", "2"), ("1",), ("0", "2")], "value '2' not admissible for feature 'g'"),
+        ([("0", "1"), ("1",), ("0", "1"), ("0", "2"), ("1",)], r"vector \('1',\) has wrong length"),
+    ],
+)
+def test_the_first_bad_vector_in_agent_order_raises(vectors, message, monkeypatch):
+    # Each distinct vector is checked once, in the order its first agent
+    # comes, so repeats cost nothing and the error names the first bad one.
+    scheme = FeatureScheme(("f", "g"), {"f": ("0", "1"), "g": ("0", "1")})
+    checked = []
+    check_vector = FeatureScheme.check_vector
+    monkeypatch.setattr(FeatureScheme, "check_vector",
+                        lambda self, vector: checked.append(vector) or check_vector(self, vector))
+    agents = tuple((f"a{i}", vector) for i, vector in enumerate(vectors))
+    with pytest.raises(ValidationError, match=f"^INVALID_INPUT: {message}$"):
+        Instance(scheme, agents, 1, {})
+    assert checked == list(dict.fromkeys(vectors))[: len(checked)]
+    assert len(checked) == len(set(checked))
+    good = tuple((f"b{i}", ("0", "1") if i % 2 else ("1", "0")) for i in range(10))
+    checked.clear()
+    Instance(scheme, good, 2, {})
+    assert checked == [("1", "0"), ("0", "1")]

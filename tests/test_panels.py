@@ -460,6 +460,40 @@ def test_warm_start_basis_stays_out_of_the_instance_and_goes_with_it(monkeypatch
     assert freed() is None
 
 
+def test_covers_are_memoized_and_go_with_the_instance(monkeypatch):
+    # Past the cap a covering query is one branch and bound per group. A
+    # sweep asks it twice per pool (its exclusion check, then the solve's
+    # seed), and the second answer comes from the instance's memo entry.
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    searches = []
+    branch_and_bound = panels._branch_and_bound
+    monkeypatch.setattr(panels, "_branch_and_bound",
+                        lambda *args: searches.append(args) or branch_and_bound(*args))
+    inst = fixtures.skew_pool(48, 6, (2, 2, 2))
+    fields = {f.name for f in dataclasses.fields(inst)}
+    first = covering_compositions(inst)
+    assert len(searches) == len(inst.groups)
+    vectors = inst.present_vectors()
+    assert [c.seats(v) for c, v in zip(first, vectors)] == [
+        c.seats(v) for c, v in zip(_reference_covers(inst), vectors)]
+    second = covering_compositions(inst)
+    assert len(searches) == len(inst.groups)
+    assert second == first and second is not first
+    second.clear()  # each caller gets a list of its own
+    assert covering_compositions(inst) == first
+    structurally_excluded(inst)
+    solve(inst, SolveConfig(objective=parse_objective("maximin")))
+    assert all(len(args[2]) == 0 for args in searches[len(inst.groups):])  # only pricing calls since
+    assert set(vars(inst)) == fields
+    key = id(inst)
+    assert panels._MEMO[key].covers == first
+    freed = weakref.ref(first[0])
+    del inst, first, second, searches
+    gc.collect()
+    assert key not in panels._MEMO
+    assert freed() is None
+
+
 def _reference_covers(instance):
     """Per group, the first reference row with the most seats for it, or None
     when no row seats it."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from panelot._simplex import certify_optimal, solve_lp
+from panelot._simplex import _dual_iterate, certify_optimal, solve_lp
 from panelot.errors import SolverError
 
 
@@ -183,6 +183,34 @@ def test_warm_start_after_b_moves_matches_cold_and_highs():
         warm, cold = _check_warm(c, A, child, root.basis, linprog)
         if warm.status == "optimal":
             assert warm.pivots < cold.pivots, trial
+
+
+def test_dual_simplex_carries_its_reduced_costs_and_keeps_them_nonnegative():
+    # Several upper bounds drop below the root's values. The dual simplex
+    # prices once and updates its reduced costs after each pivot: the carried
+    # values must match a fresh pricing at the end, and stay nonnegative, or
+    # phase 2 would have to pivot again.
+    rng = np.random.default_rng(47)
+    runs = 0
+    for trial in range(60):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(6, 14))
+        c, A, b = _box_lp(rng, m, n)
+        root = solve_lp(c, A, b)
+        child = b.copy()
+        cut = np.argsort(root.x[:n])[-3:]
+        child[m + cut] = 0.5 * root.x[cut]
+        inverse, basis = root.basis.inverse, root.basis.columns.copy()
+        T = np.column_stack([inverse @ A, inverse, inverse @ child])
+        reduced = c - c[basis] @ T[:, : len(c)]
+        assert reduced.min() >= -1e-9
+        feasible, pivots = _dual_iterate(T, basis, c, reduced)
+        fresh = c - c[basis] @ T[:, : len(c)]
+        assert reduced == pytest.approx(fresh, abs=1e-9), trial
+        assert fresh.min() >= -1e-9, trial
+        if feasible:
+            assert T[:, -1].min() >= -1e-9, trial
+            runs += pivots > 1
+    assert runs >= 20
 
 
 def test_warm_start_after_c_moves_matches_cold_and_highs():

@@ -387,7 +387,7 @@ def test_goldilocks_sandwich_on_e2(e2):
 # ---------------------------------------------------------------------------
 
 
-def _highs_master(A, kind, floors=None, ceilings=None, free_groups=None, gamma=0.0):
+def _highs_master(A, kind, floors=None, ceilings=None, free_groups=None, costs=(1.0, 0.0), r_floor=0.0):
     """The master as an independent LP for scipy's HiGHS: variables (extras,
     q) with free extras and q >= 0; returns the optimal value."""
     from scipy.optimize import linprog
@@ -402,9 +402,10 @@ def _highs_master(A, kind, floors=None, ceilings=None, free_groups=None, gamma=0
         cost = [1.0]
         upper += [([-1.0], A[w], 0.0) for w in every]
     else:
-        cost = [1.0, -gamma]
+        cost = list(costs)
         upper += [([-1.0, 0.0], A[w], 0.0) for w in every]
         upper += [([0.0, 1.0], -A[w], 0.0) for w in every]
+        upper += [([0.0, -1.0], np.zeros(n_cols), -r_floor)]
     zeros = [0.0] * len(cost)
     upper += [(zeros, -A[w], -v) for w, v in (floors or {}).items()]
     upper += [(zeros, A[w], v) for w, v in (ceilings or {}).items()]
@@ -438,7 +439,11 @@ def test_lp_master_matches_highs(seed):
              free_groups=set(range(n_groups)) - set(frozen)),
         dict(kind="min_max", floors={w: 0.5 * maximin.value for w in range(n_groups)}),
         dict(kind="min_max", ceilings={w: minimax.value + 1e-12 for w in range(0, n_groups, 2)}),
-        dict(kind="linear", gamma=0.5),
+        # The one band shape of a floor search, then the linear objective.
+        dict(kind="linear", costs=(0.0, -1.0)),
+        dict(kind="linear", costs=(1.0, 0.0), r_floor=maximin.value),
+        dict(kind="linear", costs=(1.0, 0.0), r_floor=0.5 * maximin.value),
+        dict(kind="linear", costs=(1.0, -0.5)),
     ]
     for shape in shapes:
         solution = _lp_master(pool, **shape)
@@ -454,7 +459,16 @@ def test_lp_master_matches_highs(seed):
         elif shape["kind"] == "min_max":
             assert p.max() <= solution.value + 1e-9
         else:
-            assert p.max() - shape["gamma"] * p.min() <= solution.value + 1e-9
+            c_s, c_r = shape["costs"]
+            assert p.min() >= shape.get("r_floor", 0.0) - 1e-9
+            assert c_s * p.max() + c_r * p.min() <= solution.value + 1e-9
+    # The band's max-min LP prices with max-min duals: nonnegative, summing
+    # to 1, and the best column scores exactly the max-min value.
+    presolve = _lp_master(pool, "linear", costs=(0.0, -1.0))
+    assert -presolve.value == pytest.approx(maximin.value, abs=1e-9)
+    assert presolve.group_duals.min() >= -1e-9
+    assert presolve.group_duals.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (presolve.group_duals @ A).max() == pytest.approx(maximin.value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +479,14 @@ FLOOR_SEEDS = range(8)
 
 
 def _floor_curve(instance):
-    """The brute pool and its min-max value M(t) with every group floored at t."""
+    """The brute pool and its min-max value M(t) with every group floored at
+    t, from the band master the floor search solves: the max-min LP, then one
+    evaluation per floor, each starting from the last one's basis."""
     pool = _initial_pool(instance, cfg("maximin", "brute"))
-    t_max = _lp_master(pool, "max_min").value
+    t_max = -_lp_master(pool, "linear", costs=(0.0, -1.0)).value
 
     def at(t):
-        solution = _lp_master(pool, "min_max", floors={w: t for w in range(len(pool.vectors))})
+        solution = _lp_master(pool, "linear", costs=(1.0, 0.0), r_floor=t)
         return solution.value, solution.floor_slope
 
     return t_max, at
@@ -623,6 +639,49 @@ def test_cold_lps_start_from_a_slack_crash_basis(monkeypatch, pool, objective, b
     result = solve(pool(), SolveConfig(objective=parse_objective(objective)))
     assert result.converged
     assert sum(pivots) <= bound
+
+
+FLOOR_SEARCHES = [
+    pytest.param(lambda: solve(fixtures.skew_pool(200, 10, (2, 2, 3)), cfg("goldilocks:1")), id="skew12"),
+    pytest.param(lambda: solve(fixtures.linked_fate_instance(), cfg("goldilocks:1")), id="e2"),
+    pytest.param(lambda: solve(fixtures.linked_fate_instance(), cfg("goldilocks:0.5", "brute")), id="e2-brute"),
+    pytest.param(lambda: deviation_delta(fixtures.linked_fate_instance()), id="e2-delta"),
+]
+FLOOR_SEARCHES += [
+    pytest.param(lambda s=s, b=b: solve(fixtures.random_brute_instance(s), cfg("goldilocks:1", b)), id=f"rand{s}-{b}")
+    for s in range(0, 40, 5) for b in ("brute", "colgen")
+]
+FLOOR_SEARCHES += [
+    pytest.param(lambda s=s: deviation_delta(fixtures.random_brute_instance(s)), id=f"rand{s}-delta")
+    for s in FLOOR_SEEDS
+]
+
+
+@pytest.mark.parametrize("search", FLOOR_SEARCHES)
+def test_a_floor_search_makes_one_cold_master_lp(monkeypatch, search):
+    # The max-min pre-solve and every floor evaluation solve one master
+    # shape, so each master starts from the last one's basis: the pre-solve
+    # into the first floor keeps it primal feasible, a new floor keeps it dual
+    # feasible. Only the very first master starts cold.
+    from panelot import _simplex, solver
+
+    solve_warm, solve_lp = _simplex._solve_warm, solver.solve_lp
+    starts = []
+
+    def warm(*args):
+        res = solve_warm(*args)
+        starts[-1] = "warm" if res is not None else "fallback"
+        return res
+
+    def counted(c, A, b, start=None):
+        starts.append("cold")
+        return solve_lp(c, A, b, start)
+
+    monkeypatch.setattr(_simplex, "_solve_warm", warm)
+    monkeypatch.setattr(solver, "solve_lp", counted)
+    search()
+    assert len(starts) >= 2
+    assert starts[0] == "cold" and starts[1:] == ["warm"] * (len(starts) - 1)
 
 
 # ---------------------------------------------------------------------------
