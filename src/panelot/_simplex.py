@@ -180,14 +180,14 @@ def certify_optimal(c: np.ndarray, A: np.ndarray, b: np.ndarray, x: np.ndarray, 
     optimal for the LP it was given; this turns that into an error instead
     of a wrong master answer.
     """
-    residual = float(np.max(np.abs(A @ x - b), initial=0.0))
-    if residual > _CERT_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+    residual = float(np.abs(A @ x - b).max(initial=0.0))
+    if residual > _CERT_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
         raise SolverError(f"simplex answer fails its certificate: |Ax - b| = {residual:.3g}")
-    lowest_x = float(np.min(x, initial=0.0))
+    lowest_x = float(x.min(initial=0.0))
     if lowest_x < -_CERT_TOL:
         raise SolverError(f"simplex answer fails its certificate: x has {lowest_x:.3g}")
-    lowest_reduced = float(np.min(c - A.T @ y, initial=0.0))
-    if lowest_reduced < -_CERT_TOL * (1.0 + float(np.max(np.abs(c), initial=0.0))):
+    lowest_reduced = float((c - A.T @ y).min(initial=0.0))
+    if lowest_reduced < -_CERT_TOL * (1.0 + float(np.abs(c).max(initial=0.0))):
         raise SolverError(f"simplex answer fails its certificate: reduced cost {lowest_reduced:.3g}")
 
 
