@@ -48,7 +48,9 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--objective", default="goldilocks:1", help="objective spec string")
     parser.add_argument("--backend", default=SolveConfig.backend, choices=["colgen", "brute"])
-    parser.add_argument("--eps", type=float, default=SolveConfig.eps_master, help="master tolerance")
+    parser.add_argument("--eps", type=float, default=SolveConfig.eps_master,
+                        help="leximin freezing slack: frozen groups are floored at level - eps, "
+                             "and groups within 10*eps of the level freeze")
     parser.add_argument("--eps-colgen", type=float, default=SolveConfig.eps_colgen,
                         help="column-generation slack")
     parser.add_argument("--max-columns", type=int, default=SolveConfig.max_columns)

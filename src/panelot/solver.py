@@ -11,15 +11,16 @@ starts from one oracle column and a cover of every group, ``brute`` from
 every valid composition, so its first pricing call returns a pool member and
 the loop stops with gap 0.
 
-Master solves are self-contained: linear objectives run on the bundled
-simplex solver, the goldilocks family reduces to a one-dimensional convex
-search over an enforced minimum floor with an inner min-max LP (cutting
-planes from the floor row's dual; the max-min pre-solve and every floor
-share one master shape, so each master starts from the last one's basis),
-and nash solves its restricted master fully correctively by projected
-Newton steps on the columns carrying mass, returning the geometric mean's
-gradient in the group probabilities as its duals, so the driver prices it
-like any LP master.
+Master solves are self-contained. Every LP objective solves one band
+master on the bundled simplex solver, min c_s s + c_r r over r <= p_w <= s
+(``_lp_master``); its costs, a floor on r, a cap on s and leximin's frozen
+floors pick the objective, and a master whose frozen set matches the last
+one's starts from that master's basis. The goldilocks family reduces to a
+one-dimensional convex search over an enforced minimum floor on that band
+(cutting planes from the floor row's dual), and nash solves its restricted
+master fully correctively by projected Newton steps on the columns carrying
+mass, returning the geometric mean's gradient in the group probabilities as
+its duals, so ``_run_colgen`` prices it like any LP master.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ _DUAL_EPS = 1e-7
 # model's minimum at which it stops, and its evaluation budget.
 _FLOOR_SEARCH_TOL = 1e-10
 _FLOOR_SEARCH_MAX_EVALS = 200
+# Nash master: its own gap target over the pool (geometric-mean units) and
+# its iteration budget per master solve.
+_NASH_GAP = 1e-7
+_NASH_MAX_ITERS = 20_000
+# ``_lp_master`` costs (c_s, c_r) of the max-min and min-max LPs.
+_MAX_MIN = (0.0, -1.0)
+_MIN_MAX = (1.0, 0.0)
 
 _log = logging.getLogger("panelot")
 
@@ -77,21 +85,18 @@ class SolveConfig:
 
     objective: EqualityObjective
     backend: str = "colgen"  # "brute" | "colgen"
-    eps_master: float = 1e-8
+    eps_master: float = 1e-8  # leximin's freezing slack (see ``_leximin``)
     eps_colgen: float = 1e-3
     max_columns: int = 2000
-    nash_gap: float = 1e-7  # nash master's own gap target over the pool, geometric-mean units
-    nash_max_iters: int = 20_000
 
     def __post_init__(self):
         if self.backend not in ("brute", "colgen"):
             raise ValidationError(f"unknown backend {self.backend!r}")
-        for name in ("eps_master", "eps_colgen", "nash_gap"):
+        for name in ("eps_master", "eps_colgen"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        for name in ("max_columns", "nash_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1")
+        if self.max_columns < 1:
+            raise ValidationError("max_columns must be at least 1")
 
 
 @dataclass
@@ -174,7 +179,7 @@ class _MasterSolution:
     value: float
     group_duals: np.ndarray  # pricing weights per group
     p: np.ndarray  # group probabilities A @ q
-    floor_slope: float = 0.0  # d value / d floor: the "linear" bound row's dual
+    floor_slope: float = 0.0  # d value / d r_floor: the band's bound row's dual
     gap: float = 0.0  # the master's own optimality gap over the pool (0 for an LP)
     converged: bool = True  # whether the master met its own tolerance
     iterations: int = 1
@@ -187,83 +192,67 @@ class _MasterSolution:
 
 def _lp_master(
     pool: _ColumnPool,
-    kind: str,
-    floors: dict[int, float] | None = None,
-    ceilings: dict[int, float] | None = None,
-    free_groups: set[int] | None = None,
-    costs: tuple[float, float] = (1.0, 0.0),
+    costs: tuple[float, float],
     r_floor: float = 0.0,
+    s_cap: float = 1.0,
+    frozen: dict[int, float] | None = None,
 ) -> _MasterSolution:
-    """Solve one LP master over the pool's columns.
+    """Solve the band master over the pool's columns: with p = A q over
+    column weights q summing to 1 and (c_s, c_r) = ``costs``,
 
-    kind "max_min":   max t  s.t. p_w >= t on free groups (t is the value);
-    kind "min_max":   min s  s.t. p_w <= s on all groups;
-    kind "linear":    min c_s s + c_r r  s.t. r <= p_w <= s on all groups and
-                      r >= ``r_floor``, with (c_s, c_r) = ``costs``.
-    ``floors``/``ceilings`` add hard bounds p_w >= / <= value for single
-    groups. Group duals are summed across every row a group appears in, which
-    is exactly the pricing weight a new column must be scored against.
+        min c_s s + c_r r  s.t.  p_w <= s <= ``s_cap`` on every group,
+                                 r <= p_w on every group not in ``frozen``,
+                                 p_w >= frozen[w] on each frozen group,
+                                 r >= ``r_floor``.
 
-    One "linear" shape serves a whole floor search: costs (0, -1) at floor 0
-    is the max-min LP (its value is -r), costs (1, 0) at floor t is the
-    min-max LP with every group floored at t, and (1, -gamma) at floor 0 is
-    the linear objective. With c_s = 0, s is basic, so the ceiling rows'
-    duals are 0 and the max-min LP prices as "max_min" does. The bound row's
-    dual is ``floor_slope``: the dual solution stays feasible when the floor
-    moves to t', so ``value + floor_slope * (t' - t)`` is a lower bound on the
-    value at t' (LP duality), provided no column outside the pool prices out.
+    ``value`` is the objective: costs (0, -1) give the max-min LP (value -r),
+    (1, 0) the min-max LP and (1, -gamma) the linear objective. ``s_cap``
+    defaults to 1, as a composition never seats more than a group has.
 
-    A master of the same shape as the pool's last one (same kind and rows)
-    starts from that master's final basis. Between column-generation rounds
-    only a column is appended, so the basis stays primal feasible; between
-    floor evaluations only the right-hand side moves, so it stays dual
-    feasible; from the max-min LP at r = t* to the first floor t* only c and
-    the bound row's b move, and the bound row's slack drops from t* to 0, so
-    it stays primal feasible (see ``_simplex``).
+    s enters as the headroom h = 1 - s (rows p_w + h <= 1 and h >= 1 - s_cap),
+    so every row's slack but those of convexity, the frozen floors and a
+    moved bound or cap starts basic in the slack crash basis (``_simplex``).
+    A group's dual sums its two rows' duals: the weight a new column is
+    priced with. The bound row's dual is ``floor_slope``: the dual solution
+    stays feasible when the floor moves to t', so
+    ``value + floor_slope * (t' - t)`` is a lower bound on the value at t'
+    (LP duality), provided no column outside the pool prices out.
+
+    The shape key is the frozen set: a master of the pool's last shape
+    starts from that master's final basis. A new column keeps it primal
+    feasible and a new floor dual feasible. From the max-min LP at r = t*
+    to the floor t*, or from the min-max LP at s = s* to the cap s*, only c
+    and one row's b move and that row's slack drops to 0, so it stays
+    primal feasible.
     """
     A = pool.A
     n_groups, n_cols = A.shape
-    every = list(range(n_groups))
-    # One block of rows p_w - x <= 0 (slack sign +1) or >= 0 (-1) per extra
-    # variable x, then the floor rows (-1) and the ceiling rows (+1).
-    if kind == "max_min":
-        extras, cost = [(every if free_groups is None else sorted(free_groups), -1.0)], [-1.0]
-    elif kind == "min_max":
-        extras, cost = [(every, +1.0)], [1.0]
-    elif kind == "linear":
-        extras, cost = [(every, +1.0), (every, -1.0)], list(costs)
-    else:
-        raise SolverError(f"unknown master kind {kind}")
-    floor_items, ceiling_items = sorted((floors or {}).items()), sorted((ceilings or {}).items())
-    blocks = extras + [([w for w, _ in floor_items], -1.0), ([w for w, _ in ceiling_items], +1.0)]
-    groups = [w for g, _ in blocks for w in g]
-    bound = kind == "linear"
-
-    # Rows: the blocks, r's bound row r - slack = r_floor ("linear" only),
-    # then convexity. Columns: extras, one slack per row but the last, then
-    # q, so that a column added to the pool leaves every index of the last
-    # basis in place.
-    n_extra, n_rows = len(cost), len(groups) + bound + 1
-    slacks = np.arange(n_rows - 1)
-    q_at = n_extra + n_rows - 1
+    frozen = frozen or {}
+    # Rows: p_w + h + slack = 1 per group, then p_w - r - slack = 0 (or
+    # p_w - slack = frozen[w]) per group, r - slack = r_floor,
+    # h - slack = 1 - s_cap and convexity. Columns: h, r, one slack per row
+    # but the last, then q, so that a column added to the pool leaves every
+    # index of the last basis in place.
+    n_rows = 2 * n_groups + 3
+    q_at = n_rows + 1
     M = np.zeros((n_rows, q_at + n_cols))
-    M[: len(groups), q_at:] = A[groups]
+    M[: 2 * n_groups, q_at:] = np.vstack((A, A))
     M[-1, q_at:] = 1.0
-    M[slacks, n_extra + slacks] = [sign for g, sign in blocks for _ in g] + [-1.0] * bound
-    first = 0
-    for x, (g, _) in enumerate(extras):
-        M[first:first + len(g), x] = -1.0
-        first += len(g)
+    slacks = np.arange(n_rows - 1)
+    M[slacks, 2 + slacks] = np.repeat([1.0, -1.0], [n_groups, n_groups + 2])
+    M[:n_groups, 0] = M[-2, 0] = 1.0
+    M[n_groups:-3, 1] = -1.0
+    M[-3, 1] = 1.0
     b = np.zeros(n_rows)
-    b[first:len(groups)] = [v for _, v in floor_items + ceiling_items]
-    if bound:
-        M[-2, 1] = 1.0
-        b[-2] = r_floor
-    b[-1] = 1.0
+    b[:n_groups] = 1.0
+    b[-3:] = r_floor, 1.0 - s_cap, 1.0
+    for w, floor in frozen.items():
+        M[n_groups + w, 1], b[n_groups + w] = 0.0, floor
+    c_s, c_r = costs
     c = np.zeros(q_at + n_cols)
-    c[:n_extra] = cost
+    c[:2] = -c_s, c_r
 
-    shape = (kind, tuple(groups), len(floor_items), len(ceiling_items))
+    shape = tuple(sorted(frozen))
     last_shape, last_basis = pool.last_master
     res = solve_lp(c, M, b, last_basis if shape == last_shape else None)
     if res.status == "infeasible":
@@ -276,10 +265,10 @@ def _lp_master(
     q[q < 0.0] = 0.0
     return _MasterSolution(
         q=q,
-        value=float(res.x[0] if kind == "max_min" else res.objective),
-        group_duals=np.bincount(groups, weights=res.duals[: len(groups)], minlength=n_groups),
+        value=res.objective + c_s,
+        group_duals=res.duals[:n_groups] + res.duals[n_groups:2 * n_groups],
         p=A @ q,
-        floor_slope=float(res.duals[-2]) if bound else 0.0,
+        floor_slope=float(res.duals[-3]),
     )
 
 
@@ -403,15 +392,16 @@ def _floor_value_function(instance: Instance, pool: _ColumnPool, config: SolveCo
     Returns the max-min pre-solve's outcome and its value t_max;
     ``evaluate(t)``, the min-max value M(t) with every group floored at t and
     its slope (``floor_slope``); and ``outcomes``, each evaluated floor's
-    column-generation outcome, which ``evaluate`` caches. The pre-solve and
-    every evaluation solve the one "linear" master shape (``_lp_master``),
-    so each master starts from the last one's basis and the whole search
-    makes one cold LP. Column generation runs to convergence inside every
+    column-generation outcome, which ``evaluate`` caches. The pre-solve is
+    the band master at costs (0, -1) and every evaluation the band at costs
+    (1, 0) with ``r_floor`` = t (``_lp_master``); neither freezes a group, so
+    each master starts from the last one's basis and the whole search makes
+    one cold LP. Column generation runs to convergence inside every
     evaluation, so the bound row's dual is a valid slope of M. t_max is
     above 0, since ``_initial_pool`` seeds a cover of every group.
     """
     ideal = instance.k / instance.n
-    maximin = _run_colgen(instance, pool, lambda p: _lp_master(p, "linear", costs=(0.0, -1.0)), config)
+    maximin = _run_colgen(instance, pool, lambda p: _lp_master(p, _MAX_MIN), config)
     outcomes: dict[float, _ColgenOutcome] = {}
 
     def evaluate(t: float) -> tuple[float, float]:
@@ -419,7 +409,7 @@ def _floor_value_function(instance: Instance, pool: _ColumnPool, config: SolveCo
             outcomes[t] = _run_colgen(
                 instance,
                 pool,
-                lambda p: _lp_master(p, "linear", costs=(1.0, 0.0), r_floor=t),
+                lambda p: _lp_master(p, _MIN_MAX, r_floor=t),
                 config,
                 eta_scale=1.0 / ideal,
             )
@@ -541,7 +531,7 @@ def _nash_newton_direction(A_S: np.ndarray, p: np.ndarray, root_sizes: np.ndarra
     return d
 
 
-def _nash_master(pool: _ColumnPool, config: SolveConfig, q: np.ndarray):
+def _nash_master(pool: _ColumnPool, q: np.ndarray):
     """The restricted nash master for ``_run_colgen``, started from the
     column weights ``q``: maximize sum(n_w log p_w), p = A q, over the
     column simplex.
@@ -574,7 +564,7 @@ def _nash_master(pool: _ColumnPool, config: SolveConfig, q: np.ndarray):
         if added:
             q = np.append(q * (1.0 - 1e-6 * added), np.full(added, 1e-6))
         A = pool.A
-        for iterations in range(1, config.nash_max_iters + 1):
+        for iterations in range(1, _NASH_MAX_ITERS + 1):
             p = A @ q
             grad = (pool.sizes / p) @ A  # d/dq_c of sum n_w log p_w
             fw_idx = int(np.argmax(grad))
@@ -583,7 +573,7 @@ def _nash_master(pool: _ColumnPool, config: SolveConfig, q: np.ndarray):
             gap = geomean * max(float(grad[fw_idx]) - n_total, 0.0) / n_total
             # The last iteration the budget allows only measures, so the gap
             # returned is always that of the weights returned.
-            if gap <= 0.5 * config.nash_gap or iterations == config.nash_max_iters:
+            if gap <= 0.5 * _NASH_GAP or iterations == _NASH_MAX_ITERS:
                 break
             active = np.flatnonzero(q > 0.0)
             if q[fw_idx] == 0.0:
@@ -611,7 +601,7 @@ def _nash_master(pool: _ColumnPool, config: SolveConfig, q: np.ndarray):
             q /= total
         return _MasterSolution(
             q=q, value=-geomean, group_duals=geomean * pool.sizes / (n_total * p), p=p,
-            gap=gap, converged=gap <= config.nash_gap, iterations=iterations,
+            gap=gap, converged=gap <= _NASH_GAP, iterations=iterations,
         )
 
     return master
@@ -697,7 +687,8 @@ def _resolve_gamma(instance: Instance, config: SolveConfig) -> tuple[EqualityObj
 
 
 def _uniform_feasible_shortcut(solution: _MasterSolution, instance: Instance) -> bool:
-    return solution.value >= instance.k / instance.n - 1e-11
+    """Whether a max-min master reached k/n, the level of equal probabilities."""
+    return -solution.value >= instance.k / instance.n - 1e-11
 
 
 def _leximin(instance: Instance, pool: _ColumnPool, config: SolveConfig) -> _ColgenOutcome:
@@ -716,16 +707,12 @@ def _leximin(instance: Instance, pool: _ColumnPool, config: SolveConfig) -> _Col
     while len(frozen) < n_groups:
         free = set(range(n_groups)) - set(frozen)
         floors = {w: level - config.eps_master for w, level in frozen.items()}
-
-        def master(p: _ColumnPool, free=free, floors=floors) -> _MasterSolution:
-            return _lp_master(p, "max_min", floors=floors, free_groups=free)
-
-        outcome = _run_colgen(instance, pool, master, config)
+        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, _MAX_MIN, frozen=floors), config)
         solution = outcome.solution
         rounds += outcome.rounds
         converged &= outcome.converged
         gap = max(gap, outcome.gap)
-        level = solution.value
+        level = -solution.value
 
         if not frozen and _uniform_feasible_shortcut(solution, instance):
             # Perfectly equal probabilities are feasible, hence the unique
@@ -763,27 +750,24 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
     if objective.kind in (Kind.MAXIMIN, Kind.MINIMAX):
         # Optimize the one extreme; the tie-break then holds every group
         # within 1e-12 of that value and optimizes the other extreme.
-        first, second, bound, slack = (
-            ("max_min", "min_max", "floors", -1e-12) if objective.kind == Kind.MAXIMIN
-            else ("min_max", "max_min", "ceilings", 1e-12)
-        )
+        maximin = objective.kind == Kind.MAXIMIN
+        first, second = (_MAX_MIN, _MIN_MAX) if maximin else (_MIN_MAX, _MAX_MIN)
         outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, first), config)
         if objective.tie_break:
-            held = {bound: {w: outcome.solution.value + slack for w in range(len(pool.vectors))}}
+            value = outcome.solution.value
+            held = {"r_floor": -value - 1e-12} if maximin else {"s_cap": value + 1e-12}
             tb = _run_colgen(instance, pool, lambda p: _lp_master(p, second, **held), config)
             outcome = _ColgenOutcome(tb.solution, max(outcome.gap, tb.gap),
                                      outcome.rounds + tb.rounds, outcome.converged and tb.converged)
     elif objective.kind == Kind.LEXIMIN:
         outcome = _leximin(instance, pool, config)
     elif objective.kind == Kind.LINEAR:
-        outcome = _run_colgen(
-            instance, pool, lambda p: _lp_master(p, "linear", costs=(1.0, -objective.gamma)), config
-        )
+        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, (1.0, -objective.gamma)), config)
     elif objective.kind == Kind.NASH:
         # If perfectly equal probabilities are feasible they are optimal for
         # every objective here, and the max-min LP finds them exactly,
         # which iterative nash refinement cannot.
-        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, "max_min"), config)
+        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, _MAX_MIN), config)
         if _uniform_feasible_shortcut(outcome.solution, instance):
             # The uniform point is exactly nash-optimal (AM-GM), whatever
             # the max-min colgen gap was.
@@ -791,7 +775,7 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
         else:
             # Every group has p >= maximin > 0 at the max-min weights.
             pre_rounds = outcome.rounds
-            outcome = _run_colgen(instance, pool, _nash_master(pool, config, outcome.solution.q), config)
+            outcome = _run_colgen(instance, pool, _nash_master(pool, outcome.solution.q), config)
             outcome.rounds += pre_rounds
     elif objective.kind == Kind.GOLDILOCKS:
         outcome = _goldilocks_search(instance, pool, objective.gamma, config)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import reference_compositions, reference_marginals, reference_panels, small_instances
-from panelot import fixtures
+from panelot import fixtures, solver
 from panelot.errors import (
     CapExceededError,
     NoValidPanelError,
@@ -23,6 +23,8 @@ from panelot.objectives import parse_objective
 from panelot.panels import feasible_compositions, has_valid_panel, structurally_excluded
 from panelot.solver import (
     SolveConfig,
+    _MAX_MIN,
+    _MIN_MAX,
     _initial_pool,
     _lp_master,
     approximation_ratios,
@@ -59,7 +61,7 @@ def test_t1_everything_is_uniform(t1, backend, spec):
     assert result.converged
 
 
-@pytest.mark.parametrize("name", ["max_columns", "nash_max_iters"])
+@pytest.mark.parametrize("name", ["max_columns"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_config_rejects_budgets_below_one(name, value):
     with pytest.raises(ValidationError):
@@ -387,40 +389,31 @@ def test_goldilocks_sandwich_on_e2(e2):
 # ---------------------------------------------------------------------------
 
 
-def _highs_master(A, kind, floors=None, ceilings=None, free_groups=None, costs=(1.0, 0.0), r_floor=0.0):
-    """The master as an independent LP for scipy's HiGHS: variables (extras,
-    q) with free extras and q >= 0; returns the optimal value."""
+def _highs_master(A, costs, r_floor=0.0, s_cap=1.0, frozen=None):
+    """The band master as an independent LP for scipy's HiGHS: variables
+    (s, r, q) with s and r free and q >= 0; returns the optimal value."""
     from scipy.optimize import linprog
 
     n_groups, n_cols = A.shape
-    every = range(n_groups)
-    upper = []  # (extra coefficients, q coefficients, rhs) of rows <= rhs
-    if kind == "max_min":
-        cost = [-1.0]
-        upper += [([1.0], -A[w], 0.0) for w in sorted(every if free_groups is None else free_groups)]
-    elif kind == "min_max":
-        cost = [1.0]
-        upper += [([-1.0], A[w], 0.0) for w in every]
-    else:
-        cost = list(costs)
-        upper += [([-1.0, 0.0], A[w], 0.0) for w in every]
-        upper += [([0.0, 1.0], -A[w], 0.0) for w in every]
-        upper += [([0.0, -1.0], np.zeros(n_cols), -r_floor)]
-    zeros = [0.0] * len(cost)
-    upper += [(zeros, -A[w], -v) for w, v in (floors or {}).items()]
-    upper += [(zeros, A[w], v) for w, v in (ceilings or {}).items()]
+    frozen = frozen or {}
+    none = np.zeros(n_cols)
+    upper = []  # ((s, r) coefficients, q coefficients, rhs) of rows <= rhs
+    upper += [([-1.0, 0.0], A[w], 0.0) for w in range(n_groups)]
+    upper += [([0.0, 1.0], -A[w], 0.0) for w in range(n_groups) if w not in frozen]
+    upper += [([0.0, 0.0], -A[w], -v) for w, v in frozen.items()]
+    upper += [([0.0, -1.0], none, -r_floor), ([1.0, 0.0], none, s_cap)]
     res = linprog(
-        np.concatenate([cost, np.zeros(n_cols)]),
+        np.concatenate([costs, none]),
         A_ub=np.array([np.concatenate([x, q]) for x, q, _ in upper]),
         b_ub=np.array([rhs for *_, rhs in upper]),
-        A_eq=np.concatenate([zeros, np.ones(n_cols)])[None, :],
+        A_eq=np.concatenate([[0.0, 0.0], np.ones(n_cols)])[None, :],
         b_eq=[1.0],
-        bounds=[(None, None)] * len(cost) + [(0.0, None)] * n_cols,
+        bounds=[(None, None)] * 2 + [(0.0, None)] * n_cols,
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     assert res.status == 0, res.message
-    return -res.fun if kind == "max_min" else res.fun
+    return res.fun
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -429,46 +422,41 @@ def test_lp_master_matches_highs(seed):
     pool = _initial_pool(fixtures.random_brute_instance(seed), cfg("maximin", "brute"))
     A = pool.A
     n_groups = A.shape[0]
-    maximin = _lp_master(pool, "max_min")
-    minimax = _lp_master(pool, "min_max")
+    maximin = _lp_master(pool, _MAX_MIN)
+    t_star, s_star = -maximin.value, _lp_master(pool, _MIN_MAX).value
     # Leximin's second round: the groups binding at the maximin level are
-    # floored just below it, and the others stay free (one at least).
+    # frozen just below it, and the others stay free (one at least).
     frozen = [w for w in range(n_groups) if maximin.group_duals[w] > 1e-7][: n_groups - 1]
     shapes = [
-        dict(kind="max_min", floors={w: maximin.value - 1e-8 for w in frozen},
-             free_groups=set(range(n_groups)) - set(frozen)),
-        dict(kind="min_max", floors={w: 0.5 * maximin.value for w in range(n_groups)}),
-        dict(kind="min_max", ceilings={w: minimax.value + 1e-12 for w in range(0, n_groups, 2)}),
-        # The one band shape of a floor search, then the linear objective.
-        dict(kind="linear", costs=(0.0, -1.0)),
-        dict(kind="linear", costs=(1.0, 0.0), r_floor=maximin.value),
-        dict(kind="linear", costs=(1.0, 0.0), r_floor=0.5 * maximin.value),
-        dict(kind="linear", costs=(1.0, -0.5)),
+        dict(costs=_MAX_MIN),
+        dict(costs=_MIN_MAX),
+        dict(costs=_MAX_MIN, frozen={w: t_star - 1e-8 for w in frozen}),
+        # The tie-breaks and the floor search: every group floored or capped.
+        dict(costs=_MAX_MIN, s_cap=s_star + 1e-12),
+        dict(costs=_MIN_MAX, r_floor=t_star),
+        dict(costs=_MIN_MAX, r_floor=0.5 * t_star),
+        dict(costs=(1.0, -0.5)),
     ]
     for shape in shapes:
         solution = _lp_master(pool, **shape)
         assert solution.value == pytest.approx(_highs_master(A, **shape), abs=1e-9), shape
         q, p = solution.q, A @ solution.q
         assert q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-9
-        for w, floor in shape.get("floors", {}).items():
+        floors = shape.get("frozen", {})
+        for w, floor in floors.items():
             assert p[w] >= floor - 1e-9
-        for w, ceiling in shape.get("ceilings", {}).items():
-            assert p[w] <= ceiling + 1e-9
-        if shape["kind"] == "max_min":
-            assert p[sorted(shape["free_groups"])].min() >= solution.value - 1e-9
-        elif shape["kind"] == "min_max":
-            assert p.max() <= solution.value + 1e-9
-        else:
-            c_s, c_r = shape["costs"]
-            assert p.min() >= shape.get("r_floor", 0.0) - 1e-9
-            assert c_s * p.max() + c_r * p.min() <= solution.value + 1e-9
+        free = [w for w in range(n_groups) if w not in floors]
+        c_s, c_r = shape["costs"]
+        assert p[free].min() >= shape.get("r_floor", 0.0) - 1e-9
+        assert p.max() <= shape.get("s_cap", 1.0) + 1e-9
+        assert c_s * p.max() + c_r * p[free].min() <= solution.value + 1e-9
     # The band's max-min LP prices with max-min duals: nonnegative, summing
     # to 1, and the best column scores exactly the max-min value.
-    presolve = _lp_master(pool, "linear", costs=(0.0, -1.0))
-    assert -presolve.value == pytest.approx(maximin.value, abs=1e-9)
+    presolve = _lp_master(pool, _MAX_MIN)
+    assert -presolve.value == pytest.approx(t_star, abs=1e-9)
     assert presolve.group_duals.min() >= -1e-9
     assert presolve.group_duals.sum() == pytest.approx(1.0, abs=1e-9)
-    assert (presolve.group_duals @ A).max() == pytest.approx(maximin.value, abs=1e-9)
+    assert (presolve.group_duals @ A).max() == pytest.approx(t_star, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +471,10 @@ def _floor_curve(instance):
     t, from the band master the floor search solves: the max-min LP, then one
     evaluation per floor, each starting from the last one's basis."""
     pool = _initial_pool(instance, cfg("maximin", "brute"))
-    t_max = -_lp_master(pool, "linear", costs=(0.0, -1.0)).value
+    t_max = -_lp_master(pool, _MAX_MIN).value
 
     def at(t):
-        solution = _lp_master(pool, "linear", costs=(1.0, 0.0), r_floor=t)
+        solution = _lp_master(pool, _MIN_MAX, r_floor=t)
         return solution.value, solution.floor_slope
 
     return t_max, at
@@ -593,7 +581,7 @@ def test_goldilocks_past_the_cap_restarts_its_lps_from_bases(monkeypatch):
     # parent's basis, and every master from the last one of its shape, so
     # the solve takes a few thousand pivots; it took about 27,000 when every
     # LP started cold, and the value is the one those cold LPs gave.
-    from panelot import _simplex, solver
+    from panelot import _simplex
 
     solve_lp = _simplex.solve_lp
     pivots = []
@@ -622,9 +610,10 @@ def test_goldilocks_past_the_cap_restarts_its_lps_from_bases(monkeypatch):
     ],
 )
 def test_cold_lps_start_from_a_slack_crash_basis(monkeypatch, pool, objective, bound):
-    # Every master row but convexity, and every bound row of a branch and
-    # bound, has a slack that starts basic, so phase 1 has few rows to clear.
-    from panelot import _simplex, solver
+    # Every master row but convexity and leximin's frozen floors, and every
+    # bound row of a branch and bound, has a slack that starts basic, so
+    # phase 1 has few rows to clear.
+    from panelot import _simplex
 
     solve_lp = _simplex.solve_lp
     pivots = []
@@ -642,28 +631,43 @@ def test_cold_lps_start_from_a_slack_crash_basis(monkeypatch, pool, objective, b
 
 
 FLOOR_SEARCHES = [
-    pytest.param(lambda: solve(fixtures.skew_pool(200, 10, (2, 2, 3)), cfg("goldilocks:1")), id="skew12"),
-    pytest.param(lambda: solve(fixtures.linked_fate_instance(), cfg("goldilocks:1")), id="e2"),
-    pytest.param(lambda: solve(fixtures.linked_fate_instance(), cfg("goldilocks:0.5", "brute")), id="e2-brute"),
-    pytest.param(lambda: deviation_delta(fixtures.linked_fate_instance()), id="e2-delta"),
+    pytest.param(lambda: solve(fixtures.skew_pool(200, 10, (2, 2, 3)), cfg("goldilocks:1")), 2, id="skew12"),
+    pytest.param(lambda: solve(fixtures.linked_fate_instance(), cfg("goldilocks:1")), 2, id="e2"),
+    pytest.param(lambda: solve(fixtures.linked_fate_instance(), cfg("goldilocks:0.5", "brute")), 2, id="e2-brute"),
+    pytest.param(lambda: deviation_delta(fixtures.linked_fate_instance()), 2, id="e2-delta"),
 ]
 FLOOR_SEARCHES += [
-    pytest.param(lambda s=s, b=b: solve(fixtures.random_brute_instance(s), cfg("goldilocks:1", b)), id=f"rand{s}-{b}")
+    pytest.param(lambda s=s, b=b: solve(fixtures.random_brute_instance(s), cfg("goldilocks:1", b)), 2,
+                 id=f"rand{s}-{b}")
     for s in range(0, 40, 5) for b in ("brute", "colgen")
 ]
 FLOOR_SEARCHES += [
-    pytest.param(lambda s=s: deviation_delta(fixtures.random_brute_instance(s)), id=f"rand{s}-delta")
+    pytest.param(lambda s=s: deviation_delta(fixtures.random_brute_instance(s)), 2, id=f"rand{s}-delta")
     for s in FLOOR_SEEDS
+]
+# Every other non-leximin objective; a tie-break makes two masters at least.
+ONE_SHAPE_POOLS = {
+    "skew12": lambda: fixtures.skew_pool(200, 10, (2, 2, 3)),
+    "e2": fixtures.linked_fate_instance,
+    **{f"rand{s}": lambda s=s: fixtures.random_brute_instance(s) for s in (0, 10, 20, 30)},
+}
+FLOOR_SEARCHES += [
+    pytest.param(lambda make=make, spec=spec, b=b: solve(make(), cfg(spec, b)),
+                 2 if spec.endswith("-tb") else 1, id=f"{name}-{spec}-{b}")
+    for name, make in ONE_SHAPE_POOLS.items()
+    for spec in ("maximin", "maximin-tb", "minimax", "minimax-tb", "linear:0.5", "nash")
+    for b in ("brute", "colgen")
 ]
 
 
-@pytest.mark.parametrize("search", FLOOR_SEARCHES)
-def test_a_floor_search_makes_one_cold_master_lp(monkeypatch, search):
-    # The max-min pre-solve and every floor evaluation solve one master
-    # shape, so each master starts from the last one's basis: the pre-solve
-    # into the first floor keeps it primal feasible, a new floor keeps it dual
-    # feasible. Only the very first master starts cold.
-    from panelot import _simplex, solver
+@pytest.mark.parametrize("search, masters", FLOOR_SEARCHES)
+def test_a_floor_search_makes_one_cold_master_lp(monkeypatch, search, masters):
+    # Every LP objective but leximin solves one master shape, so each master
+    # starts from the last one's basis: a new column keeps it primal
+    # feasible, and so do the max-min pre-solve into the first floor and
+    # either extreme into its tie-break; a new floor keeps it dual feasible.
+    # Only the very first master starts cold.
+    from panelot import _simplex
 
     solve_warm, solve_lp = _simplex._solve_warm, solver.solve_lp
     starts = []
@@ -680,7 +684,7 @@ def test_a_floor_search_makes_one_cold_master_lp(monkeypatch, search):
     monkeypatch.setattr(_simplex, "_solve_warm", warm)
     monkeypatch.setattr(solver, "solve_lp", counted)
     search()
-    assert len(starts) >= 2
+    assert len(starts) >= masters
     assert starts[0] == "cold" and starts[1:] == ["warm"] * (len(starts) - 1)
 
 
@@ -719,14 +723,14 @@ def test_nash_results_carry_their_optimality_certificate(make):
     brute_cfg = SolveConfig(objective=nash, backend="brute")
     brute = solve(inst, brute_cfg)
     assert brute.converged
-    assert _nash_fw_gap(inst, brute) <= brute_cfg.nash_gap
+    assert _nash_fw_gap(inst, brute) <= solver._NASH_GAP
     colgen = solve(inst, SolveConfig(objective=nash, backend="colgen"))
     assert colgen.converged
-    assert abs(colgen.objective_value - brute.objective_value) <= colgen.certificate + brute_cfg.nash_gap
+    assert abs(colgen.objective_value - brute.objective_value) <= colgen.certificate + solver._NASH_GAP
 
 
 @pytest.mark.parametrize("make", NASH_CERT_POOLS)
-def test_nash_certificate_bounds_the_gap_when_a_budget_runs_out(make):
+def test_nash_certificate_bounds_the_gap_when_a_budget_runs_out(monkeypatch, make):
     # One budget at a time: the master's Newton iterations, then the columns
     # (no room past the initial pool). A budget bit when the result is further
     # from the optimum than both tolerances allow; such a result must say it
@@ -735,13 +739,17 @@ def test_nash_certificate_bounds_the_gap_when_a_budget_runs_out(make):
     inst = make()
     config = SolveConfig(objective=parse_objective("nash"), eps_colgen=1e-7)
     budgets = [
-        replace(config, nash_max_iters=1, nash_gap=1e-12),
-        replace(config, max_columns=len(_initial_pool(inst, config))),
+        (config, {"_NASH_MAX_ITERS": 1, "_NASH_GAP": 1e-12}),
+        (replace(config, max_columns=len(_initial_pool(inst, config))), {}),
     ]
-    for budget in budgets:
-        result = solve(inst, budget)
+    for budget, constants in budgets:
+        with monkeypatch.context() as patched:
+            for name, value in constants.items():
+                patched.setattr(solver, name, value)
+            result = solve(inst, budget)
+            nash_gap = solver._NASH_GAP
         gap = _nash_fw_gap(inst, result)
-        if gap > budget.eps_colgen + budget.nash_gap:
+        if gap > budget.eps_colgen + nash_gap:
             assert not result.converged
         assert gap <= result.certificate + 1e-12
 
@@ -797,10 +805,11 @@ def test_single_group_pool_returns_uniform():
 
 
 @pytest.mark.parametrize("backend", ["brute", "colgen"])
-def test_budget_exhaustion_reports_nonconverged(backend):
+def test_budget_exhaustion_reports_nonconverged(monkeypatch, backend):
     inst = fixtures.starved_minimum_instance()
-    config = replace(cfg("nash", backend), nash_max_iters=1, nash_gap=1e-12)
-    result = solve(inst, config)
+    monkeypatch.setattr(solver, "_NASH_MAX_ITERS", 1)
+    monkeypatch.setattr(solver, "_NASH_GAP", 1e-12)
+    result = solve(inst, cfg("nash", backend))
     assert not result.converged
     assert result.certificate is not None and result.certificate > 1e-12
 
