@@ -23,6 +23,7 @@ from .errors import (
 )
 from .model import FeatureVector, Instance, pool_share
 from .panels import (
+    PROB_EPS,
     EnclosingPool,
     derive_compositions,
     enclosing_compositions,
@@ -178,9 +179,8 @@ def worst_mu_manipulator(instance: Instance, config: SolveConfig) -> ManipReport
         attacked = solve(manipulated, config)
         attacked_groups = _group_probabilities(manipulated, attacked)
         gain = attacked_groups[target] - base_groups[vector]
-        if gain > best_gain:
-            best_gain = gain
-            best_witness = mis
+        if gain > best_gain + PROB_EPS:  # at a tie within round-off, the first witness holds
+            best_gain, best_witness = gain, mis
     return ManipReport(
         metric=METRIC_INT,
         value=best_gain,
@@ -293,7 +293,7 @@ def manip_metric_exhaustive(
             try:
                 manipulated = apply_misreport(instance, mis, enclosing=enclosing)
             except NonCoalitionExclusionError:
-                if metric == METRIC_FAIRNESS and 0.0 < best_value:
+                if metric == METRIC_FAIRNESS and 0.0 < best_value - PROB_EPS:
                     best_value, best_witness = 0.0, mis
                 continue
             if key not in solve_cache:
@@ -328,10 +328,9 @@ def manip_metric_exhaustive(
             else:  # fairness
                 value = min(prob_after(a) for a in manipulated.agent_ids)
 
-            better = value < best_value if metric == METRIC_FAIRNESS else value > best_value
-            if better:
-                best_value = value
-                best_witness = mis
+            gain = best_value - value if metric == METRIC_FAIRNESS else value - best_value
+            if gain > PROB_EPS:  # at a tie within round-off, the first witness holds
+                best_value, best_witness = value, mis
 
     if metric != METRIC_FAIRNESS:
         best_value = max(best_value, 0.0)

@@ -28,7 +28,7 @@ Two queries answer the rest. Feasibility (``has_valid_panel``) is a
 zero-weight call of the oracle, ``composition_oracle``. Structural exclusion
 and the column-generation seed read the per-group covers,
 ``covering_compositions``: one pass over the memo within the cap, one
-branch and bound per group past it.
+oracle query per group past it.
 """
 
 from __future__ import annotations
@@ -436,25 +436,24 @@ class _CompositionSearch:
         return rows.astype(np.int32)
 
 
-def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
-                      min_counts: Mapping[FeatureVector, int]) -> PanelComposition | None:
+def _branch_and_bound(instance: Instance, group_weights: Sequence[float]) -> PanelComposition | None:
     """A max-weight valid composition by depth-first LP branch and bound, or
     None if there is none; the oracle past the cap.
 
     The relaxation is ``max sum_g w_g x_g`` subject to ``sum_g x_g = k``,
     ``lo <= (seats on each (feature, value) pair) <= hi`` and
-    ``min_counts_g <= x_g <= min(n_g, k)``. It is written once in the
-    standard form ``solve_lp`` takes: x is shifted by its lower bounds, and
-    slack columns hold the upper bounds and the quota ranges, so a node,
-    which is a pair of bound vectors, changes only the right-hand side. A
-    node branches on its most fractional x_g, up branch first, and goes when
-    its LP is infeasible or cannot beat the best leaf by more than 1e-9. A
-    zero-weight call therefore stops at its first integral leaf.
+    ``0 <= x_g <= min(n_g, k)``. It is written once in the standard form
+    ``solve_lp`` takes: x is shifted by its lower bounds, and slack columns
+    hold the upper bounds and the quota ranges, so a node, which is a pair
+    of bound vectors, changes only the right-hand side. A node branches on
+    its most fractional x_g, up branch first, and goes when its LP is
+    infeasible or cannot beat the best leaf by more than 1e-9. A zero-weight
+    call therefore stops at its first integral leaf.
 
-    Each child's LP starts from its parent's final basis, which stays dual
-    feasible when only b moves, so the dual simplex reoptimizes it in a few
-    pivots. The root starts from the instance's last root basis (kept in
-    the memo): primal feasible when only the weights changed.
+    Every root has the same A and b, so phase 1 runs once per instance, as
+    a zero-cost solve whose basis the memo keeps, and every root runs phase
+    2 from it. A child starts from its parent's final basis, dual feasible
+    when only b moves, and the dual simplex reoptimizes it.
     """
     import numpy as np
 
@@ -476,19 +475,21 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
     c = np.concatenate([-weights, zeros(A.shape[1] - n_groups)])
     hi, spread = search.hi.astype(float), (search.hi - search.lo).astype(float)
 
-    floors = np.array([min_counts.get(v, 0) for v in search.vectors], dtype=float)
+    upper = np.minimum(np.array(search.sizes, dtype=float), k)
     memo = _memo(instance)
-    stack = [(floors, np.minimum(np.array(search.sizes, dtype=float), k), memo.root_basis)]
-    best_score, best, root = -math.inf, None, True
+    if memo.root_basis is None:
+        phase1 = solve_lp(zeros(len(c)), A, np.concatenate([[k], upper, hi, spread]))
+        memo.root_basis = phase1.basis if phase1.status == "optimal" else False
+    if memo.root_basis is False:
+        return None
+    stack = [(zeros(n_groups), upper, memo.root_basis)]
+    best_score, best = -math.inf, None
     while stack:
         lower, upper, start = stack.pop()
         if (lower > upper).any():
             continue
         b = np.concatenate([[k - lower.sum()], upper - lower, hi - member @ lower, spread])
         res = solve_lp(c, A, b, start)
-        if root and res.basis is not None:
-            memo.root_basis = res.basis
-        root = False
         if res.status != "optimal" or weights @ lower - res.objective <= best_score + 1e-9:
             continue
         x = lower + res.x[:n_groups]
@@ -502,7 +503,7 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float],
             continue
         counts = np.round(x).astype(int)
         comp = PanelComposition(tuple(zip(search.vectors, counts.tolist())))
-        if (counts < floors).any() or not comp.is_valid(instance):
+        if not comp.is_valid(instance):
             raise SolverError(f"branch and bound reached an invalid leaf {counts.tolist()}")
         score = float(weights @ counts)
         if score > best_score:
@@ -526,7 +527,7 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 # Composition spaces within COMPOSITION_CAP are enumerated once per instance
 # and memoized: brute reads the list from it, and every oracle and covering
 # query is a vectorized pass over it; larger spaces go to an LP branch and
-# bound per query, which starts from the last query's root basis. A matrix
+# bound per query, whose root starts from the instance's phase-1 basis. A matrix
 # can also be filled in without an enumeration: filtered from an enclosing
 # pool's (``derive_compositions``), or, for a pool with its self-excluders
 # stripped, from the unstripped pool's (``strip_self_excluders``). The
@@ -536,7 +537,7 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 @dataclass
 class _Memo:
     matrix: object = None  # the count matrix, or False past the cap
-    root_basis: object = None  # the branch and bound's last root basis
+    root_basis: object = None  # the relaxation's phase-1 basis, or False when it is infeasible
     covers: list | None = None  # covering_compositions' answer
 
 
@@ -660,7 +661,7 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float]) -> Pa
         raise ValidationError(f"expected {len(vectors)} group weights, got {len(group_weights)}")
     matrix = _composition_matrix(instance)
     if matrix is False:
-        return _branch_and_bound(instance, group_weights, {})
+        return _branch_and_bound(instance, group_weights)
 
     if matrix.shape[0] == 0:
         return None
@@ -682,9 +683,9 @@ def covering_compositions(instance: Instance) -> list[PanelComposition | None]:
 
     Within the cap this is one pass over the memo: each column's first
     maximum, so ties go to the lexicographically first composition, as the
-    oracle's do. Past it, one branch and bound per group, weighing only that
-    group's seats and requiring at least one. The answer is memoized; each
-    call returns a fresh list.
+    oracle's do. Past it, one oracle query per group, weighing only that
+    group's seats, whose answer is kept when it seats at least one. The
+    answer is memoized; each call returns a fresh list.
     """
     memo = _memo(instance)
     if memo.covers is None:
@@ -698,8 +699,8 @@ def _covers(instance: Instance) -> list[PanelComposition | None]:
     vectors = instance.present_vectors()
     matrix = _composition_matrix(instance)
     if matrix is False:
-        unit = np.eye(len(vectors))
-        return [_branch_and_bound(instance, unit[w], {v: 1}) for w, v in enumerate(vectors)]
+        best = (composition_oracle(instance, e_w) for e_w in np.eye(len(vectors)))
+        return [cover if cover is not None and cover.seats(v) > 0 else None for cover, v in zip(best, vectors)]
     if matrix.shape[0] == 0:
         return [None] * len(vectors)
     rows = matrix.argmax(axis=0)

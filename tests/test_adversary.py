@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from collections import Counter
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_panels
-from panelot import fixtures, panels
+from panelot import adversary, fixtures, panels
 from panelot.adversary import (
     Misreport,
     _coalition_choices,
@@ -454,3 +455,28 @@ def test_pool_copies_shrink_mu_gain(instance_b):
     single = worst_mu_manipulator(truthful, config)
     doubled = worst_mu_manipulator(duplicate_pool(truthful, 2), config)
     assert doubled.value <= single.value + 1e-9
+
+
+@pytest.mark.parametrize("spec", ["maximin", "maximin-tb", "leximin", "goldilocks:1", "nash"])
+def test_lp_round_off_does_not_pick_the_manip_witness(spec, monkeypatch):
+    # A witness gives way only to one that beats it by more than PROB_EPS, so
+    # shifting every group probability by a few 1e-12 keeps the first witness
+    # in enumeration order, and the value within round-off.
+    instance = fixtures.skew_pool(48, 6, (2, 2, 2))
+
+    def sweeps():
+        reports = [manip_metric_exhaustive(instance, cfg(spec), c=1, metric=metric)
+                   for metric in ("int", "ext", "comp", "fairness")]
+        return reports + [worst_mu_manipulator(instance, cfg(spec))]
+
+    exact = sweeps()
+    group_probabilities, calls = adversary._group_probabilities, itertools.count()
+
+    def shifted(inst, result):
+        shift = next(calls) % 7 * 1e-12
+        return {vector: p + shift for vector, p in group_probabilities(inst, result).items()}
+
+    monkeypatch.setattr(adversary, "_group_probabilities", shifted)
+    for report, moved in zip(exact, sweeps()):
+        assert moved.witness == report.witness, (report.metric, report.search)
+        assert moved.value == pytest.approx(report.value, abs=1e-9), (report.metric, report.search)

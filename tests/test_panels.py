@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 import time
@@ -19,7 +20,6 @@ from panelot.panels import (
     CompositionDistribution,
     Panel,
     PanelComposition,
-    _branch_and_bound,
     _composition_matrix,
     _CompositionSearch,
     composition_oracle,
@@ -329,7 +329,7 @@ def test_oracle_past_the_cap_finds_a_maximum_on_tie_prone_weights(monkeypatch):
                 assert _score(got, vectors, weights) == pytest.approx(_score(expected, vectors, weights), abs=1e-9)
 
 
-def _milp_best_score(inst, weights, min_counts):
+def _milp_best_score(inst, weights):
     """The max-weight composition score from scipy's MILP over group counts,
     or None when it reports the model infeasible."""
     optimize = pytest.importorskip("scipy.optimize")
@@ -342,8 +342,7 @@ def _milp_best_score(inst, weights, min_counts):
         rows.append([1.0 if v[f_idx] == value else 0.0 for v in vectors])
         lo.append(inst.quota(feature, value)[0])
         hi.append(inst.quota(feature, value)[1])
-    bounds = optimize.Bounds([min_counts.get(v, 0) for v in vectors],
-                             [min(inst.group_size(v), inst.k) for v in vectors])
+    bounds = optimize.Bounds(0, [min(inst.group_size(v), inst.k) for v in vectors])
     res = optimize.milp(-np.asarray(weights), constraints=optimize.LinearConstraint(np.array(rows), lo, hi),
                         integrality=np.ones(len(vectors)), bounds=bounds, options={"mip_rel_gap": 0})
     if res.status == 2:
@@ -360,26 +359,27 @@ def test_oracle_past_the_cap_matches_scipy_milp_on_the_36_group_pool():
     rng = np.random.default_rng(36)
     for _ in range(30):
         weights = rng.uniform(-1, 1, size=len(vectors))
-        group = vectors[int(rng.integers(len(vectors)))]
-        # A floor on one group is the branch and bound's covering query.
-        for min_counts in ({}, {group: 1}):
-            got = _branch_and_bound(inst, weights, min_counts) if min_counts else composition_oracle(inst, weights)
-            expected = _milp_best_score(inst, weights, min_counts)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                assert got.is_valid(inst)
-                assert got.seats(group) >= min_counts.get(group, 0)
-                assert _score(got, vectors, weights) == pytest.approx(expected, abs=1e-9)
+        got = composition_oracle(inst, weights)
+        expected = _milp_best_score(inst, weights)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.is_valid(inst)
+            assert _score(got, vectors, weights) == pytest.approx(expected, abs=1e-9)
+    # A cover seats the most of its group that a valid composition can, and
+    # is None exactly when that is 0.
+    for vector, unit, cover in zip(vectors, np.eye(len(vectors)), covering_compositions(inst)):
+        most = _milp_best_score(inst, unit)
+        assert (cover is None) == (most == 0)
+        if cover is not None:
+            assert cover.is_valid(inst)
+            assert cover.seats(vector) == most
 
 
-@pytest.mark.parametrize("leaf", ["no_seats", "all_on_one_group", "below_min_counts"])
+@pytest.mark.parametrize("leaf", ["no_seats", "all_on_one_group"])
 def test_oracle_past_the_cap_rejects_a_leaf_off_its_constraints(leaf, monkeypatch, e2):
     from panelot import _simplex
 
     vectors = e2.present_vectors()
-    # The reference search leaves e2 out of the memo, so the oracle below runs past the cap.
-    valid = PanelComposition(tuple(zip(vectors, next(row for row in reference_compositions(e2) if 0 in row))))
-    empty = next(v for v in vectors if valid.seats(v) == 0)
 
     def wrong_lp(c, A, b, start=None):
         # Integral, but off the constraints: the LP's columns start with the
@@ -387,18 +387,13 @@ def test_oracle_past_the_cap_rejects_a_leaf_off_its_constraints(leaf, monkeypatc
         x = np.zeros(len(c))
         if leaf == "all_on_one_group":
             x[0] = e2.k  # more seats than group 0 has, and off the quotas
-        elif leaf == "below_min_counts":
-            x[:len(vectors)] = [valid.seats(v) - (v == empty) for v in vectors]
         return _simplex.LPResult(status="optimal", x=x, objective=float(c @ x), duals=np.zeros(len(b)))
 
     monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
     monkeypatch.setattr(_simplex, "solve_lp", wrong_lp)
     weights = [1.0] * len(vectors)
     with pytest.raises(SolverError) as err:
-        if leaf == "below_min_counts":
-            _branch_and_bound(e2, weights, {empty: 1})
-        else:
-            composition_oracle(e2, weights)
+        composition_oracle(e2, weights)
     assert err.value.code == "SOLVER_ERROR"
 
 
@@ -444,7 +439,7 @@ def test_memo_stays_out_of_the_instance_and_goes_with_it(monkeypatch):
 
 def test_warm_start_basis_stays_out_of_the_instance_and_goes_with_it(monkeypatch):
     # Past the cap every oracle call is a branch and bound, and its root
-    # starts from the last root basis, which the instance's memo entry keeps.
+    # starts from the instance's phase-1 basis, which its memo entry keeps.
     monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
     inst = fixtures.skew_pool(48, 6, (2, 2, 2))
     fields = {f.name for f in dataclasses.fields(inst)}
@@ -465,10 +460,11 @@ def test_covers_are_memoized_and_go_with_the_instance(monkeypatch):
     # sweep asks it twice per pool (its exclusion check, then the solve's
     # seed), and the second answer comes from the instance's memo entry.
     monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
-    searches = []
-    branch_and_bound = panels._branch_and_bound
+    searches, queries = [], []
+    branch_and_bound, covers = panels._branch_and_bound, panels._covers
     monkeypatch.setattr(panels, "_branch_and_bound",
                         lambda *args: searches.append(args) or branch_and_bound(*args))
+    monkeypatch.setattr(panels, "_covers", lambda inst: queries.append(1) or covers(inst))
     inst = fixtures.skew_pool(48, 6, (2, 2, 2))
     fields = {f.name for f in dataclasses.fields(inst)}
     first = covering_compositions(inst)
@@ -483,15 +479,69 @@ def test_covers_are_memoized_and_go_with_the_instance(monkeypatch):
     assert covering_compositions(inst) == first
     structurally_excluded(inst)
     solve(inst, SolveConfig(objective=parse_objective("maximin")))
-    assert all(len(args[2]) == 0 for args in searches[len(inst.groups):])  # only pricing calls since
+    assert len(queries) == 1  # only pricing calls since
     assert set(vars(inst)) == fields
     key = id(inst)
     assert panels._MEMO[key].covers == first
     freed = weakref.ref(first[0])
-    del inst, first, second, searches
+    del inst, first, second, searches, queries
     gc.collect()
     assert key not in panels._MEMO
     assert freed() is None
+
+
+def test_past_the_cap_answers_do_not_depend_on_earlier_queries(monkeypatch):
+    # Every branch and bound's root starts from the instance's one phase-1
+    # basis, so a covering query and an oracle query made first leave each
+    # solve's answer as it was, to the byte.
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    rng = np.random.default_rng(12)
+    for spec in ("maximin", "nash", "leximin", "goldilocks:1", "minimax-tb"):
+        texts = []
+        for history in (False, True):
+            inst = fixtures.skew_pool(200, 10, (2, 2, 3))
+            if history:
+                covering_compositions(inst)
+                composition_oracle(inst, rng.uniform(-1, 1, size=len(inst.groups)))
+            result = solve(inst, SolveConfig(objective=parse_objective(spec)))
+            texts.append(json.dumps(result.to_json(), indent=2))
+        assert texts[0] == texts[1], spec
+
+
+@pytest.mark.parametrize("spec", ["maximin", "goldilocks:1"])
+@pytest.mark.parametrize("pool", [
+    pytest.param(lambda: fixtures.skew_pool(48, 6, (2, 2, 2)), id="skew8"),
+    pytest.param(lambda: fixtures.skew_pool(200, 10, (2, 2, 3)), id="skew12"),
+    pytest.param(lambda: fixtures.skew_pool(30, 5, (2, 3)), id="skew6"),
+])
+def test_no_branch_and_bound_lp_given_a_basis_starts_cold(pool, spec, monkeypatch):
+    # A root's start, the phase-1 basis, is primal feasible for every weight
+    # vector, and a child's, its parent's final basis, is dual feasible; so
+    # every branch-and-bound LP given a basis runs from it.
+    from panelot import _simplex
+
+    monkeypatch.setattr(panels, "COMPOSITION_CAP", 0)
+    solve_lp, solve_warm = _simplex.solve_lp, _simplex._solve_warm
+    searching, starts = [], []
+
+    def search_lp(c, A, b, start=None):
+        searching.append(True)
+        try:
+            return solve_lp(c, A, b, start)
+        finally:
+            searching.pop()
+
+    def warm(*args):
+        res = solve_warm(*args)
+        if searching:
+            starts.append("warm" if res is not None else "fallback")
+        return res
+
+    # The branch and bound imports solve_lp on each call; the masters keep the solver's own.
+    monkeypatch.setattr(_simplex, "solve_lp", search_lp)
+    monkeypatch.setattr(_simplex, "_solve_warm", warm)
+    assert solve(pool(), SolveConfig(objective=parse_objective(spec))).converged
+    assert starts and starts == ["warm"] * len(starts)
 
 
 def _reference_covers(instance):
