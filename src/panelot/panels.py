@@ -24,22 +24,27 @@ counts, not only the number of compositions returned. Past it, brute raises
 CAP_EXCEEDED and every query is an LP branch and bound over group seat
 counts (``_branch_and_bound``) on the bundled simplex.
 
+The oracle, ``composition_oracle``, is the max-weight valid composition.
+Within the cap it scores every memo row as sum_w weight_w * seats_w, one
+multiply-add per column, and returns the first maximum in lex order.
+
 Two queries answer the rest. Feasibility (``has_valid_panel``) is a
-zero-weight call of the oracle, ``composition_oracle``. Structural exclusion
-and the column-generation seed read the per-group covers,
-``covering_compositions``: one pass over the memo within the cap, one
-oracle query per group past it.
+zero-weight oracle call. Structural exclusion and the column-generation
+seed read the per-group covers, ``covering_compositions``: one pass over
+the memo within the cap, one oracle query per group past it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from . import _simplex
 from .errors import (
     CapExceededError,
     NonCoalitionExclusionError,
@@ -47,10 +52,6 @@ from .errors import (
     ValidationError,
 )
 from .model import FeatureScheme, FeatureVector, Instance
-
-# numpy is imported inside the functions that use it. Importing it when this
-# module loads, ahead of the solver, raised the peak RSS of a manip-sweep
-# benchmark process by about 0.7 MB.
 
 # Absolute tolerance for probability bookkeeping throughout the package.
 PROB_EPS = 1e-9
@@ -244,8 +245,6 @@ def _block_end(ends, start: int) -> int:
     """End of the block of states from ``start`` whose expansion fits in
     ``_EXPANSION_CHUNK`` rows (at least one state); ``ends`` is the running
     total of the states' fan-outs."""
-    import numpy as np
-
     base = int(ends[start - 1]) if start else 0
     return max(int(np.searchsorted(ends, base + _EXPANSION_CHUNK, side="right")), start + 1)
 
@@ -253,8 +252,6 @@ def _block_end(ends, start: int) -> int:
 def _runs(starts, lengths):
     """The integer runs starts[j], starts[j] + 1, ... of lengths[j] each,
     concatenated."""
-    import numpy as np
-
     offsets = np.cumsum(lengths) - lengths
     return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
 
@@ -278,8 +275,6 @@ class _CompositionSearch:
     """
 
     def __init__(self, instance: Instance, sizes: Mapping[FeatureVector, int] | None = None):
-        import numpy as np
-
         if sizes is None:
             self.vectors = instance.present_vectors()
             self.sizes = [instance.group_size(v) for v in self.vectors]
@@ -314,8 +309,6 @@ class _CompositionSearch:
         groups ``level``.. can complete, because a pair is over its upper
         quota, or a feature's lower quotas need more seats than are left, or
         its upper quotas and the agents left leave too little room."""
-        import numpy as np
-
         committed, rem = states[:, :-1], self.k - states[:, -1:]
         below_hi = self.hi - committed
         need = np.maximum(self.lo - committed, 0) @ self.by_feature
@@ -325,16 +318,12 @@ class _CompositionSearch:
 
     def _root(self):
         """Level 0: the empty row's state, if it survives the prune."""
-        import numpy as np
-
         states = np.zeros((1, len(self.lo) + 1), dtype=self.small)
         return states[self._keep(0, states)]
 
     def _fanout(self, i: int, states):
         """The number of candidate counts for group i under each state: from
         0 up to what its size and the seats left allow."""
-        import numpy as np
-
         return np.minimum(self.sizes[i], self.k - states[:, -1].astype(self.work)) + 1
 
     def _expand(self, i: int, states, reps, start: int):
@@ -343,8 +332,6 @@ class _CompositionSearch:
         candidate counts in ascending order, less those the prune drops.
         Returns each child's parent number, its seat count for group i and
         its state."""
-        import numpy as np
-
         parent = np.repeat(np.arange(start, start + len(reps)), reps)
         seats = _runs(0, reps).astype(self.work)
         children = states[parent - start] + seats[:, None] * self.step[i]
@@ -360,8 +347,6 @@ class _CompositionSearch:
         The states are expanded in blocks whose expansion fits in
         ``_EXPANSION_CHUNK`` rows. Equal children merge; they are sorted and
         compared column by column, so the key holds at every pool size."""
-        import numpy as np
-
         ends = np.cumsum(reps, dtype=np.int64)
         parts = []
         start = 0
@@ -405,8 +390,6 @@ class _CompositionSearch:
         ``_EXPANSION_CHUNK`` rows, their edges, and the completions, which
         are at most as many as the valid compositions on every level.
         """
-        import numpy as np
-
         states = self._root()
         paths = np.ones(len(states), dtype=np.int64)
         levels = []
@@ -455,10 +438,6 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float]) -> Pan
     2 from it. A child starts from its parent's final basis, dual feasible
     when only b moves, and the dual simplex reoptimizes it.
     """
-    import numpy as np
-
-    from ._simplex import solve_lp
-
     search = _CompositionSearch(instance)
     k, weights = search.k, np.asarray(group_weights, dtype=float)
     member = search.member.T.astype(float)  # pairs x groups
@@ -478,7 +457,7 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float]) -> Pan
     upper = np.minimum(np.array(search.sizes, dtype=float), k)
     memo = _memo(instance)
     if memo.root_basis is None:
-        phase1 = solve_lp(zeros(len(c)), A, np.concatenate([[k], upper, hi, spread]))
+        phase1 = _simplex.solve_lp(zeros(len(c)), A, np.concatenate([[k], upper, hi, spread]))
         memo.root_basis = phase1.basis if phase1.status == "optimal" else False
     if memo.root_basis is False:
         return None
@@ -489,7 +468,7 @@ def _branch_and_bound(instance: Instance, group_weights: Sequence[float]) -> Pan
         if (lower > upper).any():
             continue
         b = np.concatenate([[k - lower.sum()], upper - lower, hi - member @ lower, spread])
-        res = solve_lp(c, A, b, start)
+        res = _simplex.solve_lp(c, A, b, start)
         if res.status != "optimal" or weights @ lower - res.objective <= best_score + 1e-9:
             continue
         x = lower + res.x[:n_groups]
@@ -617,8 +596,6 @@ def derive_compositions(instance: Instance, enclosing: EnclosingPool | None) -> 
     every vector the pool lacks), in the pool's columns. Dropping columns
     that are 0 in every kept row keeps the rows in lexicographic order. The
     matrix is a fresh array, so no enclosing matrix outlives its pool."""
-    import numpy as np
-
     if enclosing is None:
         return
     memo = _memo(instance)
@@ -649,13 +626,13 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float]) -> Pa
     ``group_weights`` holds one weight per group, in
     ``instance.present_vectors()`` order: every seat of a group weighs the
     same, so this is the max-weight valid panel up to the choice of agents
-    within groups. Within the cap it is one scoring pass over the memo, and
-    ties break toward the lexicographically first composition. Past it,
-    ``_branch_and_bound`` returns a deterministic maximum, but not
-    necessarily the lexicographically first.
+    within groups. Within the cap it scores the memo's rows with one
+    multiply-add per column, the same left-to-right sum of weight times
+    seats that column generation re-scores the answer with. The first
+    maximum wins, so ties break toward the lexicographically first
+    composition. Past the cap, ``_branch_and_bound`` returns a deterministic
+    maximum, but not necessarily the lexicographically first.
     """
-    import numpy as np
-
     vectors = instance.present_vectors()
     if len(group_weights) != len(vectors):
         raise ValidationError(f"expected {len(vectors)} group weights, got {len(group_weights)}")
@@ -665,13 +642,9 @@ def composition_oracle(instance: Instance, group_weights: Sequence[float]) -> Pa
 
     if matrix.shape[0] == 0:
         return None
-    prefixes = [
-        list(itertools.accumulate([weight] * min(instance.group_size(vector), instance.k), initial=0.0))
-        for vector, weight in zip(vectors, group_weights)
-    ]
     scores = np.zeros(matrix.shape[0])
-    for column, prefix in enumerate(prefixes):
-        scores += np.asarray(prefix)[matrix[:, column]]
+    for column, weight in enumerate(group_weights):
+        scores += weight * matrix[:, column]
     best = int(np.argmax(scores))  # lex order in the matrix; first max wins
     return PanelComposition(tuple(zip(vectors, matrix[best].tolist())))
 
@@ -694,8 +667,6 @@ def covering_compositions(instance: Instance) -> list[PanelComposition | None]:
 
 
 def _covers(instance: Instance) -> list[PanelComposition | None]:
-    import numpy as np
-
     vectors = instance.present_vectors()
     matrix = _composition_matrix(instance)
     if matrix is False:

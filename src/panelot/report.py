@@ -78,6 +78,16 @@ def _solve_spec(instance: Instance, spec: str, config: SolveConfig) -> SolveResu
     return solve(instance, replace(config, objective=parse_objective(spec)))
 
 
+def _extremes_and_results(
+    instance: Instance, specs: list[str], config: SolveConfig
+) -> tuple[SolveResult, SolveResult, list[SolveResult]]:
+    """The maximin and minimax solves, then each spec's result in order; a
+    spec named ``maximin`` or ``minimax`` reuses that solve."""
+    extremes = {spec: _solve_spec(instance, spec, config) for spec in ("maximin", "minimax")}
+    results = [extremes[spec] if spec in extremes else _solve_spec(instance, spec, config) for spec in specs]
+    return extremes["maximin"], extremes["minimax"], results
+
+
 def table_maxes_mins(
     instance: Instance,
     algorithms: list[str],
@@ -86,19 +96,12 @@ def table_maxes_mins(
     """Approximation-ratio table: how close each algorithm's extremes come to
     the optimal minimum (a maximin solve) and optimal maximum (minimax).
     """
-    maximin = _solve_spec(instance, "maximin", config)
-    minimax = _solve_spec(instance, "minimax", config)
+    maximin, minimax, results = _extremes_and_results(instance, algorithms, config)
     min_opt = maximin.pi.min()
     max_opt = minimax.pi.max()
 
     rows = []
-    for spec in algorithms:
-        if spec == "maximin":
-            result = maximin
-        elif spec == "minimax":
-            result = minimax
-        else:
-            result = _solve_spec(instance, spec, config)
+    for spec, result in zip(algorithms, results):
         min_ratio, max_ratio = approximation_ratios(instance, result, min_opt, max_opt)
         rows.append(
             {
@@ -128,15 +131,8 @@ def feature_drop_sweep(
     rows = []
     for drops in range(max_drop + 1):
         reduced = drop_features(instance, drops)
-        maximin = _solve_spec(reduced, "maximin", config)
-        minimax = _solve_spec(reduced, "minimax", config)
-        for spec in objectives:
-            if spec == "maximin":
-                result = maximin
-            elif spec == "minimax":
-                result = minimax
-            else:
-                result = _solve_spec(reduced, spec, config)
+        maximin, minimax, results = _extremes_and_results(reduced, objectives, config)
+        for spec, result in zip(objectives, results):
             rows.append(
                 {
                     "drops": drops,

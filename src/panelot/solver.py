@@ -740,13 +740,6 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
     objective, extra_iters = _resolve_gamma(instance, config)
     pool = _initial_pool(instance, config)
 
-    if len(pool.vectors) == 1:
-        # Degenerate single-group pool: the uniform composition is optimal
-        # for every objective considered here.
-        q = np.zeros(len(pool))
-        q[0] = 1.0
-        return _assemble_result(instance, pool, q, objective, 1 + extra_iters, True, 0.0)
-
     if objective.kind in (Kind.MAXIMIN, Kind.MINIMAX):
         # Optimize the one extreme; the tie-break then holds every group
         # within 1e-12 of that value and optimizes the other extreme.

@@ -285,14 +285,18 @@ def test_oracle_ties_break_toward_the_lexicographically_first_composition(chunk,
         vectors = inst.present_vectors()
         first = PanelComposition(tuple(zip(vectors, reference_compositions(inst)[0])))
         assert composition_oracle(inst, [0.0] * len(vectors)) == first
-    # Whole-number weights make exact ties among the best rows. Python's max
+    # Whole-number weights make exact ties among the best rows, and thirds
+    # and sevenths make ties that rounding can split. The reference scores a
+    # row as the left-to-right sum of weight times seats, and Python's max
     # keeps the first maximum.
+    draws = [lambda rng: float(rng.randrange(3))] * 5
+    draws += [lambda rng, d=d: rng.randrange(1, 7) / d for d in (3, 7) for _ in range(20)]
     for inst in (fixtures.skew_pool(48, 6, (2, 2, 2)), fixtures.skew_pool(30, 5, (2, 3))):
         vectors = inst.present_vectors()
         rows = reference_compositions(inst)
-        for seed in range(5):
+        for seed, draw in enumerate(draws):
             rng = random.Random(seed)
-            weights = [float(rng.randrange(3)) for _ in vectors]
+            weights = [draw(rng) for _ in vectors]
             best = max(rows, key=lambda row: sum(w * c for w, c in zip(weights, row)))
             assert composition_oracle(inst, weights) == PanelComposition(tuple(zip(vectors, best)))
 
@@ -537,7 +541,7 @@ def test_no_branch_and_bound_lp_given_a_basis_starts_cold(pool, spec, monkeypatc
             starts.append("warm" if res is not None else "fallback")
         return res
 
-    # The branch and bound imports solve_lp on each call; the masters keep the solver's own.
+    # The branch and bound calls solve_lp through _simplex; the masters keep the solver's own.
     monkeypatch.setattr(_simplex, "solve_lp", search_lp)
     monkeypatch.setattr(_simplex, "_solve_warm", warm)
     assert solve(pool(), SolveConfig(objective=parse_objective(spec))).converged

@@ -19,7 +19,7 @@ from panelot.errors import (
     ValidationError,
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
-from panelot.objectives import parse_objective
+from panelot.objectives import evaluate, parse_objective
 from panelot.panels import feasible_compositions, has_valid_panel, structurally_excluded
 from panelot.solver import (
     SolveConfig,
@@ -802,6 +802,26 @@ def test_single_group_pool_returns_uniform():
     inst = Instance(scheme=scheme, agents=agents, k=2, quotas={("f", "0"): (2, 2)})
     result = solve(inst, cfg("goldilocks:1"))
     assert all(v == pytest.approx(0.4) for v in result.pi.pi.values())
+
+
+@pytest.mark.parametrize("backend", ["brute", "colgen"])
+@pytest.mark.parametrize("spec", [
+    "maximin", "minimax", "maximin-tb", "minimax-tb", "leximin", "nash",
+    "goldilocks:1", "goldilocks:auto1", "goldilocks:auto2", "linear:1",
+])
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 7)])
+def test_single_group_pool_is_one_composition_for_every_objective(n, k, spec, backend):
+    # One vector group has one valid composition, all k seats on it, so
+    # every objective's optimum is the uniform k/n and the pricing gap is 0.
+    scheme = FeatureScheme(features=("f",), values={"f": ("0", "1")})
+    inst = Instance(scheme=scheme, agents=tuple((f"a{i}", ("0",)) for i in range(n)), k=k,
+                    quotas={("f", "0"): (k, k)})
+    result = solve(inst, cfg(spec, backend))
+    assert result.converged
+    assert result.certificate == 0.0
+    assert [comp.items for comp in result.distribution.support()] == [((("0",), k),)]
+    assert all(p == pytest.approx(k / n, abs=1e-12) for p in result.pi.values())
+    assert result.objective_value == pytest.approx(evaluate(result.objective, [k / n] * n, k, n), abs=1e-12)
 
 
 @pytest.mark.parametrize("backend", ["brute", "colgen"])
