@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -227,6 +228,22 @@ def test_round_rejects_malformed_seat_counts(tmp_path, t1, capsys, kind):
     )
     assert code == 1
     assert "INVALID_INPUT" in capsys.readouterr().err
+    assert not list(out.glob("lottery_*"))
+
+
+def test_round_rejects_an_id_holding_a_comma(tmp_path, t1, capsys):
+    # A CSV-quoted "x,1" used to be written unquoted, and read back as two members.
+    inst = dataclasses.replace(t1, agents=(("x,1", t1.agents[0][1]),) + t1.agents[1:])
+    agents, quotas, out, result_path = _select_t1(tmp_path, inst)
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",
+         "--result", str(result_path), "--m", "100"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "INVALID_INPUT" in err
+    assert "'x,1'" in err
     assert not list(out.glob("lottery_*"))
 
 

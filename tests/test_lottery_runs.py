@@ -5,6 +5,7 @@ builds every ticket on its own, with no period or cycle, and writes, tallies
 and reads the lottery one ticket at a time.
 """
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -12,10 +13,13 @@ from collections import Counter
 import pytest
 
 from panelot import fixtures
+from panelot.errors import ValidationError
 from panelot.objectives import parse_objective
 from panelot.panels import CompositionDistribution, Panel, feasible_compositions
 from panelot.report import lottery_stats
 from panelot.rounding import (
+    _WRITE_CHUNK,
+    TicketRun,
     UniformLottery,
     _round_counts,
     lottery_marginals,
@@ -108,7 +112,7 @@ def _check_against_reference(tmp_path, inst, dist, m, seed):
 
     path = tmp_path / "lottery.txt"
     write_lottery(lottery, path, inst, seed)
-    _assert_same(path.read_text(encoding="utf-8").splitlines(True), _reference_file(reference).splitlines(True))
+    _assert_same(path.read_bytes().splitlines(True), _reference_file(reference).encode("utf-8").splitlines(True))
     assert lottery_marginals(inst, lottery).pi == _reference_marginals(inst, reference)
     assert _tally(lottery) == Counter(p.members for p in reference)
 
@@ -162,3 +166,109 @@ def test_tallies_and_writer_never_build_tickets(tmp_path, monkeypatch, instance_
     assert sum(tally.values()) == 50_000
     assert lottery_stats(inst, dist, 50_000, 3, seed=3)["runs"] == 3
     assert read_lottery(path).m == 50_000
+
+
+def _renamed(inst, names):
+    """``inst`` with its agents renamed, in order, to ``names``."""
+    return dataclasses.replace(inst, agents=tuple(
+        (name, vector) for name, (_, vector) in zip(names, inst.agents, strict=True)
+    ))
+
+
+_AWKWARD_IDS = ("p%d", "100%", "%%", "é", "ß")
+
+
+def _awkward_names(n):
+    """n distinct ids, each holding ``%`` or a non-ASCII letter."""
+    return [_AWKWARD_IDS[i] if i < len(_AWKWARD_IDS) else f"{_AWKWARD_IDS[i % len(_AWKWARD_IDS)]}{i}"
+            for i in range(n)]
+
+
+def _uniform_over_compositions(inst):
+    comps = feasible_compositions(inst)
+    return CompositionDistribution(tuple((c, 1 / len(comps)) for c in comps))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_writer_escapes_percent_and_encodes_non_ascii_ids(tmp_path, seed):
+    base = fixtures.random_brute_instance(seed)
+    inst = _renamed(base, _awkward_names(base.n))
+    dist = _uniform_over_compositions(inst)
+    for m in (1, 7, 10_007):
+        _check_against_reference(tmp_path, inst, dist, m, seed=m)
+
+
+def test_writer_at_the_chunk_boundary(tmp_path, instance_b):
+    """A single run, so every chunk but the last is a full template. The
+    period does not divide ``_WRITE_CHUNK``, so the template holds
+    ``block`` lines, a whole number of periods; m is put on both edges."""
+    inst = _renamed(instance_b[2], _awkward_names(instance_b[2].n))
+    comp = max(feasible_compositions(inst), key=lambda c: _period(inst, c))
+    dist, period = CompositionDistribution(((comp, 1.0),)), _period(inst, comp)
+    assert _WRITE_CHUNK % period
+    block = _WRITE_CHUNK // period * period
+    chunk = _WRITE_CHUNK
+    for m in sorted({chunk - 1, chunk, chunk + 1, 2 * chunk + 1, block - 1, block, block + 1, 2 * block + 1}):
+        lottery = pipage_round(dist, inst, m, seed=m)
+        assert len(lottery.runs) == 1
+        _check_against_reference(tmp_path, inst, dist, m, seed=m)
+
+
+def test_writer_with_a_period_longer_than_the_chunk(tmp_path, instance_b):
+    period = _WRITE_CHUNK + 3
+    panels = tuple(Panel((f"a{j}%", f"é{j}")) for j in range(period))
+    for count in (period, period + 1, 2 * period + 5):
+        lottery = UniformLottery(m=count + 2, runs=[
+            TicketRun(panels[:2], 2), TicketRun(panels, count),
+        ])
+        path = tmp_path / "lottery.txt"
+        write_lottery(lottery, path, instance_b[2], seed=1)
+        assert path.read_bytes() == _reference_file(lottery.tickets).encode("utf-8")
+        again = read_lottery(path)
+        assert again.m == lottery.m
+        _assert_same(again.tickets, lottery.tickets)
+
+
+@pytest.mark.parametrize("bad_id", ["x,1", "x\n1", "x\r1"])
+def test_writer_rejects_ids_the_ticket_format_cannot_carry(tmp_path, bad_id):
+    base = fixtures.two_group_instance()
+    inst = _renamed(base, [bad_id] + [f"a{i}" for i in range(1, base.n)])
+    dist = _uniform_over_compositions(inst)
+    lottery = pipage_round(dist, inst, 100, seed=1)
+    assert any(bad_id in p.members for p, _ in lottery.multiplicities())
+    path = tmp_path / "lottery.txt"
+    with pytest.raises(ValidationError) as info:
+        write_lottery(lottery, path, inst, seed=1)
+    assert info.value.code == "INVALID_INPUT"
+    assert repr(bad_id) in info.value.message
+    assert not path.exists()
+    assert not path.with_suffix(".txt.json").exists()
+
+
+def test_writer_keeps_ids_holding_a_tab(tmp_path):
+    base = fixtures.two_group_instance()
+    inst = _renamed(base, [f"x\t{i}" for i in range(base.n)])
+    dist = _uniform_over_compositions(inst)
+    _check_against_reference(tmp_path, inst, dist, 100, seed=1)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("7\ta,b\nfoo\n3\ta,b\n", 1),
+    ("1\ta,b\nfoo\n3\ta,b\n", 2),
+    ("1\ta,b\n\n3\ta,b\n", 3),
+    ("1\ta,b\n2 a,b\n", 2),
+    ("01\ta,b\n", 1),
+    ("\ta,b\n", 1),
+])
+def test_reader_rejects_misnumbered_or_malformed_lines(tmp_path, text, line):
+    path = tmp_path / "lottery.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValidationError, match=f"line {line} "):
+        read_lottery(path)
+
+
+def test_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "lottery.txt"
+    path.write_bytes(b"\n1\ta,b\n\n2\ta,c\n\n")
+    lottery = read_lottery(path)
+    assert lottery.tickets == (Panel(("a", "b")), Panel(("a", "c")))
