@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import (
@@ -24,7 +24,6 @@ from .errors import (
 from .model import FeatureVector, Instance, pool_share
 from .panels import (
     PROB_EPS,
-    EnclosingPool,
     derive_compositions,
     enclosing_compositions,
     strip_self_excluders,
@@ -79,7 +78,7 @@ def coalition_size_cap(instance: Instance) -> int:
 
 
 def apply_misreport(instance: Instance, mis: Misreport, strict: bool = False,
-                    enclosing: EnclosingPool | None = None) -> Instance:
+                    enclosing: Instance | None = None) -> Instance:
     """The manipulated instance: reported vectors, self-excluders removed.
 
     ``strict`` additionally enforces the safe coalition-size bound
@@ -149,45 +148,12 @@ def _group_probabilities(instance: Instance, result: SolveResult) -> dict[Featur
 
 def worst_mu_manipulator(instance: Instance, config: SolveConfig) -> ManipReport:
     """Largest probability gain any single agent can get by reporting the
-    most-underrepresented vector.
-
-    One re-solve per truthful vector group (members are interchangeable);
-    the reported value is clamped at zero, matching a rational manipulator
-    who can always stay truthful. Every attacked pool, and the truthful one,
-    lies within the truthful pool plus one seat in the target's group, so
-    that pool's valid compositions are enumerated once and filtered for
-    each of them.
+    most-underrepresented vector: the c = 1 sweep with {μ} as the only
+    report, so one re-solve per truthful vector group (members are
+    interchangeable). The value is at least zero, matching a rational
+    manipulator who can always stay truthful.
     """
-    target = mu_vector(instance)
-    sizes = {vector: instance.group_size(vector) for vector in instance.present_vectors()}
-    sizes[target] = sizes.get(target, 0) + 1
-    enclosing = enclosing_compositions(instance, sizes)
-    derive_compositions(instance, enclosing)
-    base = solve(instance, config)
-    base_groups = _group_probabilities(instance, base)
-
-    best_gain = 0.0
-    best_witness = Misreport(frozenset(), {})
-    for vector in instance.present_vectors():
-        if vector == target:
-            continue
-        agent_id = instance.groups[vector][0]
-        mis = Misreport(frozenset({agent_id}), {agent_id: target})
-        manipulated = apply_misreport(instance, mis, enclosing=enclosing)
-        if agent_id not in manipulated.vector_of:
-            continue  # reporting the target vector excluded them outright
-        attacked = solve(manipulated, config)
-        attacked_groups = _group_probabilities(manipulated, attacked)
-        gain = attacked_groups[target] - base_groups[vector]
-        if gain > best_gain + PROB_EPS:  # at a tie within round-off, the first witness holds
-            best_gain, best_witness = gain, mis
-    return ManipReport(
-        metric=METRIC_INT,
-        value=best_gain,
-        witness=best_witness,
-        algorithm=config.objective.spec_string(),
-        search=SEARCH_MU,
-    )
+    return _sweep(instance, config, 1, METRIC_INT, [mu_vector(instance)], SEARCH_MU, False, math.inf)
 
 
 def _coalition_choices(instance: Instance, c: int):
@@ -219,30 +185,49 @@ def manip_metric_exhaustive(
     strict: bool = False,
     budget: int = 200_000,
 ) -> ManipReport:
-    """Exact worst case over all size-c coalitions and reported vectors.
+    """Exact worst case over all size-c coalitions and reported vectors: the
+    sweep with every vector of the scheme as a report."""
+    return _sweep(instance, config, c, metric, instance.scheme.all_vectors(), SEARCH_EXHAUSTIVE, strict, budget)
+
+
+def _sweep(
+    instance: Instance,
+    config: SolveConfig,
+    c: int,
+    metric: str,
+    reports: list[FeatureVector],
+    search: str,
+    strict: bool,
+    budget: float,
+) -> ManipReport:
+    """Worst case of ``metric`` over size-c coalitions whose members each
+    report a vector of ``reports``.
 
     Search is canonicalized by truthful vector group. Misreports that would
     structurally exclude a truthful agent fall outside the model: they floor
-    the fairness metric at zero and are skipped for the gain metrics.
+    the fairness metric at zero and are skipped for the gain metrics. The
+    sweep starts from the empty coalition, worth 0 for the gain metrics and
+    the truthful minimum for fairness, and a misreport replaces the witness
+    only when it beats the witness's value by more than ``PROB_EPS``.
 
     Every pool the sweep builds, the truthful one included, lies within the
-    pool with c more agents in every group of the scheme. That pool's valid
-    compositions are enumerated once, and each pool's are filtered from
-    them (``enclosing_compositions``); past the cap, each pool enumerates
-    itself.
+    truthful pool with c more agents in the group of every reportable
+    vector. That pool's valid compositions are enumerated once, and each
+    pool's are filtered from them (``enclosing_compositions``); past the
+    cap, each pool enumerates itself.
     """
     if metric not in (METRIC_INT, METRIC_EXT, METRIC_COMP, METRIC_FAIRNESS):
         raise ValidationError(f"unknown metric {metric!r}")
     if c < 0:
         raise ValidationError(f"coalition size must be >= 0, got {c}")
     algorithm = config.objective.spec_string()
-    enclosing = enclosing_compositions(
-        instance, {vector: instance.group_size(vector) + c for vector in instance.scheme.all_vectors()}
-    )
+    sizes = Counter(vector for _, vector in instance.agents)
+    sizes.update(dict.fromkeys(reports, c))
+    enclosing = enclosing_compositions(instance, sizes)
     derive_compositions(instance, enclosing)
 
     if metric == METRIC_FAIRNESS and structurally_excluded(instance):
-        return ManipReport(metric, 0.0, Misreport(frozenset(), {}), algorithm, SEARCH_EXHAUSTIVE)
+        return ManipReport(metric, 0.0, Misreport(frozenset(), {}), algorithm, search)
 
     if strict and c > coalition_size_cap(instance):
         raise CoalitionTooLargeError(
@@ -251,15 +236,13 @@ def manip_metric_exhaustive(
 
     base = solve(instance, config)
     base_groups = _group_probabilities(instance, base)
-
+    best_value = min(base_groups.values()) if metric == METRIC_FAIRNESS else 0.0
+    best_witness = Misreport(frozenset(), {})
     if c == 0:
-        value = min(base_groups.values()) if metric == METRIC_FAIRNESS else 0.0
-        return ManipReport(metric, value, Misreport(frozenset(), {}), algorithm, SEARCH_EXHAUSTIVE)
+        return ManipReport(metric, best_value, best_witness, algorithm, search)
 
-    all_vectors = instance.scheme.all_vectors()
-    n_groups = len(instance.present_vectors())
-    coalition_count = math.comb(n_groups + c - 1, c)
-    report_count = math.comb(len(all_vectors) + c - 1, c)
+    coalition_count = math.comb(len(instance.groups) + c - 1, c)
+    report_count = math.comb(len(reports) + c - 1, c)
     if coalition_count * report_count > budget:
         raise BudgetExceededError(
             f"{coalition_count * report_count} misreport candidates exceed the budget {budget}"
@@ -274,18 +257,16 @@ def manip_metric_exhaustive(
     # returned above if it has).
     if metric == METRIC_FAIRNESS or not structurally_excluded(instance):
         solve_cache[pool_key({})] = base_groups
-    best_value = -math.inf if metric != METRIC_FAIRNESS else math.inf
-    best_witness = Misreport(frozenset(), {})
 
     for counts in _coalition_choices(instance, c):
         members: dict[FeatureVector, list[str]] = {
             vector: list(instance.groups[vector][: counts[vector]]) for vector in counts
         }
-        for reports in _report_choices(all_vectors, counts):
+        for assignment in _report_choices(reports, counts):
             coalition = frozenset(itertools.chain.from_iterable(members.values()))
             reported = {}
             for vector, agent_list in members.items():
-                for agent_id, rep in zip(agent_list, reports[vector]):
+                for agent_id, rep in zip(agent_list, assignment[vector]):
                     reported[agent_id] = rep
             mis = Misreport(coalition, reported)
 
@@ -332,9 +313,7 @@ def manip_metric_exhaustive(
             if gain > PROB_EPS:  # at a tie within round-off, the first witness holds
                 best_value, best_witness = value, mis
 
-    if metric != METRIC_FAIRNESS:
-        best_value = max(best_value, 0.0)
-    return ManipReport(metric, float(best_value), best_witness, algorithm, SEARCH_EXHAUSTIVE)
+    return ManipReport(metric, float(best_value), best_witness, algorithm, search)
 
 
 def feature_bias_spread(instance: Instance, feature: str) -> float:
@@ -408,6 +387,9 @@ def make_lb_instance(kind: str, **params) -> tuple[Instance, Misreport]:
         k = params.get("k", 4)
         return linked_fate_instance(n=n, k=k), Misreport(frozenset(), {})
     if kind in (KIND_THM31, KIND_THM43):
+        missing = [name for name in ("n", "k", "n_min", "c") if name not in params]
+        if missing:
+            raise ValidationError(f"{kind} needs the parameters {', '.join(missing)}")
         return _make_two_type_instance(kind, **params)
     raise ValidationError(f"unknown constructed-instance kind {kind!r}")
 

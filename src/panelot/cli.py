@@ -140,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["example1", "example2", "thm31", "thm43"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmin", type=int, default=0)
-    p.add_argument("--c", type=int, default=0)
+    p.add_argument("--nmin", type=int)
+    p.add_argument("--c", type=int)
     return parser
 
 
@@ -275,9 +275,9 @@ def _cmd_feature_drop(args) -> int:
 
 def _cmd_gen_lb(args) -> int:
     params = {"n": args.n, "k": args.k}
-    if args.nmin:
+    if args.nmin is not None:
         params["n_min"] = args.nmin
-    if args.c:
+    if args.c is not None:
         params["c"] = args.c
     instance, misreport = make_lb_instance(args.kind, **params)
     out = _out_dir(args)

@@ -51,7 +51,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .model import FeatureScheme, FeatureVector, Instance
+from .model import FeatureVector, Instance
 
 # Absolute tolerance for probability bookkeeping throughout the package.
 PROB_EPS = 1e-9
@@ -129,10 +129,12 @@ class CompositionDistribution:
     entries: tuple[tuple[PanelComposition, float], ...]
 
     def __post_init__(self):
-        """No negative mass, no repeated composition, total mass 1."""
+        """Finite, non-negative mass, no repeated composition, total mass 1."""
         total = 0.0
         seen: set = set()
         for comp, prob in self.entries:
+            if not math.isfinite(prob):
+                raise ValidationError(f"probability {prob} on composition {comp.items} is not finite")
             if prob < -PROB_EPS:
                 raise ValidationError(f"negative probability {prob} on composition {comp.items}")
             if comp.items in seen:
@@ -268,19 +270,11 @@ class _CompositionSearch:
     quotas no completion can meet. The level-wise enumerator,
     ``count_matrix``, drives it and builds the rows, in lexicographic order,
     from the states that reach k seats.
-
-    ``sizes`` replaces the pool's groups with the named vectors and sizes
-    (searched in sorted order) under the same k and quotas; an enclosing
-    pool (``enclosing_compositions``) is searched this way.
     """
 
-    def __init__(self, instance: Instance, sizes: Mapping[FeatureVector, int] | None = None):
-        if sizes is None:
-            self.vectors = instance.present_vectors()
-            self.sizes = [instance.group_size(v) for v in self.vectors]
-        else:
-            self.vectors = sorted(sizes)
-            self.sizes = [sizes[v] for v in self.vectors]
+    def __init__(self, instance: Instance):
+        self.vectors = instance.present_vectors()
+        self.sizes = [instance.group_size(v) for v in self.vectors]
         self.k = k = instance.k
         features = instance.scheme.features
         pairs = instance.scheme.feature_value_pairs()
@@ -507,9 +501,9 @@ def feasible_compositions(instance: Instance) -> list[PanelComposition]:
 # and memoized: brute reads the list from it, and every oracle and covering
 # query is a vectorized pass over it; larger spaces go to an LP branch and
 # bound per query, whose root starts from the instance's phase-1 basis. A matrix
-# can also be filled in without an enumeration: filtered from an enclosing
-# pool's (``derive_compositions``), or, for a pool with its self-excluders
-# stripped, from the unstripped pool's (``strip_self_excluders``). The
+# can also be filled in without an enumeration, filtered from the matrix of a
+# pool that encloses it (``derive_compositions``): a sweep's enclosing pool,
+# or the unstripped pool of one with its self-excluders stripped. The
 # covering query's answer is kept too, as a sweep asks it twice per pool.
 # The memo lives here, keyed by id(instance), not in the frozen instance; an
 # entry goes when its instance is collected.
@@ -550,23 +544,11 @@ def _composition_matrix(instance: Instance):
     return memo.matrix
 
 
-@dataclass(frozen=True)
-class EnclosingPool:
-    """The valid compositions of a pool that encloses others: ``matrix`` has
-    one column per vector of ``sizes``, in sorted order, and its rows in
-    lexicographic order."""
-
-    scheme: FeatureScheme
-    k: int
-    quotas: Mapping[tuple[str, str], tuple[int, int]]
-    sizes: Mapping[FeatureVector, int]
-    matrix: object
-
-
-def enclosing_compositions(instance: Instance, sizes: Mapping[FeatureVector, int]) -> EnclosingPool | None:
-    """The valid compositions of the pool with ``instance``'s k and quotas
-    and the group ``sizes``, enumerated once to serve every pool it encloses
-    (``derive_compositions``); None past the cap.
+def enclosing_compositions(instance: Instance, sizes: Mapping[FeatureVector, int]) -> Instance | None:
+    """The pool with ``instance``'s k and quotas and the group ``sizes``
+    (agents with synthetic ids), its valid compositions enumerated into its
+    memo once to serve every pool it encloses (``derive_compositions``); None
+    past the cap.
 
     A pool it encloses has the same scheme, k and quotas, and no group
     larger than in ``sizes``. The quotas do not depend on group sizes, so
@@ -584,33 +566,37 @@ def enclosing_compositions(instance: Instance, sizes: Mapping[FeatureVector, int
     only if every pool it encloses does. Past the cap, each pool enumerates
     itself.
     """
-    matrix = _CompositionSearch(instance, sizes).count_matrix()
-    if matrix is None:
-        return None
-    return EnclosingPool(instance.scheme, instance.k, dict(instance.quotas), dict(sorted(sizes.items())), matrix)
+    vectors = [vector for vector, size in sizes.items() for _ in range(size)]
+    enclosing = instance.replace_agents(((f"e{j}", vector) for j, vector in enumerate(vectors)),
+                                        label=f"{instance.label}~enclosing")
+    return None if _composition_matrix(enclosing) is False else enclosing
 
 
-def derive_compositions(instance: Instance, enclosing: EnclosingPool | None) -> None:
-    """Fill ``instance``'s empty memo from ``enclosing`` when it encloses the
-    pool: the enclosing rows that seat at most each group's size (and 0 of
-    every vector the pool lacks), in the pool's columns. Dropping columns
-    that are 0 in every kept row keeps the rows in lexicographic order. The
-    matrix is a fresh array, so no enclosing matrix outlives its pool."""
+def derive_compositions(instance: Instance, enclosing: Instance | None) -> None:
+    """Fill ``instance``'s empty memo from ``enclosing``'s valid compositions
+    when that pool encloses it: the enclosing rows that seat at most each
+    group's size (and 0 of every vector the pool lacks), in the pool's
+    columns. Dropping columns that are 0 in every kept row keeps the rows in
+    lexicographic order. The matrix is a fresh array, so no enclosing matrix
+    outlives its pool."""
     if enclosing is None:
         return
     memo = _memo(instance)
     if memo.matrix is not None or (instance.scheme, instance.k, instance.quotas) != (
             enclosing.scheme, enclosing.k, enclosing.quotas):
         return
-    column = {vector: j for j, vector in enumerate(enclosing.sizes)}
+    matrix = _composition_matrix(enclosing)
+    if matrix is False:
+        return
+    column = {vector: j for j, vector in enumerate(enclosing.present_vectors())}
     limit = np.zeros(len(column), dtype=np.int32)
     for vector, members in instance.groups.items():
-        if len(members) > enclosing.sizes.get(vector, 0):
+        if len(members) > enclosing.group_size(vector):
             return
         limit[column[vector]] = len(members)
     keep = [column[vector] for vector in instance.present_vectors()]
-    rows = (enclosing.matrix <= limit).all(axis=1)
-    memo.matrix = enclosing.matrix[np.ix_(rows, keep)]
+    rows = (matrix <= limit).all(axis=1)
+    memo.matrix = matrix[np.ix_(rows, keep)]
 
 
 def has_valid_panel(instance: Instance) -> bool:
@@ -695,7 +681,7 @@ def structurally_excluded(instance: Instance) -> set[str]:
 
 
 def strip_self_excluders(instance: Instance, coalition: set[str] | frozenset[str],
-                         enclosing: EnclosingPool | None = None) -> Instance:
+                         enclosing: Instance | None = None) -> Instance:
     """Drop manipulators whose reported vector lies on no valid panel.
 
     Raises if a non-coalition agent is excluded: size-bounded coalitions are
@@ -704,9 +690,9 @@ def strip_self_excluders(instance: Instance, coalition: set[str] | frozenset[str
     panels unchanged, so a single pass cannot create new exclusions.
 
     ``enclosing`` (from ``enclosing_compositions``) gives ``instance`` its
-    valid compositions without an enumeration when it encloses the pool.
-    When ``instance``'s memo holds a matrix, the kept pool gets it less the
-    excluded groups' columns, which are all zero.
+    valid compositions without an enumeration when it encloses the pool,
+    and ``instance``, which encloses the kept pool, gives the kept pool its
+    own.
     """
     derive_compositions(instance, enclosing)
     excluded = structurally_excluded(instance)
@@ -718,8 +704,5 @@ def strip_self_excluders(instance: Instance, coalition: set[str] | frozenset[str
             f"misreport structurally excluded truthful agents: {sorted(truthful_excluded)}"
         )
     kept = instance.replace_agents((a, v) for a, v in instance.agents if a not in excluded)
-    matrix = _memo(instance).matrix
-    if matrix is not None and matrix is not False:
-        columns = [j for j, vector in enumerate(instance.present_vectors()) if vector in kept.groups]
-        _memo(kept).matrix = matrix.take(columns, axis=1)
+    derive_compositions(kept, instance)
     return kept

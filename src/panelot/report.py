@@ -40,7 +40,6 @@ class RunRecord:
     gini: float
     objective_value: float
     converged: bool
-    wall_ms: float | None = None
 
     def __post_init__(self):
         ideal = self.k / self.n
@@ -50,7 +49,7 @@ class RunRecord:
             )
 
 
-def run_record(instance: Instance, result: SolveResult, wall_ms: float | None = None) -> RunRecord:
+def run_record(instance: Instance, result: SolveResult) -> RunRecord:
     pi = result.pi
     # Emitted rows re-validate the two structural invariants first.
     if abs(pi.total() - instance.k) > 1e-6:
@@ -70,7 +69,6 @@ def run_record(instance: Instance, result: SolveResult, wall_ms: float | None = 
         gini=gini(pi),
         objective_value=result.objective_value,
         converged=result.converged,
-        wall_ms=wall_ms,
     )
 
 

@@ -63,34 +63,21 @@ class TicketRun:
         return itertools.islice(itertools.cycle(self.panels), self.count)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class UniformLottery:
-    """Exactly m tickets; duplicates allowed; ticket i wins with chance 1/m.
-
-    Built from either the tickets in order or their runs; a ticket sequence
-    is split into runs on the way in, so runs are the only stored form.
-    """
+    """Exactly m tickets, stored as their runs in order; duplicates allowed;
+    ticket i wins with chance 1/m."""
 
     m: int
     runs: tuple[TicketRun, ...]
 
-    def __init__(
-        self,
-        m: int,
-        tickets: Iterable[Panel] | None = None,
-        *,
-        runs: Iterable[TicketRun] | None = None,
-    ):
-        if m < 1:
+    def __post_init__(self):
+        if self.m < 1:
             raise ValidationError("m must be at least 1")
-        if (tickets is None) == (runs is None):
-            raise ValidationError("a lottery takes either its tickets or its runs")
-        runs = tuple(_cycle_runs(tickets) if runs is None else runs)
-        count = sum(run.count for run in runs)
-        if count != m:
-            raise ValidationError(f"expected {m} tickets, got {count}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "runs", tuple(self.runs))
+        count = sum(run.count for run in self.runs)
+        if count != self.m:
+            raise ValidationError(f"expected {self.m} tickets, got {count}")
 
     @property
     def tickets(self) -> tuple[Panel, ...]:

@@ -29,7 +29,7 @@ from panelot.errors import (
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
 from panelot.objectives import parse_objective
-from panelot.solver import SolveConfig
+from panelot.solver import SolveConfig, solve
 
 
 def cfg(spec: str = "maximin") -> SolveConfig:
@@ -217,6 +217,44 @@ def test_exhaustive_dominates_mu_search(e1):
     mu = worst_mu_manipulator(e1, config)
     exhaustive = manip_metric_exhaustive(e1, config, c=1, metric="int")
     assert exhaustive.value >= mu.value - 1e-9
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+@pytest.mark.parametrize("spec", ["maximin", "leximin", "nash", "goldilocks:1"])
+def test_mu_search_skips_misreports_outside_the_model(seed, spec):
+    # On these pools some member reporting the mu vector would exclude a
+    # truthful agent; the mu search skips that misreport, as the exhaustive
+    # sweep does, and reports the best of the others.
+    instance, config = fixtures.random_brute_instance(seed), cfg(spec)
+    target = mu_vector(instance)
+    base = solve(instance, config).pi.group_probabilities(instance)
+    gains, skipped = [0.0], 0
+    for vector in instance.present_vectors():
+        agent_id = instance.groups[vector][0]
+        try:
+            attacked = apply_misreport(instance, Misreport(frozenset({agent_id}), {agent_id: target}))
+        except NonCoalitionExclusionError:
+            skipped += 1
+            continue
+        after = solve(attacked, config).pi.group_probabilities(attacked)
+        gains.append((after[target] if agent_id in attacked.vector_of else 0.0) - base[vector])
+    assert skipped
+    report = worst_mu_manipulator(instance, config)
+    assert report.value == pytest.approx(max(gains), abs=1e-9)
+    assert report.value <= manip_metric_exhaustive(instance, config, c=1, metric="int").value + 1e-9
+
+
+@pytest.mark.parametrize("name, c, metric", [
+    ("e1", 1, "int"), ("rand7", 2, "ext"), ("rand0", 1, "fairness"), ("rand7", 2, "fairness"),
+])
+def test_sweep_without_a_gaining_misreport_reports_the_empty_coalition(name, c, metric):
+    # The sweep starts from the empty coalition: a misreport takes the
+    # witness only when it beats the truthful pool by more than PROB_EPS.
+    instance = fixtures.small_group_instance() if name == "e1" else fixtures.random_brute_instance(int(name[4:]))
+    report = manip_metric_exhaustive(instance, cfg(), c=c, metric=metric)
+    assert report.witness == Misreport(frozenset(), {})
+    truthful = solve(instance, cfg()).pi.group_probabilities(instance)
+    assert report.value == (min(truthful.values()) if metric == "fairness" else 0.0)
 
 
 def test_exhaustive_witness_reproduces_value(e1):

@@ -231,6 +231,25 @@ def test_round_rejects_malformed_seat_counts(tmp_path, t1, capsys, kind):
     assert not list(out.glob("lottery_*"))
 
 
+@pytest.mark.parametrize("prob", [float("nan"), float("inf")])
+def test_round_rejects_a_probability_that_is_not_finite(tmp_path, t1, capsys, prob):
+    # NaN passed every comparison in the distribution's checks, and the
+    # rounding then died with a traceback.
+    agents, quotas, out, result_path = _select_t1(tmp_path, t1)
+    payload = json.loads(result_path.read_text())
+    payload["compositions"][0]["prob"] = prob
+    bad = tmp_path / "bad_result.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",
+         "--result", str(bad), "--m", "100"]
+    )
+    assert code == 1
+    assert "INVALID_INPUT" in capsys.readouterr().err
+    assert not list(out.glob("lottery_*"))
+
+
 def test_round_rejects_an_id_holding_a_comma(tmp_path, t1, capsys):
     # A CSV-quoted "x,1" used to be written unquoted, and read back as two members.
     inst = dataclasses.replace(t1, agents=(("x,1", t1.agents[0][1]),) + t1.agents[1:])
@@ -325,6 +344,21 @@ def test_gen_lb_round_trips(tmp_path):
     assert inst.n == 72
     payload = json.loads((out / "thm43_misreport.json").read_text())
     assert len(payload["coalition"]) == 6
+
+
+@pytest.mark.parametrize("kind, extra, message", [
+    ("thm43", [], "needs the parameters n_min, c"),
+    ("thm31", ["--nmin", "12"], "needs the parameters c"),
+    ("thm43", ["--nmin", "12", "--c", "0"], "need 5 <= c <= n_min - k"),  # 0 is given, not missing
+])
+def test_gen_lb_names_its_missing_parameters(tmp_path, capsys, kind, extra, message):
+    out = tmp_path / "artifacts"
+    code = main(["--out", str(out), "gen-lb", "--kind", kind, "--n", "72", "--k", "6", *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID_INPUT")
+    assert message in err
+    assert not out.exists()
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

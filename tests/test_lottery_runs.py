@@ -21,6 +21,7 @@ from panelot.rounding import (
     _WRITE_CHUNK,
     TicketRun,
     UniformLottery,
+    _cycle_runs,
     _round_counts,
     lottery_marginals,
     pipage_round,
@@ -120,7 +121,7 @@ def _check_against_reference(tmp_path, inst, dist, m, seed):
     assert again.m == m
     _assert_same(again.tickets, reference)
     assert len({p for run in again.runs for p in run.panels}) == len(set(reference))
-    _assert_same(UniformLottery(m=m, tickets=reference).tickets, reference)
+    _assert_same(UniformLottery(m=m, runs=_cycle_runs(reference)).tickets, reference)
 
 
 def _ms(period):
@@ -144,7 +145,7 @@ def test_runs_match_per_ticket_reference_on_thm43a(tmp_path, instance_b):
 def test_ticket_runs_split_any_sequence():
     a, b, c = (Panel(("x", "y")), Panel(("x", "z")), Panel(("y", "z")))
     for tickets in ([a], [a, a, a], [a, b, a, b, a], [a, b, a, c], [a, b, c, b, a], [a, b, b, a, c, a, c]):
-        lottery = UniformLottery(m=len(tickets), tickets=tickets)
+        lottery = UniformLottery(m=len(tickets), runs=_cycle_runs(tickets))
         assert lottery.tickets == tuple(tickets)
         assert sum(run.count for run in lottery.runs) == len(tickets)
 

@@ -29,7 +29,7 @@ from panelot.panels import (
     strip_self_excluders,
     structurally_excluded,
 )
-from panelot.rounding import UniformLottery, lottery_marginals, pipage_round
+from panelot.rounding import TicketRun, UniformLottery, lottery_marginals, pipage_round
 from panelot.solver import SolveConfig, solve
 
 
@@ -106,7 +106,7 @@ def test_marginals_uniform_t1(t1):
 
 def test_marginals_point_mass(t1):
     members = reference_panels(t1)[0]
-    pi = lottery_marginals(t1, UniformLottery(m=1, tickets=[Panel(members)]))
+    pi = lottery_marginals(t1, UniformLottery(m=1, runs=[TicketRun((Panel(members),), 1)]))
     assert pi.pi == reference_marginals(t1, [(members, 1.0)])
     assert sorted(pi.pi.values()) == [0.0, 0.0, 1.0, 1.0]
 

@@ -11,6 +11,7 @@ from panelot.errors import ValidationError
 from panelot.objectives import parse_objective
 from panelot.panels import CompositionDistribution, Panel, feasible_compositions
 from panelot.rounding import (
+    TicketRun,
     UniformLottery,
     _round_counts,
     lottery_marginals,
@@ -220,7 +221,7 @@ def test_uniform_lottery_validation(t1):
     panel = Panel(reference_panels(t1)[0])
     (comp,) = feasible_compositions(t1)
     with pytest.raises(ValidationError):
-        UniformLottery(m=3, tickets=(panel, panel))
+        UniformLottery(m=3, runs=[TicketRun((panel,), 2)])
     with pytest.raises(ValidationError):
         pipage_round(_dist([comp], [1.0]), t1, 0, seed=1)
 
