@@ -21,7 +21,8 @@ from .errors import (
     NonCoalitionExclusionError,
     ValidationError,
 )
-from .model import FeatureVector, Instance, pool_share
+from .fixtures import linked_fate_instance, small_group_instance
+from .model import FeatureScheme, FeatureVector, Instance, pool_share
 from .panels import (
     PROB_EPS,
     derive_compositions,
@@ -94,8 +95,6 @@ def apply_misreport(instance: Instance, mis: Misreport, strict: bool = False,
         raise CoalitionTooLargeError(
             f"coalition of {len(mis.coalition)} exceeds the safe bound {coalition_size_cap(instance)}"
         )
-    for vector in mis.reported.values():
-        instance.scheme.check_vector(vector)
     agents = tuple(
         (agent_id, mis.reported.get(agent_id, vector)) for agent_id, vector in instance.agents
     )
@@ -251,12 +250,8 @@ def _sweep(
     def pool_key(reported: Mapping[str, FeatureVector]) -> tuple:
         return tuple(sorted(Counter(reported.get(a, v) for a, v in instance.agents).items()))
 
-    solve_cache: dict[tuple, dict[FeatureVector, float] | None] = {}
-    # A misreport that keeps the truthful multiset solves to the base
-    # result, unless that pool has self-excluders to strip (fairness has
-    # returned above if it has).
-    if metric == METRIC_FAIRNESS or not structurally_excluded(instance):
-        solve_cache[pool_key({})] = base_groups
+    # A misreport that keeps the truthful multiset solves to the base result.
+    solve_cache: dict[tuple, dict[FeatureVector, float]] = {pool_key({}): base_groups}
 
     for counts in _coalition_choices(instance, c):
         members: dict[FeatureVector, list[str]] = {
@@ -371,27 +366,29 @@ def make_lb_instance(kind: str, **params) -> tuple[Instance, Misreport]:
     thm31/thm43 build the three-binary-feature pools whose post-manipulation
     panels come in exactly two types, pinning the small groups' probabilities
     to closed forms; see the tests for the formulas they are checked against.
+    A parameter the kind does not take raises ``ValidationError``.
     """
     kind = kind.lower()
+    accepted = {
+        KIND_EXAMPLE1: ("n", "k", "n_min"),
+        KIND_EXAMPLE2: ("n", "k"),
+        KIND_THM31: ("n", "k", "n_min", "c"),
+        KIND_THM43: ("n", "k", "n_min", "c"),
+    }
+    if kind not in accepted:
+        raise ValidationError(f"unknown constructed-instance kind {kind!r}")
+    unknown = [name for name in params if name not in accepted[kind]]
+    if unknown:
+        raise ValidationError(f"{kind} does not take the parameters {', '.join(unknown)}")
     if kind == KIND_EXAMPLE1:
-        from .fixtures import small_group_instance
-
-        n = params.get("n", 6)
-        k = params.get("k", 3)
-        n_min = params.get("n_min", 2)
-        return small_group_instance(n=n, k=k, scarce=n_min), Misreport(frozenset(), {})
+        instance = small_group_instance(params.get("n", 6), params.get("k", 3), params.get("n_min", 2))
+        return instance, Misreport(frozenset(), {})
     if kind == KIND_EXAMPLE2:
-        from .fixtures import linked_fate_instance
-
-        n = params.get("n", 8)
-        k = params.get("k", 4)
-        return linked_fate_instance(n=n, k=k), Misreport(frozenset(), {})
-    if kind in (KIND_THM31, KIND_THM43):
-        missing = [name for name in ("n", "k", "n_min", "c") if name not in params]
-        if missing:
-            raise ValidationError(f"{kind} needs the parameters {', '.join(missing)}")
-        return _make_two_type_instance(kind, **params)
-    raise ValidationError(f"unknown constructed-instance kind {kind!r}")
+        return linked_fate_instance(**params), Misreport(frozenset(), {})
+    missing = [name for name in accepted[kind] if name not in params]
+    if missing:
+        raise ValidationError(f"{kind} needs the parameters {', '.join(missing)}")
+    return _make_two_type_instance(kind, **params)
 
 
 def _make_two_type_instance(kind: str, n: int, k: int, n_min: int, c: int) -> tuple[Instance, Misreport]:
@@ -454,8 +451,6 @@ def _make_two_type_instance(kind: str, n: int, k: int, n_min: int, c: int) -> tu
 
 
 def _three_feature_scheme():
-    from .model import FeatureScheme
-
     return FeatureScheme(
         features=("f1", "f2", "f3"),
         values={"f1": ("0", "1"), "f2": ("0", "1"), "f3": ("0", "1")},

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import fixtures
 from .adversary import (
+    apply_misreport,
     make_lb_instance,
     manip_metric_exhaustive,
     worst_mu_manipulator,
@@ -233,14 +234,17 @@ def _cmd_manip(args) -> int:
     instance = _load(args)
     config = _config(args)
     if args.strategy == "mu":
+        # The mu manipulator is one agent reporting mu, scored by its int gain.
+        fixed = {"--c": args.c != 1, "--metric": args.metric != "int", "--strict": args.strict}
+        taken = [flag for flag, given in fixed.items() if given]
+        if taken:
+            raise ValidationError(f"--strategy mu does not take {', '.join(taken)}")
         report = worst_mu_manipulator(instance, config)
-        c = 1
     else:
         report = manip_metric_exhaustive(instance, config, c=args.c, metric=args.metric, strict=args.strict)
-        c = args.c
     row = {
         "metric": report.metric,
-        "c": c,
+        "c": args.c,
         "search": report.search,
         "value": report.value,
         "witness_coalition": ";".join(sorted(report.witness.coalition)) or "-",
@@ -309,8 +313,6 @@ def _check(name: str, ok: bool, detail: str, failures: list[str]) -> None:
 def _cmd_bench(args) -> int:
     """Fixture suite with closed-form expectations; artifacts are
     deterministic for a fixed seed (no timing fields)."""
-    from .adversary import apply_misreport
-
     out = _out_dir(args)
     failures: list[str] = []
     config = SolveConfig(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+from .errors import ValidationError
 from .model import FeatureScheme, Instance
 from .panels import has_valid_panel, structurally_excluded
 
@@ -29,7 +30,7 @@ def small_group_instance(n: int = 6, k: int = 3, scarce: int = 2) -> Instance:
     fixture.
     """
     if not 1 <= scarce <= n - k + 1:
-        raise ValueError("scarce group size out of range")
+        raise ValidationError("scarce group size out of range")
     scheme = FeatureScheme(features=("f",), values={"f": ("1", "0")})
     agents = tuple(
         (f"a{i + 1}", ("1",) if i < scarce else ("0",)) for i in range(n)
@@ -46,7 +47,7 @@ def linked_fate_instance(n: int = 8, k: int = 4) -> Instance:
     multiplicative probability gap between the two groups.
     """
     if n % 4 != 0 or k % 2 != 0:
-        raise ValueError("need n divisible by 4 and even k")
+        raise ValidationError("need n divisible by 4 and even k")
     scheme = FeatureScheme(features=("f1", "f2"), values={"f1": ("0", "1"), "f2": ("0", "1")})
     agents = []
     counts = {("0", "0"): n // 4, ("1", "1"): n // 4, ("1", "0"): n // 2 - 1, ("0", "1"): 1}
@@ -72,7 +73,7 @@ def starved_minimum_instance(n: int = 24, k: int = 6) -> Instance:
     10-group to probability zero even though nobody is structurally excluded.
     """
     if n % 6 != 0 or k % 6 != 0:
-        raise ValueError("need n divisible by 6 and k divisible by 6")
+        raise ValidationError("need n divisible by 6 and k divisible by 6")
     scheme = FeatureScheme(features=("f1", "f2"), values={"f1": ("0", "1"), "f2": ("0", "1")})
     counts = {("0", "0"): n // 3, ("1", "1"): n // 3, ("0", "1"): n // 6, ("1", "0"): n // 6}
     agents = []

@@ -109,7 +109,7 @@ class SolveResult:
     objective_value: float
     iterations: int
     converged: bool
-    certificate: float | None = None
+    certificate: float
 
     def to_json(self) -> dict:
         """Plain Python values only, so ``json.dump`` takes the result as is."""
@@ -119,7 +119,7 @@ class SolveResult:
             "gamma": None if gamma is None else float(gamma),
             "value": float(self.objective_value),
             "converged": bool(self.converged),
-            "certificate": None if self.certificate is None else float(self.certificate),
+            "certificate": float(self.certificate),
             "pi": {agent: float(prob) for agent, prob in sorted(self.pi.pi.items())},
             **self.distribution.to_json(),
             "iterations": int(self.iterations),
@@ -132,10 +132,17 @@ class SolveResult:
 
 
 class _ColumnPool:
-    """Composition columns plus the seats/group-size matrix the masters use."""
+    """One solve's state: its instance and config, the composition columns
+    and the seats/group-size matrix the masters use, the last master's basis,
+    and the tally of every column-generation run on the pool: ``rounds``,
+    their master iterations summed, and ``converged``, whether all of them
+    converged. Only ``_run_colgen`` adds to the tally; nash alone resets
+    ``converged`` before its own run (``solve``).
+    """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, config: SolveConfig):
         self.instance = instance
+        self.config = config
         self.vectors = instance.present_vectors()
         self.index = {v: i for i, v in enumerate(self.vectors)}
         self.sizes = np.array([instance.group_size(v) for v in self.vectors], dtype=float)
@@ -146,6 +153,8 @@ class _ColumnPool:
         # The last master's shape (kind and rows) and final basis; the next
         # master of the same shape starts from that basis.
         self.last_master: tuple[tuple | None, Basis | None] = (None, None)
+        self.rounds = 0
+        self.converged = True
 
     def add(self, comp: PanelComposition) -> bool:
         if comp.items in self._keys:
@@ -277,25 +286,7 @@ def _lp_master(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ColgenOutcome:
-    """What every objective's driver returns: the final master solution, its
-    certificate (pricing gap plus the master's own gap), the master
-    iterations summed over rounds, and whether it converged."""
-
-    solution: _MasterSolution
-    gap: float
-    rounds: int
-    converged: bool
-
-
-def _run_colgen(
-    instance: Instance,
-    pool: _ColumnPool,
-    master,
-    config: SolveConfig,
-    eta_scale: float = 1.0,
-) -> _ColgenOutcome:
+def _run_colgen(pool: _ColumnPool, master, eta_scale: float = 1.0) -> tuple[_MasterSolution, float]:
     """Alternate master solves and pricing until the stopping rule holds:
     the best composition anywhere beats the best one in the support by at
     most ``eps_colgen`` (in objective units), or is already in the pool.
@@ -304,16 +295,17 @@ def _run_colgen(
     adds the master's own gap (measured from the master's value to the best
     pool column) to the pricing gap (from the best support column to the
     best composition), so it bounds the gap over every composition even when
-    the master stopped short. The outcome converges only if the last master
-    met its own tolerance.
+    the master stopped short. Returns the final master solution and that
+    certificate. The run adds its master iterations to the pool's tally and
+    converges only if its last master met its own tolerance.
     """
-    rounds = 0
+    config = pool.config
     while True:
         solution = master(pool)
-        rounds += solution.iterations
+        pool.rounds += solution.iterations
         mu = solution.group_duals
         weights = mu / pool.sizes
-        comp = composition_oracle(instance, weights)
+        comp = composition_oracle(pool.instance, weights)
         if comp is None:
             raise NoValidPanelError("no valid panel exists")
         gap = 0.0
@@ -326,8 +318,8 @@ def _run_colgen(
             if gap > config.eps_colgen and len(pool) < config.max_columns:
                 pool.add(comp)
                 continue
-        converged = gap <= config.eps_colgen and solution.converged
-        return _ColgenOutcome(solution, max(gap, 0.0) + solution.gap, rounds, converged)
+        pool.converged &= bool(gap <= config.eps_colgen and solution.converged)
+        return solution, max(gap, 0.0) + solution.gap
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +378,14 @@ def _floor_search(evaluate, lo: float, hi: float, outer, argmin) -> tuple[float,
     return best_t, best_v
 
 
-def _floor_value_function(instance: Instance, pool: _ColumnPool, config: SolveConfig):
+def _floor_value_function(pool: _ColumnPool):
     """The floor set-up shared by goldilocks and ``deviation_delta``.
 
-    Returns the max-min pre-solve's outcome and its value t_max;
-    ``evaluate(t)``, the min-max value M(t) with every group floored at t and
-    its slope (``floor_slope``); and ``outcomes``, each evaluated floor's
-    column-generation outcome, which ``evaluate`` caches. The pre-solve is
+    Returns t_max, the max-min pre-solve's value; ``evaluate(t)``, the
+    min-max value M(t) with every group floored at t and its slope
+    (``floor_slope``); and ``outcomes``, each evaluated floor's final master
+    solution and certificate (``_run_colgen``), which ``evaluate`` caches.
+    Every run adds to the pool's tally. The pre-solve is
     the band master at costs (0, -1) and every evaluation the band at costs
     (1, 0) with ``r_floor`` = t (``_lp_master``); neither freezes a group, so
     each master starts from the last one's basis and the whole search makes
@@ -400,40 +393,32 @@ def _floor_value_function(instance: Instance, pool: _ColumnPool, config: SolveCo
     evaluation, so the bound row's dual is a valid slope of M. t_max is
     above 0, since ``_initial_pool`` seeds a cover of every group.
     """
-    ideal = instance.k / instance.n
-    maximin = _run_colgen(instance, pool, lambda p: _lp_master(p, _MAX_MIN), config)
-    outcomes: dict[float, _ColgenOutcome] = {}
+    ideal = pool.instance.k / pool.instance.n
+    maximin, _ = _run_colgen(pool, lambda p: _lp_master(p, _MAX_MIN))
+    outcomes: dict[float, tuple[_MasterSolution, float]] = {}
 
     def evaluate(t: float) -> tuple[float, float]:
         if t not in outcomes:
             outcomes[t] = _run_colgen(
-                instance,
-                pool,
-                lambda p: _lp_master(p, _MIN_MAX, r_floor=t),
-                config,
-                eta_scale=1.0 / ideal,
+                pool, lambda p: _lp_master(p, _MIN_MAX, r_floor=t), eta_scale=1.0 / ideal
             )
-        solution = outcomes[t].solution
+        solution = outcomes[t][0]
         return solution.value, solution.floor_slope
 
-    return maximin, -maximin.solution.value, evaluate, outcomes
+    return -maximin.value, evaluate, outcomes
 
 
-def _goldilocks_search(
-    instance: Instance,
-    pool: _ColumnPool,
-    gamma: float,
-    config: SolveConfig,
-) -> _ColgenOutcome:
+def _goldilocks_search(pool: _ColumnPool, gamma: float) -> tuple[_MasterSolution, float]:
     """Minimize max/(k/n) + gamma*(k/n)/min via a floor search.
 
     For a fixed floor t on the minimum probability, the best reachable
     maximum M(t) is a min-max LP; V(t) = M(t)/(k/n) + gamma*(k/n)/t is convex
     in t, and ``_floor_search`` minimizes it by cutting planes on M, usually
-    in a handful of floor evaluations.
+    in a handful of floor evaluations. Returns the best floor's master
+    solution and certificate.
     """
-    ideal = instance.k / instance.n
-    maximin, t_hi, evaluate, outcomes = _floor_value_function(instance, pool, config)
+    ideal = pool.instance.k / pool.instance.n
+    t_hi, evaluate, outcomes = _floor_value_function(pool)
 
     def outer(m, t):
         return m / ideal + gamma * ideal / t
@@ -445,10 +430,7 @@ def _goldilocks_search(
     # V(t) >= gamma*ideal/t, so floors below gamma*ideal/V(t_hi) cannot win.
     v_hi = outer(evaluate(t_hi)[0], t_hi)
     t_lo = max(0.5 * min(t_hi, gamma * ideal / v_hi), t_hi * 1e-12)
-    best = outcomes[_floor_search(evaluate, t_lo, t_hi, outer, argmin)[0]]
-    runs = [maximin, *outcomes.values()]
-    rounds, converged = sum(r.rounds for r in runs), all(r.converged for r in runs)
-    return _ColgenOutcome(best.solution, best.gap, rounds, converged)
+    return outcomes[_floor_search(evaluate, t_lo, t_hi, outer, argmin)[0]]
 
 
 def _psd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -620,7 +602,7 @@ def _initial_pool(instance: Instance, config: SolveConfig) -> _ColumnPool:
     ``covering_compositions`` (on brute they are already in it). A group
     with no cover is exactly a structurally excluded group.
     """
-    pool = _ColumnPool(instance)
+    pool = _ColumnPool(instance, config)
     if config.backend == "brute":
         comps = feasible_compositions(instance)
     else:
@@ -638,16 +620,16 @@ def _initial_pool(instance: Instance, config: SolveConfig) -> _ColumnPool:
 
 
 def _assemble_result(
-    instance: Instance,
     pool: _ColumnPool,
     q: np.ndarray,
     objective: EqualityObjective,
-    iterations: int,
-    converged: bool,
-    certificate: float | None,
+    certificate: float,
+    extra_iterations: int,
 ) -> SolveResult:
     """Keep the support compositions; every agent gets its group's
-    probability, so the assignment is anonymous by construction."""
+    probability, so the assignment is anonymous by construction. The pool's
+    tally gives ``converged`` and, plus ``extra_iterations``, the iterations."""
+    instance = pool.instance
     keep = np.flatnonzero(q > _SUPPORT_EPS)
     probs = q[keep] / q[keep].sum()
     dist = CompositionDistribution(
@@ -663,8 +645,8 @@ def _assemble_result(
         pi=pi,
         objective=objective,
         objective_value=value,
-        iterations=iterations,
-        converged=converged,
+        iterations=pool.rounds + extra_iterations,
+        converged=pool.converged,
         certificate=certificate,
     )
 
@@ -691,43 +673,40 @@ def _uniform_feasible_shortcut(solution: _MasterSolution, instance: Instance) ->
     return -solution.value >= instance.k / instance.n - 1e-11
 
 
-def _leximin(instance: Instance, pool: _ColumnPool, config: SolveConfig) -> _ColgenOutcome:
+def _leximin(pool: _ColumnPool) -> tuple[_MasterSolution, float]:
     """Maximize the lowest probability, then the next lowest, group by group.
 
     Groups are frozen once their floor constraint is binding in every optimum
     (positive dual); if duals identify nothing new, the groups sitting at the
-    current level are frozen instead so every round makes progress.
+    current level are frozen instead so every round makes progress. Returns
+    the last round's master solution and the largest round certificate.
     """
     n_groups = len(pool.vectors)
+    eps_master = pool.config.eps_master
     frozen: dict[int, float] = {}
-    rounds = 0
-    converged = True
     gap = 0.0
 
     while len(frozen) < n_groups:
         free = set(range(n_groups)) - set(frozen)
-        floors = {w: level - config.eps_master for w, level in frozen.items()}
-        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, _MAX_MIN, frozen=floors), config)
-        solution = outcome.solution
-        rounds += outcome.rounds
-        converged &= outcome.converged
-        gap = max(gap, outcome.gap)
+        floors = {w: level - eps_master for w, level in frozen.items()}
+        solution, certificate = _run_colgen(pool, lambda p: _lp_master(p, _MAX_MIN, frozen=floors))
+        gap = max(gap, certificate)
         level = -solution.value
 
-        if not frozen and _uniform_feasible_shortcut(solution, instance):
+        if not frozen and _uniform_feasible_shortcut(solution, pool.instance):
             # Perfectly equal probabilities are feasible, hence the unique
             # leximin outcome; the first-round solution realizes them exactly.
             break
 
         newly = [w for w in sorted(free) if solution.group_duals[w] > _DUAL_EPS]
         if not newly:
-            newly = [w for w in sorted(free) if solution.p[w] <= level + 10 * config.eps_master]
+            newly = [w for w in sorted(free) if solution.p[w] <= level + 10 * eps_master]
         if not newly:
             newly = [min(free, key=lambda w: solution.p[w])]
         for w in newly:
             frozen[w] = max(level, 0.0)
 
-    return _ColgenOutcome(solution, gap, rounds, converged)
+    return solution, gap
 
 
 def solve(instance: Instance, config: SolveConfig) -> SolveResult:
@@ -745,40 +724,36 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
         # within 1e-12 of that value and optimizes the other extreme.
         maximin = objective.kind == Kind.MAXIMIN
         first, second = (_MAX_MIN, _MIN_MAX) if maximin else (_MIN_MAX, _MAX_MIN)
-        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, first), config)
+        solution, certificate = _run_colgen(pool, lambda p: _lp_master(p, first))
         if objective.tie_break:
-            value = outcome.solution.value
+            value = solution.value
             held = {"r_floor": -value - 1e-12} if maximin else {"s_cap": value + 1e-12}
-            tb = _run_colgen(instance, pool, lambda p: _lp_master(p, second, **held), config)
-            outcome = _ColgenOutcome(tb.solution, max(outcome.gap, tb.gap),
-                                     outcome.rounds + tb.rounds, outcome.converged and tb.converged)
+            solution, tb_certificate = _run_colgen(pool, lambda p: _lp_master(p, second, **held))
+            certificate = max(certificate, tb_certificate)
     elif objective.kind == Kind.LEXIMIN:
-        outcome = _leximin(instance, pool, config)
+        solution, certificate = _leximin(pool)
     elif objective.kind == Kind.LINEAR:
-        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, (1.0, -objective.gamma)), config)
+        solution, certificate = _run_colgen(pool, lambda p: _lp_master(p, (1.0, -objective.gamma)))
     elif objective.kind == Kind.NASH:
         # If perfectly equal probabilities are feasible they are optimal for
         # every objective here, and the max-min LP finds them exactly,
         # which iterative nash refinement cannot.
-        outcome = _run_colgen(instance, pool, lambda p: _lp_master(p, _MAX_MIN), config)
-        if _uniform_feasible_shortcut(outcome.solution, instance):
+        solution, certificate = _run_colgen(pool, lambda p: _lp_master(p, _MAX_MIN))
+        if _uniform_feasible_shortcut(solution, instance):
             # The uniform point is exactly nash-optimal (AM-GM), whatever
             # the max-min colgen gap was.
-            outcome.gap = 0.0
+            certificate = 0.0
         else:
-            # Every group has p >= maximin > 0 at the max-min weights.
-            pre_rounds = outcome.rounds
-            outcome = _run_colgen(instance, pool, _nash_master(pool, outcome.solution.q), config)
-            outcome.rounds += pre_rounds
+            # The max-min weights give every group p > 0; the nash certificate,
+            # and so converged, does not depend on that pre-solve.
+            pool.converged = True
+            solution, certificate = _run_colgen(pool, _nash_master(pool, solution.q))
     elif objective.kind == Kind.GOLDILOCKS:
-        outcome = _goldilocks_search(instance, pool, objective.gamma, config)
+        solution, certificate = _goldilocks_search(pool, objective.gamma)
     else:
         raise ValidationError(f"solve cannot handle objective {objective.kind}")
 
-    return _assemble_result(
-        instance, pool, outcome.solution.q, objective, outcome.rounds + extra_iters,
-        outcome.converged, outcome.gap,
-    )
+    return _assemble_result(pool, solution.q, objective, certificate, extra_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +775,7 @@ def deviation_delta(instance: Instance, config: SolveConfig | None = None) -> fl
     cfg = replace(cfg, backend="brute")
     pool = _initial_pool(instance, cfg)
     ideal = instance.k / instance.n
-    _, t_max, evaluate, _ = _floor_value_function(instance, pool, cfg)
+    t_max, evaluate, _ = _floor_value_function(pool)
 
     def outer(m, t):
         return np.maximum(ideal / t, m / ideal)

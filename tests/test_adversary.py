@@ -25,6 +25,7 @@ from panelot.errors import (
     BudgetExceededError,
     CoalitionTooLargeError,
     NonCoalitionExclusionError,
+    StructuralExclusionError,
     ValidationError,
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
@@ -76,6 +77,15 @@ def test_apply_misreport_removes_self_excluder():
     attacked = apply_misreport(inst, mis)
     assert attacked.n == inst.n - 1
     assert "a1" not in attacked.vector_of
+
+
+def test_apply_misreport_rejects_an_inadmissible_reported_vector(e1):
+    mover = e1.groups[("0",)][0]
+    mis = Misreport(frozenset({mover}), {mover: ("7",)})
+    with pytest.raises(ValidationError) as err:
+        apply_misreport(e1, mis)
+    assert err.value.code == "INVALID_INPUT"
+    assert "'7'" in err.value.message
 
 
 def test_apply_misreport_flags_truthful_exclusion(instance_b):
@@ -169,6 +179,12 @@ def test_exhaustive_fairness_zero_under_exclusion():
     assert report.value == 0.0
     report = manip_metric_exhaustive(inst, cfg("maximin"), c=1, metric="fairness")
     assert report.value == 0.0
+
+
+@pytest.mark.parametrize("metric", ["int", "ext", "comp"])
+def test_exhaustive_gain_metrics_reject_a_pool_with_excluded_agents(metric):
+    with pytest.raises(StructuralExclusionError):
+        manip_metric_exhaustive(fixtures.excluded_agent_instance(), cfg("maximin"), c=1, metric=metric)
 
 
 def test_exhaustive_rejects_negative_coalition_before_solving(e1, monkeypatch):
@@ -484,6 +500,13 @@ def test_make_lb_parameter_validation():
         make_lb_instance("thm31", n=40, k=6, n_min=12, c=2)  # c too small
     with pytest.raises(ValidationError):
         make_lb_instance("nonsense", n=10, k=4, n_min=3, c=1)
+
+
+def test_make_lb_rejects_an_unknown_keyword():
+    with pytest.raises(ValidationError) as err:
+        make_lb_instance("thm43", n=72, k=6, n_min=12, c=6, copies=2)
+    assert err.value.code == "INVALID_INPUT"
+    assert "copies" in err.value.message
 
 
 def test_pool_copies_shrink_mu_gain(instance_b):

@@ -309,6 +309,26 @@ def test_manip_mu_with_pool_copies(tmp_path, e1):
     assert row.endswith(",2")
 
 
+@pytest.mark.parametrize("extra, flags", [
+    (["--c", "3"], "--c"),
+    (["--metric", "ext"], "--metric"),
+    (["--strict"], "--strict"),
+    (["--c", "3", "--metric", "ext", "--strict"], "--c, --metric, --strict"),
+], ids=["c", "metric", "strict", "all"])
+def test_manip_mu_rejects_the_exhaustive_options(tmp_path, e1, capsys, extra, flags):
+    agents, quotas = _files(tmp_path, e1)
+    out = tmp_path / "artifacts"
+    code = main(
+        ["--out", str(out), "manip", "--agents", agents, "--quotas", quotas, "-k", "3",
+         "--objective", "maximin", "--strategy", "mu", *extra]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID_INPUT")
+    assert f"does not take {flags}" in err
+    assert not out.exists()
+
+
 def test_manip_exhaustive_subcommand(tmp_path, e1):
     agents, quotas = _files(tmp_path, e1)
     out = tmp_path / "artifacts"
@@ -354,6 +374,22 @@ def test_gen_lb_round_trips(tmp_path):
 def test_gen_lb_names_its_missing_parameters(tmp_path, capsys, kind, extra, message):
     out = tmp_path / "artifacts"
     code = main(["--out", str(out), "gen-lb", "--kind", kind, "--n", "72", "--k", "6", *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID_INPUT")
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--kind", "example2", "--n", "8", "--k", "4", "--c", "5"], "example2 does not take the parameters c"),
+    (["--kind", "example2", "--n", "8", "--k", "4", "--nmin", "2"], "does not take the parameters n_min"),
+    (["--kind", "example2", "--n", "6", "--k", "4"], "need n divisible by 4 and even k"),
+    (["--kind", "example1", "--n", "3", "--k", "3", "--nmin", "5"], "scarce group size out of range"),
+], ids=["example2-c", "example2-nmin", "example2-n", "example1-nmin"])
+def test_gen_lb_rejects_parameters_its_kind_cannot_use(tmp_path, capsys, args, message):
+    out = tmp_path / "artifacts"
+    code = main(["--out", str(out), "gen-lb", *args])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("INVALID_INPUT")
