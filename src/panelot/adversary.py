@@ -202,12 +202,15 @@ def _sweep(
     """Worst case of ``metric`` over size-c coalitions whose members each
     report a vector of ``reports``.
 
-    Search is canonicalized by truthful vector group. Misreports that would
-    structurally exclude a truthful agent fall outside the model: they floor
-    the fairness metric at zero and are skipped for the gain metrics. The
-    sweep starts from the empty coalition, worth 0 for the gain metrics and
-    the truthful minimum for fairness, and a misreport replaces the witness
-    only when it beats the witness's value by more than ``PROB_EPS``.
+    Search and scoring go by truthful vector group (every solve is exactly
+    anonymous): a candidate is scored from the group probabilities before
+    and after it and its coalition's counts, so ``comp`` may differ from a
+    per-agent sum by round-off. Misreports that would structurally exclude
+    a truthful agent fall outside the model: they floor the fairness metric
+    at zero and are skipped for the gain metrics. The sweep starts from the
+    empty coalition, worth 0 for the gain metrics and the truthful minimum
+    for fairness, and a misreport replaces the witness only when it beats
+    the witness's value by more than ``PROB_EPS``.
 
     Every pool the sweep builds, the truthful one included, lies within the
     truthful pool with c more agents in the group of every reportable
@@ -220,7 +223,8 @@ def _sweep(
     if c < 0:
         raise ValidationError(f"coalition size must be >= 0, got {c}")
     algorithm = config.objective.spec_string()
-    sizes = Counter(vector for _, vector in instance.agents)
+    truthful = Counter({vector: len(members) for vector, members in instance.groups.items()})
+    sizes = truthful.copy()
     sizes.update(dict.fromkeys(reports, c))
     enclosing = enclosing_compositions(instance, sizes)
     derive_compositions(instance, enclosing)
@@ -247,62 +251,49 @@ def _sweep(
             f"{coalition_count * report_count} misreport candidates exceed the budget {budget}"
         )
 
-    def pool_key(reported: Mapping[str, FeatureVector]) -> tuple:
-        return tuple(sorted(Counter(reported.get(a, v) for a, v in instance.agents).items()))
-
     # A misreport that keeps the truthful multiset solves to the base result.
-    solve_cache: dict[tuple, dict[FeatureVector, float]] = {pool_key({}): base_groups}
+    solve_cache: dict[tuple, dict[FeatureVector, float]] = {tuple(sorted(truthful.items())): base_groups}
 
     for counts in _coalition_choices(instance, c):
-        members: dict[FeatureVector, list[str]] = {
-            vector: list(instance.groups[vector][: counts[vector]]) for vector in counts
-        }
+        outsiders = [vector for vector in truthful if truthful[vector] > counts[vector]]
         for assignment in _report_choices(reports, counts):
-            coalition = frozenset(itertools.chain.from_iterable(members.values()))
-            reported = {}
-            for vector, agent_list in members.items():
-                for agent_id, rep in zip(agent_list, assignment[vector]):
-                    reported[agent_id] = rep
-            mis = Misreport(coalition, reported)
-
-            key = pool_key(reported)
+            # One (truthful vector, reported vector) move per member; the
+            # members of group v are its first counts[v] agents.
+            moves = [(vector, rep) for vector, reps in assignment.items() for rep in reps]
+            reported = {
+                agent_id: rep
+                for vector, reps in assignment.items()
+                for agent_id, rep in zip(instance.groups[vector], reps)
+            }
+            mis = Misreport(frozenset(reported), reported)
             try:
                 manipulated = apply_misreport(instance, mis, enclosing=enclosing)
             except NonCoalitionExclusionError:
                 if metric == METRIC_FAIRNESS and 0.0 < best_value - PROB_EPS:
                     best_value, best_witness = 0.0, mis
                 continue
+            key = tuple(sorted((truthful - counts + Counter(reported.values())).items()))
             if key not in solve_cache:
-                attacked = solve(manipulated, config)
-                solve_cache[key] = _group_probabilities(manipulated, attacked)
-            attacked_groups = solve_cache[key]
+                solve_cache[key] = _group_probabilities(manipulated, solve(manipulated, config))
+            attacked = solve_cache[key]
 
-            def prob_after(agent_id: str) -> float:
-                if agent_id not in manipulated.vector_of:
-                    return 0.0  # removed as a self-excluder
-                return attacked_groups[manipulated.vector_of[agent_id]]
-
+            # A reported vector missing from the attacked pool was stripped
+            # as a self-excluder; outsiders keep their vector and their place.
             if metric == METRIC_INT:
-                value = max(
-                    prob_after(a) - base_groups[instance.vector_of[a]] for a in coalition
-                )
+                value = max(attacked.get(rep, 0.0) - base_groups[vector] for vector, rep in moves)
             elif metric == METRIC_EXT:
-                outsiders = [a for a in instance.agent_ids if a not in coalition]
-                value = max(
-                    base_groups[instance.vector_of[a]] - prob_after(a) for a in outsiders
-                )
+                value = max(base_groups[vector] - attacked[vector] for vector in outsiders)
             elif metric == METRIC_COMP:
-                value = -math.inf
-                for f_idx, feature in enumerate(instance.scheme.features):
-                    for fv in instance.scheme.values[feature]:
-                        shift = sum(
-                            prob_after(a) - base_groups[instance.vector_of[a]]
-                            for a, vec in instance.agents
-                            if vec[f_idx] == fv
-                        )
-                        value = max(value, shift)
+                value = max(
+                    sum((truthful[vector] - counts[vector]) * (attacked[vector] - base_groups[vector])
+                        for vector in outsiders if vector[f_idx] == fv)
+                    + sum(attacked.get(rep, 0.0) - base_groups[vector]
+                          for vector, rep in moves if vector[f_idx] == fv)
+                    for f_idx, feature in enumerate(instance.scheme.features)
+                    for fv in instance.scheme.values[feature]
+                )
             else:  # fairness
-                value = min(prob_after(a) for a in manipulated.agent_ids)
+                value = min(attacked.values())
 
             gain = best_value - value if metric == METRIC_FAIRNESS else value - best_value
             if gain > PROB_EPS:  # at a tie within round-off, the first witness holds
@@ -358,6 +349,14 @@ KIND_EXAMPLE2 = "example2"
 KIND_THM31 = "thm31"
 KIND_THM43 = "thm43"
 
+# The parameters each kind of make_lb_instance takes.
+LB_PARAMETERS = {
+    KIND_EXAMPLE1: ("n", "k", "n_min"),
+    KIND_EXAMPLE2: ("n", "k"),
+    KIND_THM31: ("n", "k", "n_min", "c"),
+    KIND_THM43: ("n", "k", "n_min", "c"),
+}
+
 
 def make_lb_instance(kind: str, **params) -> tuple[Instance, Misreport]:
     """Constructed instances with known analytic behavior, plus the coalition
@@ -369,15 +368,9 @@ def make_lb_instance(kind: str, **params) -> tuple[Instance, Misreport]:
     A parameter the kind does not take raises ``ValidationError``.
     """
     kind = kind.lower()
-    accepted = {
-        KIND_EXAMPLE1: ("n", "k", "n_min"),
-        KIND_EXAMPLE2: ("n", "k"),
-        KIND_THM31: ("n", "k", "n_min", "c"),
-        KIND_THM43: ("n", "k", "n_min", "c"),
-    }
-    if kind not in accepted:
+    if kind not in LB_PARAMETERS:
         raise ValidationError(f"unknown constructed-instance kind {kind!r}")
-    unknown = [name for name in params if name not in accepted[kind]]
+    unknown = [name for name in params if name not in LB_PARAMETERS[kind]]
     if unknown:
         raise ValidationError(f"{kind} does not take the parameters {', '.join(unknown)}")
     if kind == KIND_EXAMPLE1:
@@ -385,7 +378,7 @@ def make_lb_instance(kind: str, **params) -> tuple[Instance, Misreport]:
         return instance, Misreport(frozenset(), {})
     if kind == KIND_EXAMPLE2:
         return linked_fate_instance(**params), Misreport(frozenset(), {})
-    missing = [name for name in accepted[kind] if name not in params]
+    missing = [name for name in LB_PARAMETERS[kind] if name not in params]
     if missing:
         raise ValidationError(f"{kind} needs the parameters {', '.join(missing)}")
     return _make_two_type_instance(kind, **params)

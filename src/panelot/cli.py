@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import fixtures
 from .adversary import (
+    LB_PARAMETERS,
     apply_misreport,
     make_lb_instance,
     manip_metric_exhaustive,
@@ -46,8 +47,9 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-k", type=int, required=True, help="panel size")
 
 
-def _add_solver_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--objective", default="goldilocks:1", help="objective spec string")
+def _add_solver_args(parser: argparse.ArgumentParser, objective: bool = True) -> None:
+    if objective:
+        parser.add_argument("--objective", default="goldilocks:1", help="objective spec string")
     parser.add_argument("--backend", default=SolveConfig.backend, choices=["colgen", "brute"])
     parser.add_argument("--eps", type=float, default=SolveConfig.eps_master,
                         help="leximin freezing slack: frozen groups are floored at level - eps, "
@@ -57,9 +59,9 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-columns", type=int, default=SolveConfig.max_columns)
 
 
-def _config(args, objective_spec: str | None = None) -> SolveConfig:
+def _config(args) -> SolveConfig:
     return SolveConfig(
-        objective=parse_objective(objective_spec or args.objective),
+        objective=parse_objective(args.objective),
         backend=args.backend,
         eps_master=args.eps,
         eps_colgen=args.eps_colgen,
@@ -110,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("leximin", parents=[common], help="select with the leximin refinement")
     _add_instance_args(p)
-    _add_solver_args(p)
+    _add_solver_args(p, objective=False)
+    p.set_defaults(objective="leximin")
 
     p = sub.add_parser("legacy", parents=[common], help="run the greedy baseline once")
     _add_instance_args(p)
@@ -162,9 +165,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_select(args, objective_spec: str | None = None) -> int:
+def _cmd_select(args) -> int:
     instance = _load(args)
-    config = _config(args, objective_spec)
+    config = _config(args)
     result = solve(instance, config)
     out = _out_dir(args)
     path = out / f"select_{_safe(instance.label)}_{_safe(result.objective.spec_string())}.json"
@@ -278,12 +281,12 @@ def _cmd_feature_drop(args) -> int:
 
 
 def _cmd_gen_lb(args) -> int:
-    params = {"n": args.n, "k": args.k}
-    if args.nmin is not None:
-        params["n_min"] = args.nmin
-    if args.c is not None:
-        params["c"] = args.c
-    instance, misreport = make_lb_instance(args.kind, **params)
+    flags = {"--n": ("n", args.n), "--k": ("k", args.k), "--nmin": ("n_min", args.nmin), "--c": ("c", args.c)}
+    given = {flag: param for flag, param in flags.items() if param[1] is not None}
+    unused = [flag for flag, (name, _) in given.items() if name not in LB_PARAMETERS[args.kind]]
+    if unused:
+        raise ValidationError(f"gen-lb --kind {args.kind} does not take {', '.join(unused)}")
+    instance, misreport = make_lb_instance(args.kind, **dict(given.values()))
     out = _out_dir(args)
     agents_path = out / f"{args.kind}_agents.csv"
     quotas_path = out / f"{args.kind}_quotas.csv"
@@ -404,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "validate": _cmd_validate,
         "select": _cmd_select,
-        "leximin": lambda a: _cmd_select(a, objective_spec="leximin"),
+        "leximin": _cmd_select,
         "legacy": _cmd_legacy,
         "round": _cmd_round,
         "manip": _cmd_manip,

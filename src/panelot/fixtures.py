@@ -30,7 +30,7 @@ def small_group_instance(n: int = 6, k: int = 3, scarce: int = 2) -> Instance:
     fixture.
     """
     if not 1 <= scarce <= n - k + 1:
-        raise ValidationError("scarce group size out of range")
+        raise ValidationError("scarce group size n_min out of range: need 1 <= n_min <= n - k + 1")
     scheme = FeatureScheme(features=("f",), values={"f": ("1", "0")})
     agents = tuple(
         (f"a{i + 1}", ("1",) if i < scarce else ("0",)) for i in range(n)
@@ -130,7 +130,7 @@ def random_brute_instance(seed: int, max_n: int = 12, max_k: int = 4, max_featur
             instance = Instance(
                 scheme=scheme, agents=agents, k=k, quotas=quotas, label=f"rand{seed}"
             )
-        except Exception:
+        except ValidationError:
             continue
         if not has_valid_panel(instance):
             continue

@@ -761,7 +761,7 @@ def solve(instance: Instance, config: SolveConfig) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def deviation_delta(instance: Instance, config: SolveConfig | None = None) -> float:
+def deviation_delta(instance: Instance) -> float:
     """Smallest achievable worst-side multiplicative deviation from k/n.
 
     delta = min over feasible assignments of max((k/n)/min(pi), max(pi)/(k/n)),
@@ -769,11 +769,10 @@ def deviation_delta(instance: Instance, config: SolveConfig | None = None) -> fl
     max((k/n)/t, minmax(t)/(k/n)) over the enforced floor t: the first term
     falls and the second is convex and nondecreasing, so on each segment of
     the cut model the minimizer is where the two terms cross. Brute columns
-    make every inner LP exact.
+    make every inner LP exact: the pool holds every valid composition, so
+    every pricing gap is 0 and no column-generation setting can act.
     """
-    cfg = config or SolveConfig(objective=EqualityObjective(Kind.MAXIMIN), backend="brute")
-    cfg = replace(cfg, backend="brute")
-    pool = _initial_pool(instance, cfg)
+    pool = _initial_pool(instance, SolveConfig(objective=EqualityObjective(Kind.MAXIMIN), backend="brute"))
     ideal = instance.k / instance.n
     t_max, evaluate, _ = _floor_value_function(pool)
 

@@ -63,16 +63,20 @@ def test_apply_misreport_strict_size_cap(e1):
         apply_misreport(e1, mis, strict=True)
 
 
-def test_apply_misreport_removes_self_excluder():
+def _self_excluding_pool():
     # Value "2" is capped at zero seats, so reporting it is self-exclusion.
     scheme = FeatureScheme(features=("f",), values={"f": ("0", "1", "2")})
     agents = (("a1", ("0",)), ("a2", ("0",)), ("a3", ("1",)), ("a4", ("1",)))
-    inst = Instance(
+    return Instance(
         scheme=scheme,
         agents=agents,
         k=2,
         quotas={("f", "0"): (1, 1), ("f", "1"): (1, 1), ("f", "2"): (0, 0)},
     )
+
+
+def test_apply_misreport_removes_self_excluder():
+    inst = _self_excluding_pool()
     mis = Misreport(frozenset({"a1"}), {"a1": ("2",)})
     attacked = apply_misreport(inst, mis)
     assert attacked.n == inst.n - 1
@@ -289,6 +293,75 @@ def test_exhaustive_witness_reproduces_value(e1):
         if a not in report.witness.coalition
     ]
     assert max(losses) == pytest.approx(report.value, abs=1e-9)
+
+
+def _per_agent_scores(instance, mis, base, attacked, after):
+    """Every metric of one candidate, scored agent by agent: an agent's
+    probability after is its reported group's in the attacked pool, or 0 if
+    it was stripped as a self-excluder."""
+    def prob_after(agent_id):
+        if agent_id not in attacked.vector_of:
+            return 0.0
+        return after[attacked.vector_of[agent_id]]
+
+    def shift(agent_id):
+        return prob_after(agent_id) - base[instance.vector_of[agent_id]]
+
+    return {
+        "int": max(shift(a) for a in mis.coalition),
+        "ext": max(
+            base[instance.vector_of[a]] - prob_after(a) for a in instance.agent_ids if a not in mis.coalition
+        ),
+        "comp": max(
+            sum(shift(a) for a, vec in instance.agents if vec[f_idx] == fv)
+            for f_idx, feature in enumerate(instance.scheme.features)
+            for fv in instance.scheme.values[feature]
+        ),
+        "fairness": min(prob_after(a) for a in attacked.agent_ids),
+    }
+
+
+def _reference_sweep(instance, config, c):
+    """(value, witness) per metric from a sweep that scores each candidate
+    agent by agent, plus the number of candidates with a stripped member."""
+    base = solve(instance, config).pi.group_probabilities(instance)
+    best = {metric: (0.0, Misreport(frozenset(), {})) for metric in ("int", "ext", "comp")}
+    best["fairness"] = (min(base.values()), Misreport(frozenset(), {}))
+    solved, stripped = {}, 0
+    for counts in _coalition_choices(instance, c):
+        for reports in _report_choices(instance.scheme.all_vectors(), counts):
+            reported = {a: r for v in counts for a, r in zip(instance.groups[v], reports[v])}
+            mis = Misreport(frozenset(reported), reported)
+            try:
+                attacked = apply_misreport(instance, mis)
+            except NonCoalitionExclusionError:
+                scores = {"fairness": 0.0}
+            else:
+                stripped += attacked.n < instance.n
+                key = tuple(sorted(Counter(reported.get(a, v) for a, v in instance.agents).items()))
+                if key not in solved:
+                    solved[key] = solve(attacked, config).pi.group_probabilities(attacked)
+                scores = _per_agent_scores(instance, mis, base, attacked, solved[key])
+            for metric, value in scores.items():
+                held = best[metric][0]
+                if (held - value if metric == "fairness" else value - held) > panels.PROB_EPS:
+                    best[metric] = (value, mis)
+    return best, stripped
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("name", [*(f"rand{seed}" for seed in range(12)), "skew8", "self-excluder"])
+def test_group_scoring_matches_a_per_agent_reference(name, c):
+    instance = {
+        "skew8": lambda: fixtures.skew_pool(48, 6, (2, 2, 2)),
+        "self-excluder": _self_excluding_pool,
+    }.get(name, lambda: fixtures.random_brute_instance(int(name[4:])))()
+    reference, stripped = _reference_sweep(instance, cfg(), c)
+    assert stripped or name != "self-excluder"
+    for metric, (value, witness) in reference.items():
+        report = manip_metric_exhaustive(instance, cfg(), c=c, metric=metric)
+        assert report.witness == witness, metric
+        assert report.value == pytest.approx(value, abs=1e-12), metric
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,23 @@ def test_leximin_subcommand(tmp_path, e2):
     assert min(payload["pi"].values()) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+def test_leximin_subcommand_takes_no_objective(tmp_path, capsys, e2):
+    agents, quotas = _files(tmp_path, e2)
+    out = tmp_path / "artifacts"
+    args = ["--agents", agents, "--quotas", quotas, "-k", "4"]
+    with pytest.raises(SystemExit) as err:
+        main(["--out", str(out), "leximin", *args, "--objective", "nash"])
+    assert err.value.code == 2
+    assert "--objective" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--out", str(out / "leximin"), "leximin", *args]) == 0
+    assert main(["--out", str(out / "select"), "select", *args, "--objective", "leximin"]) == 0
+    [leximin] = (out / "leximin").iterdir()
+    [select] = (out / "select").iterdir()
+    assert leximin.name == select.name
+    assert leximin.read_bytes() == select.read_bytes()
+
+
 def test_legacy_subcommand(tmp_path, t1, capsys):
     agents, quotas = _files(tmp_path, t1)
     out = tmp_path / "artifacts"
@@ -382,11 +399,13 @@ def test_gen_lb_names_its_missing_parameters(tmp_path, capsys, kind, extra, mess
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--kind", "example2", "--n", "8", "--k", "4", "--c", "5"], "example2 does not take the parameters c"),
-    (["--kind", "example2", "--n", "8", "--k", "4", "--nmin", "2"], "does not take the parameters n_min"),
+    (["--kind", "example2", "--n", "8", "--k", "4", "--c", "5"], "--kind example2 does not take --c"),
+    (["--kind", "example2", "--n", "8", "--k", "4", "--nmin", "2"], "does not take --nmin"),
+    (["--kind", "example2", "--n", "8", "--k", "4", "--nmin", "2", "--c", "5"], "does not take --nmin, --c"),
     (["--kind", "example2", "--n", "6", "--k", "4"], "need n divisible by 4 and even k"),
-    (["--kind", "example1", "--n", "3", "--k", "3", "--nmin", "5"], "scarce group size out of range"),
-], ids=["example2-c", "example2-nmin", "example2-n", "example1-nmin"])
+    (["--kind", "example1", "--n", "3", "--k", "3", "--nmin", "5"],
+     "n_min out of range: need 1 <= n_min <= n - k + 1"),
+], ids=["example2-c", "example2-nmin", "example2-nmin-c", "example2-n", "example1-nmin"])
 def test_gen_lb_rejects_parameters_its_kind_cannot_use(tmp_path, capsys, args, message):
     out = tmp_path / "artifacts"
     code = main(["--out", str(out), "gen-lb", *args])
