@@ -14,11 +14,9 @@ from .errors import PanelotError
 from .model import (
     FeatureScheme,
     Instance,
-    InstanceStats,
     duplicate_pool,
     load_instance,
     save_instance,
-    stats,
 )
 from .objectives import (
     EqualityObjective,

@@ -39,6 +39,7 @@ METRIC_FAIRNESS = "fairness"  # worst-case minimum probability under attack
 
 SEARCH_MU = "mu"
 SEARCH_EXHAUSTIVE = "exhaustive"
+_MAX_CANDIDATES = 200_000  # most (coalition, report) multisets a sweep may score
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class ManipReport:
     metric: str
     value: float
     witness: Misreport
-    algorithm: str
     search: str
 
 
@@ -78,23 +78,15 @@ def coalition_size_cap(instance: Instance) -> int:
     return max(0, instance.min_group_size() - instance.k)
 
 
-def apply_misreport(instance: Instance, mis: Misreport, strict: bool = False,
-                    enclosing: Instance | None = None) -> Instance:
+def apply_misreport(instance: Instance, mis: Misreport, enclosing: Instance | None = None) -> Instance:
     """The manipulated instance: reported vectors, self-excluders removed.
 
-    ``strict`` additionally enforces the safe coalition-size bound
-    max(0, smallest group - k); without it, the only hard requirement is
-    that no truthful agent ends up structurally excluded. ``enclosing``, a
-    pool that encloses the manipulated one, gives it its valid compositions
-    without an enumeration (see ``strip_self_excluders``).
+    ``enclosing``, a pool that encloses the manipulated one, gives it its
+    valid compositions without an enumeration (see ``strip_self_excluders``).
     """
     unknown = set(mis.coalition) - set(instance.agent_ids)
     if unknown:
         raise ValidationError(f"coalition members not in the pool: {sorted(unknown)}")
-    if strict and len(mis.coalition) > coalition_size_cap(instance):
-        raise CoalitionTooLargeError(
-            f"coalition of {len(mis.coalition)} exceeds the safe bound {coalition_size_cap(instance)}"
-        )
     agents = tuple(
         (agent_id, mis.reported.get(agent_id, vector)) for agent_id, vector in instance.agents
     )
@@ -152,7 +144,7 @@ def worst_mu_manipulator(instance: Instance, config: SolveConfig) -> ManipReport
     interchangeable). The value is at least zero, matching a rational
     manipulator who can always stay truthful.
     """
-    return _sweep(instance, config, 1, METRIC_INT, [mu_vector(instance)], SEARCH_MU, False, math.inf)
+    return _sweep(instance, config, 1, METRIC_INT, [mu_vector(instance)], SEARCH_MU, False)
 
 
 def _coalition_choices(instance: Instance, c: int):
@@ -182,11 +174,11 @@ def manip_metric_exhaustive(
     c: int,
     metric: str,
     strict: bool = False,
-    budget: int = 200_000,
 ) -> ManipReport:
     """Exact worst case over all size-c coalitions and reported vectors: the
-    sweep with every vector of the scheme as a report."""
-    return _sweep(instance, config, c, metric, instance.scheme.all_vectors(), SEARCH_EXHAUSTIVE, strict, budget)
+    sweep with every vector of the scheme as a report. ``strict`` rejects a
+    coalition larger than the safe bound max(0, smallest group - k)."""
+    return _sweep(instance, config, c, metric, instance.scheme.all_vectors(), SEARCH_EXHAUSTIVE, strict)
 
 
 def _sweep(
@@ -197,7 +189,6 @@ def _sweep(
     reports: list[FeatureVector],
     search: str,
     strict: bool,
-    budget: float,
 ) -> ManipReport:
     """Worst case of ``metric`` over size-c coalitions whose members each
     report a vector of ``reports``.
@@ -222,7 +213,6 @@ def _sweep(
         raise ValidationError(f"unknown metric {metric!r}")
     if c < 0:
         raise ValidationError(f"coalition size must be >= 0, got {c}")
-    algorithm = config.objective.spec_string()
     truthful = Counter({vector: len(members) for vector, members in instance.groups.items()})
     sizes = truthful.copy()
     sizes.update(dict.fromkeys(reports, c))
@@ -230,7 +220,7 @@ def _sweep(
     derive_compositions(instance, enclosing)
 
     if metric == METRIC_FAIRNESS and structurally_excluded(instance):
-        return ManipReport(metric, 0.0, Misreport(frozenset(), {}), algorithm, search)
+        return ManipReport(metric, 0.0, Misreport(frozenset(), {}), search)
 
     if strict and c > coalition_size_cap(instance):
         raise CoalitionTooLargeError(
@@ -242,13 +232,13 @@ def _sweep(
     best_value = min(base_groups.values()) if metric == METRIC_FAIRNESS else 0.0
     best_witness = Misreport(frozenset(), {})
     if c == 0:
-        return ManipReport(metric, best_value, best_witness, algorithm, search)
+        return ManipReport(metric, best_value, best_witness, search)
 
     coalition_count = math.comb(len(instance.groups) + c - 1, c)
     report_count = math.comb(len(reports) + c - 1, c)
-    if coalition_count * report_count > budget:
+    if coalition_count * report_count > _MAX_CANDIDATES:
         raise BudgetExceededError(
-            f"{coalition_count * report_count} misreport candidates exceed the budget {budget}"
+            f"{coalition_count * report_count} misreport candidates exceed the budget {_MAX_CANDIDATES}"
         )
 
     # A misreport that keeps the truthful multiset solves to the base result.
@@ -299,7 +289,7 @@ def _sweep(
             if gain > PROB_EPS:  # at a tie within round-off, the first witness holds
                 best_value, best_witness = value, mis
 
-    return ManipReport(metric, float(best_value), best_witness, algorithm, search)
+    return ManipReport(metric, float(best_value), best_witness, search)
 
 
 def feature_bias_spread(instance: Instance, feature: str) -> float:

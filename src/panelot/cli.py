@@ -10,6 +10,7 @@ that reason.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .adversary import (
     worst_mu_manipulator,
 )
 from .errors import PanelotError, ValidationError
-from .model import duplicate_pool, load_instance, save_instance, stats
+from .model import duplicate_pool, load_instance, save_instance
 from .objectives import gini, parse_objective
 from .panels import CompositionDistribution, has_valid_panel, structurally_excluded
 from .report import (
@@ -51,22 +52,12 @@ def _add_solver_args(parser: argparse.ArgumentParser, objective: bool = True) ->
     if objective:
         parser.add_argument("--objective", default="goldilocks:1", help="objective spec string")
     parser.add_argument("--backend", default=SolveConfig.backend, choices=["colgen", "brute"])
-    parser.add_argument("--eps", type=float, default=SolveConfig.eps_master,
-                        help="leximin freezing slack: frozen groups are floored at level - eps, "
-                             "and groups within 10*eps of the level freeze")
     parser.add_argument("--eps-colgen", type=float, default=SolveConfig.eps_colgen,
                         help="column-generation slack")
-    parser.add_argument("--max-columns", type=int, default=SolveConfig.max_columns)
 
 
 def _config(args) -> SolveConfig:
-    return SolveConfig(
-        objective=parse_objective(args.objective),
-        backend=args.backend,
-        eps_master=args.eps,
-        eps_colgen=args.eps_colgen,
-        max_columns=args.max_columns,
-    )
+    return SolveConfig(parse_objective(args.objective), backend=args.backend, eps_colgen=args.eps_colgen)
 
 
 def _load(args):
@@ -79,7 +70,10 @@ def _load(args):
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -91,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panelot",
         description="Quota-constrained panel selection with maximally equal lotteries.",
+        allow_abbrev=False,
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", default="out", help="artifact directory")
@@ -102,29 +97,31 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["csv", "json"], default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: a removed --eps must not resolve to --eps-colgen.
+    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser("validate", parents=[common], help="check instance files and report pool statistics")
+    p = add("validate", help="check instance files and report pool statistics")
     _add_instance_args(p)
 
-    p = sub.add_parser("select", parents=[common], help="compute a maximally equal panel distribution")
+    p = add("select", help="compute a maximally equal panel distribution")
     _add_instance_args(p)
     _add_solver_args(p)
 
-    p = sub.add_parser("leximin", parents=[common], help="select with the leximin refinement")
+    p = add("leximin", help="select with the leximin refinement")
     _add_instance_args(p)
     _add_solver_args(p, objective=False)
     p.set_defaults(objective="leximin")
 
-    p = sub.add_parser("legacy", parents=[common], help="run the greedy baseline once")
+    p = add("legacy", help="run the greedy baseline once")
     _add_instance_args(p)
 
-    p = sub.add_parser("round", parents=[common], help="round a solved distribution to an m-uniform lottery")
+    p = add("round", help="round a solved distribution to an m-uniform lottery")
     _add_instance_args(p)
     p.add_argument("--result", required=True, help="result JSON from select/leximin")
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--runs", type=int, default=1, help="extra seeded runs for deviation stats")
 
-    p = sub.add_parser("manip", parents=[common], help="manipulation analysis")
+    p = add("manip", help="manipulation analysis")
     _add_instance_args(p)
     _add_solver_args(p)
     p.add_argument("--strategy", default="mu", choices=["mu", "exhaustive"])
@@ -133,14 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, default=1, help="pool duplication factor")
     p.add_argument("--strict", action="store_true", help="reject oversized coalitions")
 
-    p = sub.add_parser("feature-drop", parents=[common], help="solve while dropping the most biased features")
+    p = add("feature-drop", help="solve while dropping the most biased features")
     _add_instance_args(p)
     _add_solver_args(p)
     p.add_argument("--max-drop", type=int, default=1)
 
-    sub.add_parser("bench", parents=[common], help="run the built-in fixture suite and write artifacts")
+    add("bench", help="run the built-in fixture suite and write artifacts")
 
-    p = sub.add_parser("gen-lb", parents=[common], help="write a constructed lower-bound instance")
+    p = add("gen-lb", help="write a constructed lower-bound instance")
     p.add_argument("--kind", required=True, choices=["example1", "example2", "thm31", "thm43"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -151,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     instance = _load(args)
-    pool_stats = stats(instance)
     print(f"instance {instance.label}: n={instance.n} k={instance.k}")
-    print(f"vector groups: {len(pool_stats.present_vectors)} (smallest {pool_stats.min_group_size})")
+    print(f"vector groups: {len(instance.groups)} (smallest {instance.min_group_size()})")
     if not has_valid_panel(instance):
         print("NO_VALID_PANEL: quotas admit no panel", file=sys.stderr)
         return 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -179,30 +178,6 @@ class Instance:
         return Instance(scheme=scheme, agents=agents, k=int(payload["k"]), quotas=quotas, label=label)
 
 
-@dataclass(frozen=True)
-class InstanceStats:
-    """Pool statistics: group counts, the smallest group, and pool shares."""
-
-    n: int
-    group_counts: Mapping[FeatureVector, int]
-    present_vectors: tuple[FeatureVector, ...]
-    min_group_size: int
-    pool_shares: Mapping[tuple[str, str], Fraction]
-
-
-def stats(instance: Instance) -> InstanceStats:
-    """Exact pool statistics; shares use rational arithmetic."""
-    counts = Counter(vector for _, vector in instance.agents)
-    present = tuple(sorted(counts))
-    return InstanceStats(
-        n=instance.n,
-        group_counts=dict(counts),
-        present_vectors=present,
-        min_group_size=min(counts.values()),
-        pool_shares={pair: pool_share(instance, *pair) for pair in instance.scheme.feature_value_pairs()},
-    )
-
-
 def pool_share(instance: Instance, feature: str, value: str) -> Fraction:
     idx = instance.scheme.features.index(feature)
     matching = sum(1 for _, vector in instance.agents if vector[idx] == value)
@@ -228,6 +203,16 @@ def duplicate_pool(instance: Instance, copies: int) -> Instance:
     return instance.replace_agents(agents, label=f"{instance.label}x{copies}")
 
 
+def _read_csv(path: Path, kind: str) -> tuple[list[str] | None, list[dict]]:
+    """A CSV file's header and rows; an unreadable file is a ``ValidationError``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            return reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
 def load_instance(agents_file: str | Path, quotas_file: str | Path, k: int) -> Instance:
     """Load an instance from the two CSV files.
 
@@ -239,19 +224,14 @@ def load_instance(agents_file: str | Path, quotas_file: str | Path, k: int) -> I
     agents_file = Path(agents_file)
     quotas_file = Path(quotas_file)
 
-    with open(quotas_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"feature", "value", "min", "max"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"quotas file needs header feature,value,min,max, got {reader.fieldnames}")
-        quota_rows = [row for row in reader]
+    header, quota_rows = _read_csv(quotas_file, "quotas")
+    if header is None or not {"feature", "value", "min", "max"}.issubset(header):
+        raise ValidationError(f"quotas file needs header feature,value,min,max, got {header}")
 
-    with open(agents_file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[0] != "id" or len(reader.fieldnames) < 2:
-            raise ValidationError(f"agents file needs header id,<feature...>, got {reader.fieldnames}")
-        features = tuple(reader.fieldnames[1:])
-        agent_rows = [row for row in reader]
+    header, agent_rows = _read_csv(agents_file, "agents")
+    if header is None or header[0] != "id" or len(header) < 2:
+        raise ValidationError(f"agents file needs header id,<feature...>, got {header}")
+    features = tuple(header[1:])
 
     for row in quota_rows:
         if row["feature"] not in features:
@@ -281,7 +261,7 @@ def load_instance(agents_file: str | Path, quotas_file: str | Path, k: int) -> I
             raise ValidationError(f"duplicate quota row for {key}")
         try:
             lo, hi = int(row["min"]), int(row["max"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:  # TypeError: a short row leaves a bound None
             raise ValidationError(f"quota bounds for {key} must be integers") from exc
         quotas[key] = (lo, hi)
 

@@ -65,16 +65,10 @@ class EqualityObjective:
         if self.kind == Kind.GOLDILOCKS:
             if self.gamma_mode != GAMMA_FIXED:
                 return f"goldilocks:{self.gamma_mode}"
-            return f"goldilocks:{_format_gamma(self.gamma)}"
+            return f"goldilocks:{self.gamma:g}"
         if self.kind == Kind.LINEAR:
-            return f"linear:{_format_gamma(self.gamma)}"
+            return f"linear:{self.gamma:g}"
         return self.kind.value
-
-
-def _format_gamma(gamma: float | None) -> str:
-    if gamma is None:
-        return "?"
-    return f"{gamma:g}"
 
 
 def parse_objective(text: str) -> EqualityObjective:

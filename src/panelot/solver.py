@@ -72,6 +72,11 @@ _FLOOR_SEARCH_MAX_EVALS = 200
 # its iteration budget per master solve.
 _NASH_GAP = 1e-7
 _NASH_MAX_ITERS = 20_000
+# Columns one solve's pool may hold (past it the solve returns unconverged),
+# and greedy restarts of ``solve_legacy``.
+_MAX_COLUMNS = 2000
+_LEGACY_RESTARTS = 10_000
+_FREEZE_SLACK = 1e-8  # leximin's freezing slack (see ``_leximin``)
 # ``_lp_master`` costs (c_s, c_r) of the max-min and min-max LPs.
 _MAX_MIN = (0.0, -1.0)
 _MIN_MAX = (1.0, 0.0)
@@ -81,22 +86,18 @@ _log = logging.getLogger("panelot")
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs for a solve run; defaults suit desk-scale instances."""
+    """The objective, the seed pool and the pricing gap of a solve; the
+    column budget and leximin's freezing slack are fixed module constants."""
 
     objective: EqualityObjective
     backend: str = "colgen"  # "brute" | "colgen"
-    eps_master: float = 1e-8  # leximin's freezing slack (see ``_leximin``)
     eps_colgen: float = 1e-3
-    max_columns: int = 2000
 
     def __post_init__(self):
         if self.backend not in ("brute", "colgen"):
             raise ValidationError(f"unknown backend {self.backend!r}")
-        for name in ("eps_master", "eps_colgen"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.max_columns < 1:
-            raise ValidationError("max_columns must be at least 1")
+        if self.eps_colgen <= 0:
+            raise ValidationError("eps_colgen must be positive")
 
 
 @dataclass
@@ -315,7 +316,7 @@ def _run_colgen(pool: _ColumnPool, master, eta_scale: float = 1.0) -> tuple[_Mas
             support = solution.q > 1e-9
             support_best = float(col_scores[support].max()) if support.any() else float(col_scores.max())
             gap = (score - support_best) * eta_scale
-            if gap > config.eps_colgen and len(pool) < config.max_columns:
+            if gap > config.eps_colgen and len(pool) < _MAX_COLUMNS:
                 pool.add(comp)
                 continue
         pool.converged &= bool(gap <= config.eps_colgen and solution.converged)
@@ -682,13 +683,12 @@ def _leximin(pool: _ColumnPool) -> tuple[_MasterSolution, float]:
     the last round's master solution and the largest round certificate.
     """
     n_groups = len(pool.vectors)
-    eps_master = pool.config.eps_master
     frozen: dict[int, float] = {}
     gap = 0.0
 
     while len(frozen) < n_groups:
         free = set(range(n_groups)) - set(frozen)
-        floors = {w: level - eps_master for w, level in frozen.items()}
+        floors = {w: level - _FREEZE_SLACK for w, level in frozen.items()}
         solution, certificate = _run_colgen(pool, lambda p: _lp_master(p, _MAX_MIN, frozen=floors))
         gap = max(gap, certificate)
         level = -solution.value
@@ -700,7 +700,7 @@ def _leximin(pool: _ColumnPool) -> tuple[_MasterSolution, float]:
 
         newly = [w for w in sorted(free) if solution.group_duals[w] > _DUAL_EPS]
         if not newly:
-            newly = [w for w in sorted(free) if solution.p[w] <= level + 10 * eps_master]
+            newly = [w for w in sorted(free) if solution.p[w] <= level + 10 * _FREEZE_SLACK]
         if not newly:
             newly = [min(free, key=lambda w: solution.p[w])]
         for w in newly:
@@ -793,7 +793,7 @@ def deviation_delta(instance: Instance) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_legacy(instance: Instance, seed: int, restart_limit: int = 10_000) -> Panel:
+def solve_legacy(instance: Instance, seed: int) -> Panel:
     """The greedy heuristic long used in practice: fill one seat at a time.
 
     Each step finds the most desperate feature value by the ratio
@@ -804,7 +804,7 @@ def solve_legacy(instance: Instance, seed: int, restart_limit: int = 10_000) -> 
     pairs = instance.scheme.feature_value_pairs()
     feature_idx = {f: i for i, f in enumerate(instance.scheme.features)}
 
-    for attempt in range(restart_limit):
+    for attempt in range(_LEGACY_RESTARTS):
         rng = random.Random(f"{seed}:{attempt}")
         remaining: dict[str, FeatureVector] = dict(instance.vector_of)
         selected_counts = {pair: 0 for pair in pairs}
@@ -854,7 +854,7 @@ def solve_legacy(instance: Instance, seed: int, restart_limit: int = 10_000) -> 
             if candidate.is_valid(instance):
                 return candidate
 
-    raise RestartLimitError(f"no valid panel found in {restart_limit} greedy restarts")
+    raise RestartLimitError(f"no valid panel found in {_LEGACY_RESTARTS} greedy restarts")
 
 
 def approximation_ratios(

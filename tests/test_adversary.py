@@ -55,12 +55,9 @@ def test_apply_misreport_empty_is_identity(e1):
 
 
 def test_apply_misreport_strict_size_cap(e1):
-    # e1 has smallest group 2 < k=3, so the strict cap is zero.
+    # e1 has smallest group 2 < k=3, so the strict cap is zero; the sweep
+    # enforces it (test_exhaustive_strict_respects_cap).
     assert coalition_size_cap(e1) == 0
-    mover = e1.groups[("0",)][0]
-    mis = Misreport(frozenset({mover}), {mover: ("1",)})
-    with pytest.raises(CoalitionTooLargeError):
-        apply_misreport(e1, mis, strict=True)
 
 
 def _self_excluding_pool():
@@ -226,9 +223,10 @@ def test_exhaustive_strict_respects_cap(e1):
         manip_metric_exhaustive(e1, cfg("maximin"), c=1, metric="int", strict=True)
 
 
-def test_exhaustive_budget(e1):
+def test_exhaustive_budget(monkeypatch, e1):
+    monkeypatch.setattr(adversary, "_MAX_CANDIDATES", 3)
     with pytest.raises(BudgetExceededError):
-        manip_metric_exhaustive(e1, cfg("maximin"), c=2, metric="int", budget=3)
+        manip_metric_exhaustive(e1, cfg("maximin"), c=2, metric="int")
 
 
 def test_exhaustive_dominates_mu_search(e1):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -58,17 +59,52 @@ def test_bare_select_solves_with_the_config_defaults():
     assert _config(args) == SolveConfig(objective=parse_objective("goldilocks:1"))
 
 
-@pytest.mark.parametrize("columns", ["0", "-3"])
-def test_select_rejects_a_column_budget_below_one(tmp_path, capsys, e2, columns):
+@pytest.mark.parametrize("flag", [["--max-columns", "5"], ["--eps", "1e-9"]], ids=["max-columns", "eps"])
+def test_select_rejects_the_removed_solver_flags(tmp_path, capsys, e2, flag):
+    # The column budget and leximin's freezing slack are fixed; --eps must
+    # not pass as an abbreviation of --eps-colgen either.
     agents, quotas = _files(tmp_path, e2)
     out = tmp_path / "artifacts"
-    code = main(
-        ["--out", str(out), "select", "--agents", agents, "--quotas", quotas, "-k", "4",
-         "--objective", "maximin", "--max-columns", columns]
-    )
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(out), "select", "--agents", agents, "--quotas", quotas, "-k", "4", *flag])
+    assert exit_info.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _no_such_file(tmp_path, agents):
+    return tmp_path / "nope.csv", tmp_path / "artifacts"
+
+
+def _a_directory(tmp_path, agents):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    return folder, tmp_path / "artifacts"
+
+
+def _not_utf8(tmp_path, agents):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("id,f\nh\u00e9lo\u00efse,0\n".encode("latin-1"))
+    return latin1, tmp_path / "artifacts"
+
+
+def _out_under_a_file(tmp_path, agents):
+    return agents, agents / "x"
+
+
+@pytest.mark.parametrize("case", [_no_such_file, _a_directory, _not_utf8, _out_under_a_file],
+                         ids=["missing", "directory", "not-utf8", "out-under-file"])
+def test_unreadable_inputs_are_invalid_input(tmp_path, capsys, t1, case):
+    agents, quotas = _files(tmp_path, t1)
+    agents_arg, out = case(tmp_path, Path(agents))
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["--out", str(out), "select", "--agents", str(agents_arg), "--quotas", quotas, "-k", "2"])
+    err = capsys.readouterr().err
     assert code == 1
-    assert "INVALID_INPUT" in capsys.readouterr().err
-    assert not list(out.glob("select_*"))
+    assert err.startswith("INVALID_INPUT: ")
+    assert str(out if case is _out_under_a_file else agents_arg) in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("pool", ["thm43a", "e2"])

@@ -8,8 +8,8 @@ from panelot.model import (
     Instance,
     duplicate_pool,
     load_instance,
+    pool_share,
     save_instance,
-    stats,
 )
 
 from conftest import write_instance_csvs
@@ -21,10 +21,9 @@ def test_load_t1_from_csv(tmp_path):
     agents.write_text("id,f\na1,0\na2,0\na3,1\na4,1\n")
     quotas.write_text("feature,value,min,max\nf,0,1,1\nf,1,1,1\n")
     inst = load_instance(agents, quotas, k=2)
-    s = stats(inst)
-    assert s.n == 4
-    assert s.min_group_size == 2
-    assert len(s.present_vectors) == 2
+    assert inst.n == 4
+    assert inst.min_group_size() == 2
+    assert len(inst.present_vectors()) == 2
 
 
 def test_duplicate_id_rejected(tmp_path):
@@ -54,6 +53,16 @@ def test_duplicate_quota_row_rejected(tmp_path):
         load_instance(agents, quotas, k=1)
 
 
+@pytest.mark.parametrize("row", ["f,0,x,1", "f,0,1"], ids=["not-an-integer", "missing-max"])
+def test_quota_bounds_must_be_integers(tmp_path, row):
+    agents = tmp_path / "agents.csv"
+    quotas = tmp_path / "quotas.csv"
+    agents.write_text("id,f\na1,0\na2,1\n")
+    quotas.write_text(f"feature,value,min,max\n{row}\n")
+    with pytest.raises(ValidationError, match="must be integers"):
+        load_instance(agents, quotas, k=1)
+
+
 def test_unknown_feature_in_quotas(tmp_path):
     agents = tmp_path / "agents.csv"
     quotas = tmp_path / "quotas.csv"
@@ -73,25 +82,22 @@ def test_blank_cell_rejected(tmp_path):
 
 
 def test_stats_counts(t1):
-    s = stats(t1)
-    assert s.group_counts == {("0",): 2, ("1",): 2}
-    assert s.min_group_size == 2
-    assert s.n == 4
+    assert {v: t1.group_size(v) for v in t1.groups} == {("0",): 2, ("1",): 2}
+    assert t1.min_group_size() == 2
+    assert t1.n == 4
 
 
 def test_stats_single_vector_pool():
     scheme = FeatureScheme(features=("f",), values={"f": ("0", "1")})
     agents = tuple((f"a{i}", ("0",)) for i in range(5))
     inst = Instance(scheme=scheme, agents=agents, k=2, quotas={("f", "0"): (2, 2)})
-    s = stats(inst)
-    assert len(s.present_vectors) == 1
-    assert s.min_group_size == 5
+    assert len(inst.present_vectors()) == 1
+    assert inst.min_group_size() == 5
 
 
 def test_pool_shares_sum_to_one_per_feature(e2):
-    s = stats(e2)
     for feature in e2.scheme.features:
-        total = sum(s.pool_shares[(feature, v)] for v in e2.scheme.values[feature])
+        total = sum(pool_share(e2, feature, v) for v in e2.scheme.values[feature])
         assert total == Fraction(1)
 
 

@@ -2,7 +2,6 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,11 +60,11 @@ def test_t1_everything_is_uniform(t1, backend, spec):
     assert result.converged
 
 
-@pytest.mark.parametrize("name", ["max_columns"])
-@pytest.mark.parametrize("value", [0, -3])
-def test_config_rejects_budgets_below_one(name, value):
+@pytest.mark.parametrize("kw", [{"eps_colgen": 0.0}, {"eps_colgen": -1e-3}, {"backend": "simplex"}],
+                         ids=["eps-zero", "eps-negative", "backend"])
+def test_config_rejects_invalid_settings(kw):
     with pytest.raises(ValidationError):
-        cfg("maximin", **{name: value})
+        cfg("maximin", **kw)
 
 
 @pytest.mark.parametrize("backend", ["brute", "colgen"])
@@ -739,17 +738,17 @@ def test_nash_certificate_bounds_the_gap_when_a_budget_runs_out(monkeypatch, mak
     inst = make()
     config = SolveConfig(objective=parse_objective("nash"), eps_colgen=1e-7)
     budgets = [
-        (config, {"_NASH_MAX_ITERS": 1, "_NASH_GAP": 1e-12}),
-        (replace(config, max_columns=len(_initial_pool(inst, config))), {}),
+        {"_NASH_MAX_ITERS": 1, "_NASH_GAP": 1e-12},
+        {"_MAX_COLUMNS": len(_initial_pool(inst, config))},
     ]
-    for budget, constants in budgets:
+    for constants in budgets:
         with monkeypatch.context() as patched:
             for name, value in constants.items():
                 patched.setattr(solver, name, value)
-            result = solve(inst, budget)
+            result = solve(inst, config)
             nash_gap = solver._NASH_GAP
         gap = _nash_fw_gap(inst, result)
-        if gap > budget.eps_colgen + nash_gap:
+        if gap > config.eps_colgen + nash_gap:
             assert not result.converged
         assert gap <= result.certificate + 1e-12
 
@@ -834,7 +833,7 @@ def test_budget_exhaustion_reports_nonconverged(monkeypatch, backend):
     assert result.certificate is not None and result.certificate > 1e-12
 
 
-def test_column_budget_exhaustion_returns_partial_result():
+def test_column_budget_exhaustion_returns_partial_result(monkeypatch):
     from panelot.solver import _initial_pool
 
     # This seed's optimum needs more columns than the initial cover provides.
@@ -842,7 +841,8 @@ def test_column_budget_exhaustion_returns_partial_result():
     config = cfg("maximin", eps_colgen=1e-9)
     full = solve(inst, config)
     assert full.converged
-    starved = solve(inst, replace(config, max_columns=len(_initial_pool(inst, config))))
+    monkeypatch.setattr(solver, "_MAX_COLUMNS", len(_initial_pool(inst, config)))
+    starved = solve(inst, config)
     assert not starved.converged
     assert starved.certificate > config.eps_colgen
     assert starved.objective_value >= full.objective_value - 1e-12  # worse or equal maximin
@@ -893,14 +893,15 @@ def test_legacy_unique_panel_instance():
     assert solve_legacy(inst, seed=3).members == ("a1", "a2")
 
 
-def test_legacy_restart_limit():
+def test_legacy_restart_limit(monkeypatch):
     scheme = FeatureScheme(features=("f",), values={"f": ("0", "1")})
     agents = (("a1", ("1",)), ("a2", ("0",)), ("a3", ("0",)), ("a4", ("0",)))
     inst = Instance(
         scheme=scheme, agents=agents, k=3, quotas={("f", "1"): (2, 2), ("f", "0"): (1, 1)}
     )
+    monkeypatch.setattr(solver, "_LEGACY_RESTARTS", 20)
     with pytest.raises(RestartLimitError):
-        solve_legacy(inst, seed=1, restart_limit=20)
+        solve_legacy(inst, seed=1)
 
 
 def test_legacy_e2_favors_the_lone_agent(e2):
