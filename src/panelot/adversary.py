@@ -134,7 +134,7 @@ def mu_vector(instance: Instance) -> FeatureVector:
 
 
 def _group_probabilities(instance: Instance, result: SolveResult) -> dict[FeatureVector, float]:
-    return result.pi.group_probabilities(instance, tol=1e-6)
+    return result.distribution.group_probabilities(instance)
 
 
 def worst_mu_manipulator(instance: Instance, config: SolveConfig) -> ManipReport:

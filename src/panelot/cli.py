@@ -184,9 +184,7 @@ def _cmd_legacy(args) -> int:
     panel = solve_legacy(instance, seed=args.seed)
     out = _out_dir(args)
     path = out / f"legacy_{_safe(instance.label)}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"members": list(panel.members), "seed": args.seed}, fh, indent=2)
-        fh.write("\n")
+    write_json({"members": list(panel.members), "seed": args.seed}, path)
     print(f"legacy panel: {','.join(panel.members)}")
     print(f"wrote {path}")
     return 0
@@ -288,17 +286,11 @@ def _cmd_gen_lb(args) -> int:
     quotas_path = out / f"{args.kind}_quotas.csv"
     save_instance(instance, agents_path, quotas_path)
     mis_path = out / f"{args.kind}_misreport.json"
-    with open(mis_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "coalition": sorted(misreport.coalition),
-                "reported": {a: list(v) for a, v in sorted(misreport.reported.items())},
-                "k": instance.k,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json({
+        "coalition": sorted(misreport.coalition),
+        "reported": {a: list(v) for a, v in sorted(misreport.reported.items())},
+        "k": instance.k,
+    }, mis_path)
     print(f"wrote {agents_path}, {quotas_path}, {mis_path}")
     return 0
 
@@ -328,7 +320,7 @@ def _cmd_bench(args) -> int:
     for instance in (t1, e1, e2):
         for spec in ("maximin", "minimax", "leximin", "nash", "goldilocks:1"):
             result = solve(instance, replace(config, objective=parse_objective(spec)))
-            records.append(run_record(instance, result).__dict__)
+            records.append(run_record(instance, result))
     write_csv(records, out / "bench_runs.csv")
     write_json(records, out / "bench_runs.json")
 

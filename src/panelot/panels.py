@@ -5,9 +5,10 @@ this package optimizes, so all search happens in *composition* space: a
 composition assigns a seat count to each vector group. A pool with millions
 of valid panels typically has only a handful of valid compositions, which is
 what makes the exact weighted-panel oracle and brute enumeration tractable.
-A solve returns a ``CompositionDistribution``, whose ``marginals`` give every
-agent's selection probability; concrete ``Panel``s are built only as lottery
-tickets and as the ``legacy`` baseline's panel, never enumerated.
+A solve returns a ``CompositionDistribution``, whose ``group_probabilities``
+give every group's selection probability and ``marginals`` every agent's;
+concrete ``Panel``s are built only as lottery tickets and as the ``legacy``
+baseline's panel, never enumerated.
 
 One vectorized step, ``_CompositionSearch._expand``, holds the quota
 prune and the candidate seat range: it expands search states over the first
@@ -153,18 +154,29 @@ class CompositionDistribution:
             if not comp.is_valid(instance):
                 raise ValidationError(f"composition {comp.items} is not valid for this instance")
 
-    def marginals(self, instance: Instance) -> "ProbabilityAssignment":
-        """Every agent's selection probability: its group's expected seat
-        count sum_c q_c * s_c(w), divided by the group size n_w."""
-        seats: dict[FeatureVector, float] = {}
-        for comp, prob in self.entries:
+    def group_probabilities(self, instance: Instance) -> dict[FeatureVector, float]:
+        """Every group's selection probability sum_c q_c * s_c(w) / n_w, in
+        ``present_vectors()`` order; a vector ``instance`` lacks adds nothing.
+        The one map from composition weights to probabilities: a solve's
+        ``pi`` and the manipulation sweep read it. The seats-over-size matrix
+        is column-major: the product's summation order, and so its last bits,
+        depend on the layout."""
+        vectors = instance.present_vectors()
+        row = {vector: i for i, vector in enumerate(vectors)}
+        seats = np.zeros((len(vectors), len(self.entries)), order="F")
+        for j, (comp, _) in enumerate(self.entries):
             for vector, count in comp.items:
-                seats[vector] = seats.get(vector, 0.0) + prob * count
-        vector_of = instance.vector_of
-        return ProbabilityAssignment({
-            a: seats.get(vector_of[a], 0.0) / instance.group_size(vector_of[a])
-            for a in instance.agent_ids
-        })
+                if vector in row:
+                    seats[row[vector], j] = count
+        seats /= np.array([instance.group_size(v) for v in vectors], dtype=float)[:, None]
+        probs = seats @ np.array([prob for _, prob in self.entries])
+        return dict(zip(vectors, probs.tolist()))
+
+    def marginals(self, instance: Instance) -> "ProbabilityAssignment":
+        """Every agent's selection probability: its group's, from
+        ``group_probabilities``."""
+        groups, vector_of = self.group_probabilities(instance), instance.vector_of
+        return ProbabilityAssignment({a: groups[vector_of[a]] for a in instance.agent_ids})
 
     def to_json(self) -> dict:
         return {

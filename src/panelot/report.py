@@ -13,7 +13,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .adversary import drop_features
@@ -25,51 +25,31 @@ from .rounding import lottery_marginals, pipage_round, rounding_bounds
 from .solver import SolveConfig, SolveResult, approximation_ratios, solve
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One solve distilled to the numbers the comparison tables use."""
-
-    instance_label: str
-    objective: str
-    n: int
-    k: int
-    vector_count: int
-    min_group_size: int
-    min_prob: float
-    max_prob: float
-    gini: float
-    objective_value: float
-    converged: bool
-
-    def __post_init__(self):
-        ideal = self.k / self.n
-        if self.min_prob > ideal + 1e-9 or self.max_prob < ideal - 1e-9:
-            raise ValidationError(
-                f"extremes ({self.min_prob}, {self.max_prob}) cannot bracket k/n={ideal}"
-            )
-
-
-def run_record(instance: Instance, result: SolveResult) -> RunRecord:
+def run_record(instance: Instance, result: SolveResult) -> dict:
+    """One solve as a comparison-table row, after re-checking its mass (k),
+    its anonymity and its extremes, which must bracket k/n."""
     pi = result.pi
-    # Emitted rows re-validate the two structural invariants first.
     if abs(pi.total() - instance.k) > 1e-6:
         raise ValidationError(f"probabilities sum to {pi.total()}, expected k={instance.k}")
     gap = pi.anonymity_gap(instance)
     if gap > 0.01 + 1e-6:
         raise ValidationError(f"assignment violates anonymity (gap {gap})")
-    return RunRecord(
-        instance_label=instance.label,
-        objective=result.objective.spec_string(),
-        n=instance.n,
-        k=instance.k,
-        vector_count=len(instance.groups),
-        min_group_size=instance.min_group_size(),
-        min_prob=pi.min(),
-        max_prob=pi.max(),
-        gini=gini(pi),
-        objective_value=result.objective_value,
-        converged=result.converged,
-    )
+    ideal = instance.k / instance.n
+    if pi.min() > ideal + 1e-9 or pi.max() < ideal - 1e-9:
+        raise ValidationError(f"extremes ({pi.min()}, {pi.max()}) cannot bracket k/n={ideal}")
+    return {
+        "instance_label": instance.label,
+        "objective": result.objective.spec_string(),
+        "n": instance.n,
+        "k": instance.k,
+        "vector_count": len(instance.groups),
+        "min_group_size": instance.min_group_size(),
+        "min_prob": pi.min(),
+        "max_prob": pi.max(),
+        "gini": gini(pi),
+        "objective_value": result.objective_value,
+        "converged": result.converged,
+    }
 
 
 def _solve_spec(instance: Instance, spec: str, config: SolveConfig) -> SolveResult:
@@ -100,7 +80,7 @@ def table_maxes_mins(
 
     rows = []
     for spec, result in zip(algorithms, results):
-        min_ratio, max_ratio = approximation_ratios(instance, result, min_opt, max_opt)
+        min_ratio, max_ratio = approximation_ratios(result, min_opt, max_opt)
         rows.append(
             {
                 "instance": instance.label,

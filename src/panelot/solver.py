@@ -628,18 +628,16 @@ def _assemble_result(
     extra_iterations: int,
 ) -> SolveResult:
     """Keep the support compositions; every agent gets its group's
-    probability, so the assignment is anonymous by construction. The pool's
-    tally gives ``converged`` and, plus ``extra_iterations``, the iterations."""
+    probability (``CompositionDistribution.marginals``), so the assignment is
+    anonymous by construction. The pool's tally gives ``converged`` and,
+    plus ``extra_iterations``, the iterations."""
     instance = pool.instance
     keep = np.flatnonzero(q > _SUPPORT_EPS)
     probs = q[keep] / q[keep].sum()
     dist = CompositionDistribution(
         tuple((pool.columns[i], float(prob)) for i, prob in zip(keep, probs))
     )
-    group_p = pool.A[:, keep] @ probs
-    pi = ProbabilityAssignment(
-        {a: float(group_p[pool.index[instance.vector_of[a]]]) for a in instance.agent_ids}
-    )
+    pi = dist.marginals(instance)
     value = evaluate(objective, pi, instance.k, instance.n)
     return SolveResult(
         distribution=dist,
@@ -857,12 +855,7 @@ def solve_legacy(instance: Instance, seed: int) -> Panel:
     raise RestartLimitError(f"no valid panel found in {_LEGACY_RESTARTS} greedy restarts")
 
 
-def approximation_ratios(
-    instance: Instance,
-    result: SolveResult,
-    min_opt: float,
-    max_opt: float,
-) -> tuple[float, float]:
+def approximation_ratios(result: SolveResult, min_opt: float, max_opt: float) -> tuple[float, float]:
     """How close a result's extremes come to the optimal extremes.
 
     ``min_opt`` must come from a maximin solve and ``max_opt`` from a minimax

@@ -8,6 +8,7 @@ from panelot import fixtures
 from panelot.cli import _config, build_parser, main
 from panelot.model import load_instance
 from panelot.objectives import parse_objective
+from panelot.panels import CompositionDistribution
 from panelot.rounding import rounding_bounds
 from panelot.solver import SolveConfig
 
@@ -32,6 +33,18 @@ def test_validate_structural_exclusion(tmp_path, capsys):
     code = main(["validate", "--agents", agents, "--quotas", quotas, "-k", "2"])
     assert code == 1
     assert "STRUCTURAL_EXCLUSION" in capsys.readouterr().err
+
+
+def test_validate_no_valid_panel(tmp_path, capsys):
+    # The quotas pass their own sum check, but two seats need f=0 and the
+    # pool has one such agent.
+    agents = tmp_path / "agents.csv"
+    quotas = tmp_path / "quotas.csv"
+    agents.write_text("id,f\na1,1\na2,1\na3,1\na4,0\n")
+    quotas.write_text("feature,value,min,max\nf,1,0,0\nf,0,2,2\n")
+    code = main(["validate", "--agents", str(agents), "--quotas", str(quotas), "-k", "2"])
+    assert code == 1
+    assert "NO_VALID_PANEL: quotas admit no panel" in capsys.readouterr().err
 
 
 def test_select_writes_result_json(tmp_path, t1):
@@ -121,6 +134,21 @@ def test_select_nash_brute_writes_valid_json(tmp_path, pool, e2, instance_b):
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["converged"] is True
+
+
+@pytest.mark.parametrize("pool, objective", [("e2", "goldilocks:1"), ("thm43a", "nash"), ("minzero", "minimax")])
+def test_select_pi_is_what_round_targets(tmp_path, e2, instance_b, pool, objective):
+    # round's pi_result is the stored distribution's marginals: bit for bit
+    # the select file's pi.
+    instance = {"e2": e2, "thm43a": instance_b[2], "minzero": fixtures.starved_minimum_instance()}[pool]
+    agents, quotas = _files(tmp_path, instance)
+    out = tmp_path / "artifacts"
+    code = main(["--out", str(out), "select", "--agents", agents, "--quotas", quotas, "-k", str(instance.k),
+                 "--objective", objective])
+    assert code == 0
+    payload = json.loads(next(out.glob("select_*.json")).read_text())
+    loaded = load_instance(agents, quotas, instance.k)
+    assert CompositionDistribution.from_json(payload).marginals(loaded).pi == payload["pi"]
 
 
 def test_leximin_subcommand(tmp_path, e2):
@@ -334,6 +362,18 @@ def test_round_rejects_m_below_one_before_the_note(tmp_path, t1, capsys, m):
     assert not list(out.glob("lottery_*"))
 
 
+def test_round_notes_an_m_below_n_sqrt_n(tmp_path, t1, capsys):
+    agents, quotas, out, result_path = _select_t1(tmp_path, t1)
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",
+         "--result", str(result_path), "--m", "5"]
+    )
+    assert code == 0
+    assert "note: m=5 is below n*sqrt(n)=8" in capsys.readouterr().err
+    assert len(next(out.glob("lottery_*.txt")).read_text().splitlines()) == 5
+
+
 def test_manip_mu_subcommand(tmp_path, e1, capsys):
     agents, quotas = _files(tmp_path, e1)
     out = tmp_path / "artifacts"
@@ -404,6 +444,36 @@ def test_feature_drop_subcommand(tmp_path, e2):
     assert code == 0
     text = next(out.glob("feature_drop_*.csv")).read_text()
     assert text.splitlines()[0] == "drops,objective,min_prob,max_prob,min_opt,max_opt"
+
+
+def _csv_cell(value) -> str:
+    """A JSON row value as the CSV writer spells it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "NaN"
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("manip", ["--strategy", "exhaustive", "--c", "1", "--metric", "comp", "--objective", "maximin"]),
+    ("manip", ["--objective", "maximin"]),
+    ("feature-drop", ["--max-drop", "1"]),
+], ids=["manip-exhaustive", "manip-mu", "feature-drop"])
+def test_json_rows_match_csv_rows(tmp_path, e2, command, extra):
+    agents, quotas = _files(tmp_path, e2)
+    rows = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        code = main(["--out", str(out), "--format", fmt, command, "--agents", agents, "--quotas", quotas,
+                     "-k", "4", *extra])
+        assert code == 0
+        [path] = out.glob(f"*.{fmt}")
+        rows[fmt] = path.read_text(encoding="utf-8")
+    header, *lines = rows["csv"].splitlines()
+    csv_rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    json_rows = [{key: _csv_cell(value) for key, value in row.items()} for row in json.loads(rows["json"])]
+    assert json_rows == csv_rows
 
 
 def test_gen_lb_round_trips(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from panelot.errors import ValidationError
 from panelot.model import FeatureScheme, Instance
 from panelot.objectives import parse_objective
+from panelot.panels import ProbabilityAssignment
 from panelot.report import (
-    RunRecord,
     feature_drop_sweep,
     rounding_report,
     run_record,
@@ -25,26 +25,18 @@ def cfg(spec: str = "goldilocks:1") -> SolveConfig:
 def test_run_record_from_solve(t1):
     result = solve(t1, cfg("maximin"))
     record = run_record(t1, result)
-    assert record.min_prob == pytest.approx(0.5)
-    assert record.gini == pytest.approx(0.0, abs=1e-12)
-    assert record.vector_count == 2 and record.min_group_size == 2
+    assert record["min_prob"] == pytest.approx(0.5)
+    assert record["gini"] == pytest.approx(0.0, abs=1e-12)
+    assert record["vector_count"] == 2 and record["min_group_size"] == 2
 
 
-def test_run_record_rejects_impossible_extremes():
-    with pytest.raises(ValidationError):
-        RunRecord(
-            instance_label="x",
-            objective="maximin",
-            n=10,
-            k=2,
-            vector_count=2,
-            min_group_size=5,
-            min_prob=0.5,  # above k/n = 0.2: impossible for a mass-k assignment
-            max_prob=0.6,
-            gini=0.0,
-            objective_value=-0.5,
-            converged=True,
-        )
+def test_run_record_rejects_impossible_extremes(t1):
+    # Every probability 2e-7 above k/n: the mass is within the 1e-6 check,
+    # but a minimum above k/n cannot come from a mass-k assignment.
+    result = solve(t1, cfg("maximin"))
+    result.pi = ProbabilityAssignment({a: p + 2e-7 for a, p in result.pi.pi.items()})
+    with pytest.raises(ValidationError, match="cannot bracket"):
+        run_record(t1, result)
 
 
 def test_table_maxes_mins_e2(e2):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import reference_compositions, reference_marginals, reference_panels, small_instances
 from panelot import fixtures, solver
+from panelot.adversary import apply_misreport, make_lb_instance
 from panelot.errors import (
     CapExceededError,
     NoValidPanelError,
@@ -539,19 +540,19 @@ def test_approximation_ratios_e2(e2):
     min_opt = solve(e2, cfg("maximin")).pi.min()
     max_opt = solve(e2, cfg("minimax")).pi.max()
     gl = solve(e2, cfg("goldilocks:1"))
-    ratios = approximation_ratios(e2, gl, min_opt, max_opt)
+    ratios = approximation_ratios(gl, min_opt, max_opt)
     assert ratios[0] == pytest.approx(ROOT3 / 2.0, abs=1e-4)  # 0.866
     assert ratios[1] == pytest.approx(3.0 * ROOT3 / 4.0, abs=1e-4)  # 1.299
 
     maximin = solve(e2, cfg("maximin"))
-    assert approximation_ratios(e2, maximin, min_opt, max_opt) == pytest.approx((1.0, 1.5))
+    assert approximation_ratios(maximin, min_opt, max_opt) == pytest.approx((1.0, 1.5))
     minimax = solve(e2, cfg("minimax"))
-    assert approximation_ratios(e2, minimax, min_opt, max_opt) == pytest.approx((2.0 / 3.0, 1.0))
+    assert approximation_ratios(minimax, min_opt, max_opt) == pytest.approx((2.0 / 3.0, 1.0))
 
 
 def test_approximation_ratio_nan_when_min_opt_zero(e2):
     result = solve(e2, cfg("maximin"))
-    ratio_min, ratio_max = approximation_ratios(e2, result, 0.0, 1.0)
+    ratio_min, ratio_max = approximation_ratios(result, 0.0, 1.0)
     assert math.isnan(ratio_min)
     assert ratio_max == pytest.approx(1.0)
 
@@ -846,6 +847,30 @@ def test_column_budget_exhaustion_returns_partial_result(monkeypatch):
     assert not starved.converged
     assert starved.certificate > config.eps_colgen
     assert starved.objective_value >= full.objective_value - 1e-12  # worse or equal maximin
+
+
+PIN_POOLS = {
+    "t1": fixtures.two_group_instance,
+    "e1": fixtures.small_group_instance,
+    "e2": fixtures.linked_fate_instance,
+    "minzero": fixtures.starved_minimum_instance,
+    "thm43a": lambda: apply_misreport(*make_lb_instance("thm43", n=72, k=6, n_min=12, c=6)),
+    **{f"rand{s}": lambda s=s: fixtures.random_brute_instance(s) for s in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", PIN_POOLS)
+def test_pi_is_the_distributions_own_marginals(name):
+    # One computation maps composition weights to probabilities, so a
+    # solve's pi is its distribution's marginals to the last bit.
+    instance = PIN_POOLS[name]()
+    for spec in ALL_SPECS:
+        for backend in ("colgen", "brute"):
+            try:
+                result = solve(instance, cfg(spec, backend))
+            except PanelotError:  # e.g. auto2 on a pool missing a constrained value
+                continue
+            assert result.distribution.marginals(instance).pi == result.pi.pi, (spec, backend)
 
 
 def test_solve_is_deterministic(e2):
