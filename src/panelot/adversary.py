@@ -30,7 +30,7 @@ from .panels import (
     strip_self_excluders,
     structurally_excluded,
 )
-from .solver import SolveConfig, SolveResult, solve
+from .solver import SolveConfig, solve
 
 METRIC_INT = "int"  # largest probability gain of a coalition member
 METRIC_EXT = "ext"  # largest probability loss inflicted on an outsider
@@ -133,10 +133,6 @@ def mu_vector(instance: Instance) -> FeatureVector:
     return tuple(chosen)
 
 
-def _group_probabilities(instance: Instance, result: SolveResult) -> dict[FeatureVector, float]:
-    return result.distribution.group_probabilities(instance)
-
-
 def worst_mu_manipulator(instance: Instance, config: SolveConfig) -> ManipReport:
     """Largest probability gain any single agent can get by reporting the
     most-underrepresented vector: the c = 1 sweep with {μ} as the only
@@ -228,7 +224,7 @@ def _sweep(
         )
 
     base = solve(instance, config)
-    base_groups = _group_probabilities(instance, base)
+    base_groups = base.distribution.group_probabilities(instance)
     best_value = min(base_groups.values()) if metric == METRIC_FAIRNESS else 0.0
     best_witness = Misreport(frozenset(), {})
     if c == 0:
@@ -264,7 +260,7 @@ def _sweep(
                 continue
             key = tuple(sorted((truthful - counts + Counter(reported.values())).items()))
             if key not in solve_cache:
-                solve_cache[key] = _group_probabilities(manipulated, solve(manipulated, config))
+                solve_cache[key] = solve(manipulated, config).distribution.group_probabilities(manipulated)
             attacked = solve_cache[key]
 
             # A reported vector missing from the attacked pool was stripped

@@ -62,10 +62,7 @@ def _config(args) -> SolveConfig:
 
 def _load(args):
     instance = load_instance(args.agents, args.quotas, args.k)
-    copies = getattr(args, "copies", 1)
-    if copies > 1:
-        instance = duplicate_pool(instance, copies)
-    return instance
+    return duplicate_pool(instance, getattr(args, "copies", 1))
 
 
 def _out_dir(args) -> Path:
@@ -193,6 +190,8 @@ def _cmd_legacy(args) -> int:
 def _cmd_round(args) -> int:
     if args.m < 1:
         raise ValidationError(f"--m must be at least 1, got {args.m}")
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     instance = _load(args)
     try:
         with open(args.result, encoding="utf-8") as fh:

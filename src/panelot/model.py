@@ -167,16 +167,6 @@ class Instance:
             ],
         }
 
-    @staticmethod
-    def from_json(payload: dict, label: str = "instance") -> "Instance":
-        scheme = FeatureScheme(
-            features=tuple(payload["scheme"]["features"]),
-            values={f: tuple(vals) for f, vals in payload["scheme"]["values"].items()},
-        )
-        agents = tuple((a["id"], tuple(a["vector"])) for a in payload["agents"])
-        quotas = {(q["feature"], q["value"]): (int(q["min"]), int(q["max"])) for q in payload["quotas"]}
-        return Instance(scheme=scheme, agents=agents, k=int(payload["k"]), quotas=quotas, label=label)
-
 
 def pool_share(instance: Instance, feature: str, value: str) -> Fraction:
     idx = instance.scheme.features.index(feature)

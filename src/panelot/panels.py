@@ -78,9 +78,6 @@ class Panel:
             raise ValidationError("panel members must be distinct")
         object.__setattr__(self, "members", ordered)
 
-    def __contains__(self, agent_id: str) -> bool:
-        return agent_id in self.members
-
     def is_valid(self, instance: Instance) -> bool:
         if any(agent_id not in instance.vector_of for agent_id in self.members):
             return False
@@ -103,9 +100,6 @@ class PanelComposition:
 
     def seats(self, vector: FeatureVector) -> int:
         return self.counts.get(vector, 0)
-
-    def size(self) -> int:
-        return sum(c for _, c in self.items)
 
     def is_valid(self, instance: Instance) -> bool:
         counts = self.counts
@@ -215,7 +209,7 @@ def _composition_from_json(rows) -> PanelComposition:
 
 @dataclass(frozen=True)
 class ProbabilityAssignment:
-    """Per-agent selection probabilities, plus group views when anonymous."""
+    """Per-agent selection probabilities."""
 
     pi: Mapping[str, float]
 
@@ -228,9 +222,6 @@ class ProbabilityAssignment:
     def total(self) -> float:
         return sum(self.pi.values())
 
-    def values(self) -> list[float]:
-        return [self.pi[a] for a in sorted(self.pi)]
-
     def anonymity_gap(self, instance: Instance) -> float:
         """Largest within-group probability spread."""
         gap = 0.0
@@ -238,16 +229,6 @@ class ProbabilityAssignment:
             probs = [self.pi[a] for a in members]
             gap = max(gap, max(probs) - min(probs))
         return gap
-
-    def group_probabilities(self, instance: Instance, tol: float = 1e-6) -> dict[FeatureVector, float]:
-        """Vector-indexed probabilities; requires anonymity within ``tol``."""
-        gap = self.anonymity_gap(instance)
-        if gap > tol:
-            raise ValidationError(f"assignment is not anonymous (within-group gap {gap:.3g} > {tol:.3g})")
-        return {
-            vector: sum(self.pi[a] for a in members) / len(members)
-            for vector, members in instance.groups.items()
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,9 @@ def feature_drop_sweep(
 ) -> list[dict]:
     """Solve every objective as quota constraints are peeled off, most biased
     feature first, alongside the optimal-extremes envelope."""
-    if max_drop >= len(instance.scheme.features):
-        raise ValidationError("max_drop must leave at least one feature")
+    top = len(instance.scheme.features) - 1
+    if not 0 <= max_drop <= top:
+        raise ValidationError(f"max_drop must be between 0 and {top}, got {max_drop}")
     rows = []
     for drops in range(max_drop + 1):
         reduced = drop_features(instance, drops)

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ValidationError
 from .model import Instance, instance_hash
@@ -87,35 +87,6 @@ class UniformLottery:
     def multiplicities(self) -> Iterator[tuple[Panel, int]]:
         """(panel, tickets it sits on) per run and distinct panel."""
         return itertools.chain.from_iterable(run.multiplicities() for run in self.runs)
-
-
-def _cycle_runs(tickets: Iterable[Panel]) -> list[TicketRun]:
-    """Split a ticket sequence, in order, into runs that each cycle through
-    their distinct panels. Greedy: a run grows while the next ticket is a
-    new panel or the next one of its closed cycle."""
-    runs: list[TicketRun] = []
-    panels: list[Panel] = []
-    seen: set[Panel] = set()
-    count = period = 0  # period stays 0 until the run's first panel recurs
-    for panel in tickets:
-        if period:
-            fits = panel == panels[count % period]
-        elif panel not in seen:
-            panels.append(panel)
-            seen.add(panel)
-            fits = True
-        elif panel == panels[0]:
-            period = len(panels)
-            fits = True
-        else:
-            fits = False
-        if not fits:
-            runs.append(TicketRun(tuple(panels), count))
-            panels, seen, count, period = [panel], {panel}, 0, 0
-        count += 1
-    if panels:
-        runs.append(TicketRun(tuple(panels), count))
-    return runs
 
 
 def pipage_round(dist: CompositionDistribution, instance: Instance, m: int, seed: int) -> UniformLottery:
@@ -283,30 +254,3 @@ def write_lottery(lottery: UniformLottery, path: str | Path, instance: Instance,
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def read_lottery(path: str | Path) -> UniformLottery:
-    """The lottery in a ticket file, as runs in file order; one ``Panel`` is
-    built per distinct line. Every non-blank line must be
-    ``<i>\\t<members>`` with i counting 1, 2, ... in file order."""
-    panels: dict[str, Panel] = {}
-
-    def tickets() -> Iterator[Panel]:
-        number = 0
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                number += 1
-                head, tab, members = line.partition("\t")
-                if not tab or head != str(number):
-                    raise ValidationError(
-                        f"{path}: line {line_no} is not ticket {number} (expected '{number}<TAB>members')"
-                    )
-                panel = panels.get(members)
-                if panel is None:
-                    panel = panels[members] = Panel(tuple(members.split(",")))
-                yield panel
-
-    runs = _cycle_runs(tickets())
-    return UniformLottery(m=sum(run.count for run in runs), runs=runs)

@@ -96,8 +96,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.backend not in ("brute", "colgen"):
             raise ValidationError(f"unknown backend {self.backend!r}")
-        if self.eps_colgen <= 0:
-            raise ValidationError("eps_colgen must be positive")
+        if not 0 < self.eps_colgen < math.inf:
+            raise ValidationError(f"eps_colgen must be positive and finite, got {self.eps_colgen}")
 
 
 @dataclass
@@ -844,8 +844,6 @@ def solve_legacy(instance: Instance, seed: int) -> Panel:
                     # Quota full: everyone left holding this value is out.
                     for other in remaining_with(pair):
                         del remaining[other]
-            if len(remaining) == 0 and len(panel) < instance.k:
-                failed = True
 
         if not failed and len(panel) == instance.k:
             candidate = Panel(tuple(panel))

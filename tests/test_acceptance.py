@@ -115,7 +115,7 @@ def test_criterion_03_instance_b_closed_forms(instance_b):
     column_ok = True
     for spec in ("maximin", "minimax", "leximin", "nash", "goldilocks:1"):
         result = solve(attacked, _cfg(spec))
-        probs = result.pi.group_probabilities(attacked, tol=1e-6)
+        probs = result.distribution.group_probabilities(attacked)
         column_ok &= abs(probs[("1", "1", "1")] - 2.0 / 9.0) <= 1e-6
     ok = (
         abs(lex.pi.pi[lone] - 0.125) <= 1e-5
@@ -146,8 +146,8 @@ def test_criterion_04_deviation_sandwich():
 
 def _best_coalition_gain(truthful, misreport, attacked, spec: str) -> float:
     config = _cfg(spec)
-    base = solve(truthful, config).pi.group_probabilities(truthful, tol=1e-6)
-    post = solve(attacked, config).pi.group_probabilities(attacked, tol=1e-6)
+    base = solve(truthful, config).distribution.group_probabilities(truthful)
+    post = solve(attacked, config).distribution.group_probabilities(attacked)
     gains = []
     for agent in misreport.coalition:
         before = base[truthful.vector_of[agent]]

@@ -30,6 +30,7 @@ from panelot.errors import (
 )
 from panelot.model import FeatureScheme, Instance, duplicate_pool
 from panelot.objectives import parse_objective
+from panelot.panels import CompositionDistribution
 from panelot.solver import SolveConfig, solve
 
 
@@ -245,7 +246,7 @@ def test_mu_search_skips_misreports_outside_the_model(seed, spec):
     # sweep does, and reports the best of the others.
     instance, config = fixtures.random_brute_instance(seed), cfg(spec)
     target = mu_vector(instance)
-    base = solve(instance, config).pi.group_probabilities(instance)
+    base = solve(instance, config).distribution.group_probabilities(instance)
     gains, skipped = [0.0], 0
     for vector in instance.present_vectors():
         agent_id = instance.groups[vector][0]
@@ -254,7 +255,7 @@ def test_mu_search_skips_misreports_outside_the_model(seed, spec):
         except NonCoalitionExclusionError:
             skipped += 1
             continue
-        after = solve(attacked, config).pi.group_probabilities(attacked)
+        after = solve(attacked, config).distribution.group_probabilities(attacked)
         gains.append((after[target] if agent_id in attacked.vector_of else 0.0) - base[vector])
     assert skipped
     report = worst_mu_manipulator(instance, config)
@@ -271,7 +272,7 @@ def test_sweep_without_a_gaining_misreport_reports_the_empty_coalition(name, c, 
     instance = fixtures.small_group_instance() if name == "e1" else fixtures.random_brute_instance(int(name[4:]))
     report = manip_metric_exhaustive(instance, cfg(), c=c, metric=metric)
     assert report.witness == Misreport(frozenset(), {})
-    truthful = solve(instance, cfg()).pi.group_probabilities(instance)
+    truthful = solve(instance, cfg()).distribution.group_probabilities(instance)
     assert report.value == (min(truthful.values()) if metric == "fairness" else 0.0)
 
 
@@ -283,8 +284,8 @@ def test_exhaustive_witness_reproduces_value(e1):
     base = solve(e1, config)
     attacked_inst = apply_misreport(e1, report.witness)
     attacked = solve(attacked_inst, config)
-    base_groups = base.pi.group_probabilities(e1)
-    post_groups = attacked.pi.group_probabilities(attacked_inst)
+    base_groups = base.distribution.group_probabilities(e1)
+    post_groups = attacked.distribution.group_probabilities(attacked_inst)
     losses = [
         base_groups[e1.vector_of[a]] - post_groups[attacked_inst.vector_of[a]]
         for a in e1.agent_ids
@@ -322,7 +323,7 @@ def _per_agent_scores(instance, mis, base, attacked, after):
 def _reference_sweep(instance, config, c):
     """(value, witness) per metric from a sweep that scores each candidate
     agent by agent, plus the number of candidates with a stripped member."""
-    base = solve(instance, config).pi.group_probabilities(instance)
+    base = solve(instance, config).distribution.group_probabilities(instance)
     best = {metric: (0.0, Misreport(frozenset(), {})) for metric in ("int", "ext", "comp")}
     best["fairness"] = (min(base.values()), Misreport(frozenset(), {}))
     solved, stripped = {}, 0
@@ -338,7 +339,7 @@ def _reference_sweep(instance, config, c):
                 stripped += attacked.n < instance.n
                 key = tuple(sorted(Counter(reported.get(a, v) for a, v in instance.agents).items()))
                 if key not in solved:
-                    solved[key] = solve(attacked, config).pi.group_probabilities(attacked)
+                    solved[key] = solve(attacked, config).distribution.group_probabilities(attacked)
                 scores = _per_agent_scores(instance, mis, base, attacked, solved[key])
             for metric, value in scores.items():
                 held = best[metric][0]
@@ -602,13 +603,13 @@ def test_lp_round_off_does_not_pick_the_manip_witness(spec, monkeypatch):
         return reports + [worst_mu_manipulator(instance, cfg(spec))]
 
     exact = sweeps()
-    group_probabilities, calls = adversary._group_probabilities, itertools.count()
+    group_probabilities, calls = CompositionDistribution.group_probabilities, itertools.count()
 
-    def shifted(inst, result):
+    def shifted(dist, inst):
         shift = next(calls) % 7 * 1e-12
-        return {vector: p + shift for vector, p in group_probabilities(inst, result).items()}
+        return {vector: p + shift for vector, p in group_probabilities(dist, inst).items()}
 
-    monkeypatch.setattr(adversary, "_group_probabilities", shifted)
+    monkeypatch.setattr(CompositionDistribution, "group_probabilities", shifted)
     for report, moved in zip(exact, sweeps()):
         assert moved.witness == report.witness, (report.metric, report.search)
         assert moved.value == pytest.approx(report.value, abs=1e-9), (report.metric, report.search)

@@ -362,6 +362,21 @@ def test_round_rejects_m_below_one_before_the_note(tmp_path, t1, capsys, m):
     assert not list(out.glob("lottery_*"))
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_round_rejects_runs_below_one(tmp_path, t1, capsys, runs):
+    agents, quotas, out, result_path = _select_t1(tmp_path, t1)
+    capsys.readouterr()
+    code = main(
+        ["--out", str(out), "round", "--agents", agents, "--quotas", quotas, "-k", "2",
+         "--result", str(result_path), "--runs", runs]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID_INPUT")
+    assert "--runs" in err
+    assert not list(out.glob("lottery_*"))
+
+
 def test_round_notes_an_m_below_n_sqrt_n(tmp_path, t1, capsys):
     agents, quotas, out, result_path = _select_t1(tmp_path, t1)
     capsys.readouterr()
@@ -400,6 +415,21 @@ def test_manip_mu_with_pool_copies(tmp_path, e1):
     row = text.strip().split("\n")[1]
     assert row.startswith("int,1,mu,0.000000")
     assert row.endswith(",2")
+
+
+@pytest.mark.parametrize("copies", ["0", "-1"])
+def test_manip_rejects_copies_below_one(tmp_path, e1, capsys, copies):
+    agents, quotas = _files(tmp_path, e1)
+    out = tmp_path / "artifacts"
+    code = main(
+        ["--out", str(out), "manip", "--agents", agents, "--quotas", quotas, "-k", "3",
+         "--objective", "maximin", "--strategy", "mu", "--copies", copies]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID_INPUT")
+    assert "copies" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, flags", [
@@ -444,6 +474,39 @@ def test_feature_drop_subcommand(tmp_path, e2):
     assert code == 0
     text = next(out.glob("feature_drop_*.csv")).read_text()
     assert text.splitlines()[0] == "drops,objective,min_prob,max_prob,min_opt,max_opt"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("max_drop", ["-1", "2"])
+def test_feature_drop_rejects_max_drop_out_of_range(tmp_path, e2, capsys, fmt, max_drop):
+    # e2 has two features, so 0 and 1 are the only counts that leave one.
+    agents, quotas = _files(tmp_path, e2)
+    out = tmp_path / "artifacts"
+    code = main(
+        ["--out", str(out), "--format", fmt, "feature-drop", "--agents", agents, "--quotas", quotas,
+         "-k", "4", "--max-drop", max_drop]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID_INPUT")
+    assert f"max_drop must be between 0 and 1, got {max_drop}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "0"])
+def test_select_rejects_an_eps_colgen_that_is_not_positive_and_finite(tmp_path, capsys, eps):
+    instance = fixtures.skew_pool(200, 10, (2, 2, 3), seed=0)
+    agents, quotas = _files(tmp_path, instance)
+    out = tmp_path / "artifacts"
+    code = main(
+        ["--out", str(out), "select", "--agents", agents, "--quotas", quotas, "-k", str(instance.k),
+         "--objective", "maximin", "--eps-colgen", eps]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID_INPUT")
+    assert "eps_colgen must be positive and finite" in err
+    assert not out.exists()
 
 
 def _csv_cell(value) -> str:

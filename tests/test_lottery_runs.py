@@ -1,8 +1,8 @@
 """Run-based lotteries against a naive per-ticket reference.
 
 The reference draws the same rounding and rotations as ``pipage_round`` but
-builds every ticket on its own, with no period or cycle, and writes, tallies
-and reads the lottery one ticket at a time.
+builds every ticket on its own, with no period or cycle, and writes and
+tallies the lottery one ticket at a time.
 """
 
 import dataclasses
@@ -21,11 +21,9 @@ from panelot.rounding import (
     _WRITE_CHUNK,
     TicketRun,
     UniformLottery,
-    _cycle_runs,
     _round_counts,
     lottery_marginals,
     pipage_round,
-    read_lottery,
     write_lottery,
 )
 from panelot.solver import SolveConfig, solve
@@ -117,12 +115,6 @@ def _check_against_reference(tmp_path, inst, dist, m, seed):
     assert lottery_marginals(inst, lottery).pi == _reference_marginals(inst, reference)
     assert _tally(lottery) == Counter(p.members for p in reference)
 
-    again = read_lottery(path)
-    assert again.m == m
-    _assert_same(again.tickets, reference)
-    assert len({p for run in again.runs for p in run.panels}) == len(set(reference))
-    _assert_same(UniformLottery(m=m, runs=_cycle_runs(reference)).tickets, reference)
-
 
 def _ms(period):
     return sorted({m for m in (1, 7, period - 1, period, period + 1, 10_007) if m >= 1})
@@ -142,14 +134,6 @@ def test_runs_match_per_ticket_reference_on_thm43a(tmp_path, instance_b):
         _check_against_reference(tmp_path, inst, dist, m, seed=7)
 
 
-def test_ticket_runs_split_any_sequence():
-    a, b, c = (Panel(("x", "y")), Panel(("x", "z")), Panel(("y", "z")))
-    for tickets in ([a], [a, a, a], [a, b, a, b, a], [a, b, a, c], [a, b, c, b, a], [a, b, b, a, c, a, c]):
-        lottery = UniformLottery(m=len(tickets), runs=_cycle_runs(tickets))
-        assert lottery.tickets == tuple(tickets)
-        assert sum(run.count for run in lottery.runs) == len(tickets)
-
-
 def test_tallies_and_writer_never_build_tickets(tmp_path, monkeypatch, instance_b):
     inst = instance_b[2]
     dist = solve(inst, SolveConfig(objective=parse_objective("leximin"))).distribution
@@ -166,7 +150,7 @@ def test_tallies_and_writer_never_build_tickets(tmp_path, monkeypatch, instance_
     assert len(tally) == sum(len(run.panels) for run in lottery.runs)
     assert sum(tally.values()) == 50_000
     assert lottery_stats(inst, dist, 50_000, 3, seed=3)["runs"] == 3
-    assert read_lottery(path).m == 50_000
+    assert path.read_bytes().count(b"\n") == 50_000
 
 
 def _renamed(inst, names):
@@ -225,9 +209,6 @@ def test_writer_with_a_period_longer_than_the_chunk(tmp_path, instance_b):
         path = tmp_path / "lottery.txt"
         write_lottery(lottery, path, instance_b[2], seed=1)
         assert path.read_bytes() == _reference_file(lottery.tickets).encode("utf-8")
-        again = read_lottery(path)
-        assert again.m == lottery.m
-        _assert_same(again.tickets, lottery.tickets)
 
 
 @pytest.mark.parametrize("bad_id", ["x,1", "x\n1", "x\r1"])
@@ -252,24 +233,3 @@ def test_writer_keeps_ids_holding_a_tab(tmp_path):
     dist = _uniform_over_compositions(inst)
     _check_against_reference(tmp_path, inst, dist, 100, seed=1)
 
-
-@pytest.mark.parametrize("text,line", [
-    ("7\ta,b\nfoo\n3\ta,b\n", 1),
-    ("1\ta,b\nfoo\n3\ta,b\n", 2),
-    ("1\ta,b\n\n3\ta,b\n", 3),
-    ("1\ta,b\n2 a,b\n", 2),
-    ("01\ta,b\n", 1),
-    ("\ta,b\n", 1),
-])
-def test_reader_rejects_misnumbered_or_malformed_lines(tmp_path, text, line):
-    path = tmp_path / "lottery.txt"
-    path.write_bytes(text.encode("utf-8"))
-    with pytest.raises(ValidationError, match=f"line {line} "):
-        read_lottery(path)
-
-
-def test_reader_skips_blank_lines(tmp_path):
-    path = tmp_path / "lottery.txt"
-    path.write_bytes(b"\n1\ta,b\n\n2\ta,c\n\n")
-    lottery = read_lottery(path)
-    assert lottery.tickets == (Panel(("a", "b")), Panel(("a", "c")))

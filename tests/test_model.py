@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -135,10 +136,12 @@ def test_save_load_round_trip(tmp_path, e2):
 
 
 def test_json_round_trip(e1):
-    again = Instance.from_json(e1.to_json(), label=e1.label)
-    assert again.agents == e1.agents
-    assert again.scheme == e1.scheme
-    assert dict(again.quotas) == dict(e1.quotas)
+    payload = json.loads(json.dumps(e1.to_json()))
+    assert [(a["id"], tuple(a["vector"])) for a in payload["agents"]] == list(e1.agents)
+    assert payload["scheme"]["features"] == list(e1.scheme.features)
+    assert payload["scheme"]["values"] == {f: list(vals) for f, vals in e1.scheme.values.items()}
+    assert {(q["feature"], q["value"]): (q["min"], q["max"]) for q in payload["quotas"]} == dict(e1.quotas)
+    assert payload["k"] == e1.k
 
 
 def test_default_quota_is_vacuous(t1):

@@ -42,7 +42,7 @@ def cfg(spec: str, backend: str = "colgen", **kw) -> SolveConfig:
 
 
 def group_probs(instance, result):
-    return result.pi.group_probabilities(instance, tol=1e-9)
+    return result.distribution.group_probabilities(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +61,9 @@ def test_t1_everything_is_uniform(t1, backend, spec):
     assert result.converged
 
 
-@pytest.mark.parametrize("kw", [{"eps_colgen": 0.0}, {"eps_colgen": -1e-3}, {"backend": "simplex"}],
-                         ids=["eps-zero", "eps-negative", "backend"])
+@pytest.mark.parametrize("kw", [{"eps_colgen": 0.0}, {"eps_colgen": -1e-3}, {"eps_colgen": math.nan},
+                                {"eps_colgen": math.inf}, {"backend": "simplex"}],
+                         ids=["eps-zero", "eps-negative", "eps-nan", "eps-inf", "backend"])
 def test_config_rejects_invalid_settings(kw):
     with pytest.raises(ValidationError):
         cfg("maximin", **kw)
@@ -820,7 +821,7 @@ def test_single_group_pool_is_one_composition_for_every_objective(n, k, spec, ba
     assert result.converged
     assert result.certificate == 0.0
     assert [comp.items for comp in result.distribution.support()] == [((("0",), k),)]
-    assert all(p == pytest.approx(k / n, abs=1e-12) for p in result.pi.values())
+    assert all(p == pytest.approx(k / n, abs=1e-12) for p in result.pi.pi.values())
     assert result.objective_value == pytest.approx(evaluate(result.objective, [k / n] * n, k, n), abs=1e-12)
 
 

@@ -7,12 +7,19 @@ maps about 5.5 MB of LAPACK). scipy stays a test-only oracle.
 A frozen dataclass is written to only while it is built: every
 ``object.__setattr__`` call sits in a ``__post_init__``, so no cache is
 written into an instance later.
+
+Every module-level function and class is reachable: another line of the
+package refers to it, or ``panelot.__all__`` lists it. ``fixtures.py``, the
+home of the test instances, is exempt.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+import panelot
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "panelot"
 
@@ -105,3 +112,62 @@ def test_the_package_writes_frozen_dataclasses_only_in_post_init():
         if (hits := frozen_writes(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert not found, found
+
+
+def unreferenced(trees: dict[str, ast.AST], exported=frozenset(), exempt=frozenset()) -> list[str]:
+    """``module: name`` of every module-level function or class outside the
+    ``exempt`` modules that ``exported`` does not list and that no name,
+    attribute or import in ``trees`` refers to outside its own definition."""
+    refs = defaultdict(list)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append((module, node.lineno))
+            elif isinstance(node, ast.alias):
+                refs[node.name.rpartition(".")[2]].append((module, node.lineno))
+    found = []
+    for module, tree in trees.items():
+        if module in exempt:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            elsewhere = [ref for ref in refs[node.name] if ref[0] != module or ref[1] not in own]
+            if not elsewhere and node.name not in exported:
+                found.append(f"{module}: {node.name}")
+    return found
+
+
+def _trees(**sources):
+    return {f"{module}.py": ast.parse(source) for module, source in sources.items()}
+
+
+@pytest.mark.parametrize("sources", [
+    {"a": "def orphan():\n    pass\n"},
+    {"a": "def orphan(n):\n    return orphan(n - 1) if n else 0\n"},
+    {"a": "class orphan:\n    \"\"\"orphan, named only in text.\"\"\"\n", "b": "# orphan()\n"},
+    {"a": "def orphan():\n    pass\n", "fixtures": "def instance():\n    pass\n"},
+], ids=["never-named", "only-itself", "only-text", "fixtures-exempt"])
+def test_the_reachability_rule_catches_an_orphan(sources):
+    assert unreferenced(_trees(**sources), exempt={"fixtures.py"}) == ["a.py: orphan"]
+
+
+def test_the_reachability_rule_passes_called_imported_and_exported_names():
+    trees = _trees(
+        a="def called():\n    pass\n\ndef caller():\n    called()\n\ndef exported():\n    pass\n",
+        b="from .a import caller\nimport a\n\nclass C:\n    run = a.C2\n",
+        c="class C2:\n    pass\n\ndef main():\n    return C()\n",
+    )
+    assert unreferenced(trees, exported={"exported", "main"}) == []
+
+
+def test_every_package_function_and_class_is_reachable():
+    trees = {
+        str(path.relative_to(SRC)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert len(trees) >= 10
+    assert not unreferenced(trees, exported=set(panelot.__all__), exempt={"fixtures.py"})
